@@ -4,7 +4,9 @@ Feature files are little-endian throughout: magic "PSF1", u32 patch count,
 u32 feature dimension, then one record per patch of (i32 x, i32 y,
 dim x f32).  Manifests are header-checked CSV.  Databases persist by
 pickling behind a small envelope that names the engine, so a loaded file
-can be dispatched without guessing.
+can be dispatched without guessing.  A database file written by an
+incompatible version of the package (another envelope version, or engine
+classes it no longer defines) fails to load with a FormatError.
 """
 from __future__ import annotations
 
@@ -207,6 +209,11 @@ def load_database(path: str | Path) -> tuple[str, object]:
             envelope = pickle.load(fh)
     except (pickle.UnpicklingError, EOFError) as exc:
         raise FormatError(f"{path}: not a database file ({exc})") from exc
+    except (AttributeError, ImportError) as exc:
+        # the pickle names a module or class this version does not define
+        raise FormatError(
+            f"{path}: database written by an incompatible version ({exc})"
+        ) from exc
     if (
         not isinstance(envelope, dict)
         or envelope.get("format") != _DB_FORMAT

@@ -36,7 +36,7 @@ from .metrics import (
     ap_at_k,
     mv_at_k,
 )
-from .model import RetrievalResult, SlideRecord, patch_ref
+from .model import CandidateFilter, RetrievalResult, SlideRecord, patch_ref
 
 ENGINE_MODULES = {
     "yottixel": yottixel,
@@ -154,7 +154,7 @@ def _query_one(
     query: SlideRecord,
     task: str,
     k_max: int,
-    candidate_filter: Callable,
+    candidate_filter: CandidateFilter,
 ) -> list[QueryRow]:
     """All rows one query slide produces; unprocessable queries abstain with
     an all-null row rather than killing the run."""
@@ -186,7 +186,22 @@ def _query_one(
         return [_null_row(query, k_max)]
 
 
-def _patient_filter(query: SlideRecord) -> Callable:
+def _query_all(
+    worker: Callable[[SlideRecord], list[QueryRow]],
+    queries: Sequence[SlideRecord],
+    jobs: int,
+) -> list[QueryRow]:
+    """Every query's rows, sorted by query_id so the thread schedule never
+    shows in the output."""
+    if jobs == 1:
+        per_query = [worker(q) for q in queries]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_query = list(pool.map(worker, queries))
+    return sorted((row for rows in per_query for row in rows), key=lambda r: r.query_id)
+
+
+def _patient_filter(query: SlideRecord) -> CandidateFilter:
     # self-exclusion is by patient, not just slide id
     return lambda slide_id, labels: labels.patient_id != query.patient_id
 
@@ -231,15 +246,7 @@ def run_experiment(
             config.engine, db, query, config.task, k_max, _patient_filter(query)
         )
 
-    if config.jobs == 1:
-        per_query = [worker(q) for q in query_slides]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            per_query = list(pool.map(worker, query_slides))
-
-    rows = sorted(
-        (row for rows in per_query for row in rows), key=lambda r: r.query_id
-    )
+    rows = _query_all(worker, query_slides, config.jobs)
     summary = compute_summary(rows, config.task)
 
     rows_path = summary_csv = summary_txt = None
@@ -297,12 +304,7 @@ def query_rows_against_db(
             keep = patient_ok
         return _query_one(engine, db, query, task, k, keep)
 
-    if jobs == 1:
-        per_query = [worker(q) for q in query_slides]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_query = list(pool.map(worker, query_slides))
-    return sorted((row for rows in per_query for row in rows), key=lambda r: r.query_id)
+    return _query_all(worker, query_slides, jobs)
 
 
 @dataclass

@@ -11,24 +11,29 @@ read off the weighted incidence products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionError,
     EmptyInputError,
-    UnprocessedSlideError,
     UnsupportedOperationError,
     ValidationError,
 )
 from .model import (
     Barcode,
-    RetrievalEntry,
+    CandidateFilter,
+    PatchFeature,
     RetrievalResult,
     SlideLabels,
     SlideRecord,
     binarize_barcode,
+    check_k,
+    check_query_dim,
+    database_dim,
+    encode_slides,
+    ranked_result,
     slide_seed,
 )
 from .mosaic import FIXED_CENTROIDS, Mosaic, build_mosaic_fixed
@@ -82,9 +87,6 @@ class HshrDatabase:
 
     def __len__(self) -> int:
         return len(self.signatures)
-
-
-CandidateFilter = Callable[[str, SlideLabels], bool]
 
 
 def slide_signature(slide: SlideRecord, mosaic: Mosaic) -> SlideSignature:
@@ -153,27 +155,9 @@ def build_database(
     slides: Sequence[SlideRecord], params: HshrParams | None = None
 ) -> HshrDatabase:
     params = params or HshrParams()
-    if not slides:
-        raise EmptyInputError("cannot build a database from zero slides")
-    dims = {s.dim for s in slides}
-    if len(dims) != 1:
-        raise DimensionError(f"slides mix feature dimensions {sorted(dims)}")
-    dim = dims.pop()
-    if dim < 2:
-        raise DimensionError("hashing needs feature dimension >= 2")
-
-    signatures: list[SlideSignature] = []
-    slide_labels: dict[str, SlideLabels] = {}
-    unprocessed: list[tuple[str, str]] = []
-    for slide in slides:
-        try:
-            signatures.append(_signature_of(slide, params))
-        except (ValidationError, UnprocessedSlideError) as exc:
-            unprocessed.append((slide.slide_id, str(exc)))
-            continue
-        slide_labels[slide.slide_id] = slide.labels
-    if not signatures:
-        raise EmptyInputError("no slide survived signature construction")
+    dim = database_dim(slides, min_dim=2)
+    signed, unprocessed = encode_slides(slides, lambda slide: _signature_of(slide, params))
+    signatures = [sig for _, sig in signed]
 
     graph = build_hypergraph(signatures, params.knn_k)
     hash_bits = np.stack([sig.slide_hash.as_array() for sig in signatures])
@@ -182,7 +166,7 @@ def build_database(
         dim=dim,
         code_length=dim - 1,
         signatures=signatures,
-        slide_labels=slide_labels,
+        slide_labels={slide.slide_id: slide.labels for slide, _ in signed},
         graph=graph,
         hash_bits=hash_bits,
         unprocessed=unprocessed,
@@ -190,8 +174,7 @@ def build_database(
 
 
 def prepare_query(db: HshrDatabase, slide: SlideRecord) -> SlideSignature:
-    if slide.dim != db.dim:
-        raise DimensionError(f"query dim {slide.dim} != database dim {db.dim}")
+    check_query_dim(db, slide)
     return _signature_of(slide, db.params)
 
 
@@ -237,57 +220,34 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
     return ranked
 
 
-def query_similarity(db: HshrDatabase, query: SlideSignature, k: int) -> RetrievalResult:
-    """Top-k database slides by combined vertex and hyperedge similarity."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    entries = tuple(
-        RetrievalEntry(
-            target_id=slide_id,
-            target_site=db.slide_labels[slide_id].site,
-            target_subtype=db.slide_labels[slide_id].subtype,
-            score=score,
-            distance_kind="hypergraph",
-        )
-        for score, slide_id in ranked_scores(db, query)[:k]
-    )
-    return RetrievalResult(entries=entries, k_requested=k)
-
-
 def query_slides(
     db: HshrDatabase,
     query: SlideRecord | SlideSignature,
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    """Top-k database slides by combined vertex and hyperedge similarity."""
+    check_k(k)
     signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
-    ranked = ranked_scores(db, signature)
-    entries: list[RetrievalEntry] = []
-    for score, slide_id in ranked:
-        if len(entries) == k:
-            break
-        labels = db.slide_labels[slide_id]
-        if candidate_filter is not None and not candidate_filter(slide_id, labels):
-            continue
-        entries.append(
-            RetrievalEntry(
-                target_id=slide_id,
-                target_site=labels.site,
-                target_subtype=labels.subtype,
-                score=score,
-                distance_kind="hypergraph",
-            )
-        )
-    return RetrievalResult(entries=tuple(entries), k_requested=k)
+    hits = (
+        (slide_id, db.slide_labels[slide_id], score)
+        for score, slide_id in ranked_scores(db, signature)
+    )
+    if candidate_filter is not None:
+        hits = (hit for hit in hits if candidate_filter(hit[0], hit[1]))
+    return ranked_result(hits, k, "hypergraph")
 
 
-def query_patches(db: HshrDatabase, *args, **kwargs) -> RetrievalResult:
+def query_patches(
+    db: HshrDatabase,
+    patch: PatchFeature,
+    k: int,
+    candidate_filter: CandidateFilter | None = None,
+) -> RetrievalResult:
     """Always unsupported: hash signatures exist per slide, not per patch."""
     raise UnsupportedOperationError("hshr does not support patch retrieval")
 
 
-def query_patch_set(db: HshrDatabase, slide: SlideRecord) -> list:
+def query_patch_set(db: HshrDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """Always unsupported: hash signatures exist per slide, not per patch."""
     raise UnsupportedOperationError("hshr does not support patch retrieval")

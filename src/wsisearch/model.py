@@ -1,7 +1,9 @@
 """Shared domain types plus the distance, entropy, and barcoding primitives.
 
 Every engine consumes these types; all of them are immutable after
-construction and all operations here are pure functions.
+construction and all operations here are pure functions.  The checks,
+slide-encoding loop and result assembly that every engine's build and query
+share also live here, so the four engines decide them in one place.
 """
 from __future__ import annotations
 
@@ -9,7 +11,8 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from .errors import (
     DimensionError,
     EmptyInputError,
     UndefinedSimilarityError,
+    UnprocessedSlideError,
     ValidationError,
 )
 
@@ -151,6 +155,13 @@ class SlideRecord:
         dims = {p.dim for p in self.patches}
         if len(dims) != 1:
             raise DimensionError(f"slide {self.slide_id!r} mixes feature dimensions {dims}")
+        seen: set[tuple[int, int]] = set()
+        for p in self.patches:
+            if p.coord in seen:
+                raise ValidationError(
+                    f"slide {self.slide_id!r} repeats patch coordinate {p.coord}"
+                )
+            seen.add(p.coord)
 
     @property
     def dim(self) -> int:
@@ -195,6 +206,78 @@ class RetrievalResult:
 
     def target_ids(self) -> list[str]:
         return [e.target_id for e in self.entries]
+
+
+#: Per-query predicate over database slides: (slide_id, labels) -> keep.
+CandidateFilter = Callable[[str, SlideLabels], bool]
+
+Encoding = TypeVar("Encoding")
+
+
+def database_dim(slides: Sequence[SlideRecord], min_dim: int = 1) -> int:
+    """The one feature dimension shared by the slides of a database build."""
+    if not slides:
+        raise EmptyInputError("cannot build a database from zero slides")
+    dims = {s.dim for s in slides}
+    if len(dims) != 1:
+        raise DimensionError(f"slides mix feature dimensions {sorted(dims)}")
+    dim = dims.pop()
+    if dim < min_dim:
+        raise DimensionError(f"coding needs feature dimension >= {min_dim}, got {dim}")
+    return dim
+
+
+def check_k(k: int) -> None:
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+
+
+def check_query_dim(db, query: SlideRecord | PatchFeature) -> None:
+    """A query slide or patch must match the dimension the database was built at."""
+    if query.dim != db.dim:
+        raise DimensionError(f"query dim {query.dim} != database dim {db.dim}")
+
+
+def encode_slides(
+    slides: Sequence[SlideRecord], encode: Callable[[SlideRecord], Encoding]
+) -> tuple[list[tuple[SlideRecord, Encoding]], list[tuple[str, str]]]:
+    """Encode every slide for indexing.
+
+    Returns (slide, encoding) pairs in input order plus the (slide_id,
+    reason) of each slide whose encoding failed; at least one slide must
+    survive.
+    """
+    kept: list[tuple[SlideRecord, Encoding]] = []
+    unprocessed: list[tuple[str, str]] = []
+    for slide in slides:
+        try:
+            kept.append((slide, encode(slide)))
+        except (ValidationError, UnprocessedSlideError) as exc:
+            unprocessed.append((slide.slide_id, str(exc)))
+    if not kept:
+        raise EmptyInputError(f"none of {len(slides)} slides could be indexed")
+    return kept, unprocessed
+
+
+def ranked_result(
+    hits: Iterable[tuple[str, SlideLabels, float]], k: int, kind: str
+) -> RetrievalResult:
+    """Result of the first k (target_id, labels, score) hits, best first.
+
+    Only k hits are drawn, so ``hits`` may be a lazy filter over a longer
+    ranking.
+    """
+    entries = tuple(
+        RetrievalEntry(
+            target_id=target_id,
+            target_site=labels.site,
+            target_subtype=labels.subtype,
+            score=score,
+            distance_kind=kind,
+        )
+        for target_id, labels, score in islice(hits, k)
+    )
+    return RetrievalResult(entries=entries, k_requested=k)
 
 
 def hamming_distance(a: Barcode, b: Barcode) -> int:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, ValidationError
-from .model import PatchFeature, SlideRecord
+from .model import PatchFeature, SlideRecord, slide_seed
 
 PERCENT_OF_CLUSTERS = "percent_of_clusters"
 FIXED_CENTROIDS = "fixed_centroids"
@@ -180,6 +180,23 @@ def build_mosaic_percent(
         members=tuple(slide.patches[i] for i in selected),
         method=PERCENT_OF_CLUSTERS,
         params={"k_primary": k_primary, "fraction": fraction, "seed": seed},
+    )
+
+
+def histogram_mosaic(
+    slide: SlideRecord, k_primary: int, fraction: float, bins: int, seed: int
+) -> Mosaic:
+    """Percent mosaic clustered on the per-patch histogram surrogate.
+
+    ``seed`` is the engine's base seed; each slide draws its own from it, so
+    a slide's mosaic does not depend on which other slides are indexed.
+    """
+    return build_mosaic_percent(
+        slide,
+        histogram_matrix(slide, bins=bins),
+        k_primary=k_primary,
+        fraction=fraction,
+        seed=slide_seed(seed, slide.slide_id),
     )
 
 

@@ -12,25 +12,29 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
-    DimensionError,
     EmptyInputError,
     UndefinedSimilarityError,
     UnprocessedSlideError,
     ValidationError,
 )
 from .model import (
+    CandidateFilter,
     PatchFeature,
-    RetrievalEntry,
     RetrievalResult,
     SlideLabels,
     SlideRecord,
+    check_k,
+    check_query_dim,
+    database_dim,
+    encode_slides,
     label_entropy,
     patch_ref,
+    ranked_result,
     slide_seed,
 )
 from .mosaic import build_mosaic_percent
@@ -90,9 +94,6 @@ class RetcclDatabase:
         return int(self.unit_features.shape[0])
 
 
-CandidateFilter = Callable[[str, SlideLabels], bool]
-
-
 def _mosaic_members(slide: SlideRecord, params: RetcclParams) -> list[PatchFeature]:
     """Percent mosaic clustered on the features themselves; zero vectors are
     dropped because cosine similarity cannot see them."""
@@ -115,32 +116,18 @@ def build_database(
     slides: Sequence[SlideRecord], params: RetcclParams | None = None
 ) -> RetcclDatabase:
     params = params or RetcclParams()
-    if not slides:
-        raise EmptyInputError("cannot build a database from zero slides")
-    dims = {s.dim for s in slides}
-    if len(dims) != 1:
-        raise DimensionError(f"slides mix feature dimensions {sorted(dims)}")
-    dim = dims.pop()
+    dim = database_dim(slides)
+    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_members(slide, params))
 
     rows: list[np.ndarray] = []
     patch_slides: list[str] = []
     patch_coords: list[tuple[int, int]] = []
-    slide_labels: dict[str, SlideLabels] = {}
-    unprocessed: list[tuple[str, str]] = []
-    for slide in slides:
-        try:
-            members = _mosaic_members(slide, params)
-        except (ValidationError, UnprocessedSlideError) as exc:
-            unprocessed.append((slide.slide_id, str(exc)))
-            continue
+    for slide, members in kept:
         for m in members:
             vec = m.feature.astype(np.float64)
             rows.append(vec / np.linalg.norm(vec))
             patch_slides.append(slide.slide_id)
             patch_coords.append(m.coord)
-        slide_labels[slide.slide_id] = slide.labels
-    if not slide_labels:
-        raise EmptyInputError("no slide survived mosaic construction")
 
     return RetcclDatabase(
         params=params,
@@ -148,14 +135,13 @@ def build_database(
         unit_features=np.stack(rows),
         patch_slides=patch_slides,
         patch_coords=patch_coords,
-        slide_labels=slide_labels,
+        slide_labels={slide.slide_id: slide.labels for slide, _ in kept},
         unprocessed=unprocessed,
     )
 
 
 def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:
-    if slide.dim != db.dim:
-        raise DimensionError(f"query dim {slide.dim} != database dim {db.dim}")
+    check_query_dim(db, slide)
     return _mosaic_members(slide, db.params)
 
 
@@ -185,8 +171,7 @@ def build_bags(
     mask = _candidate_mask(db, candidate_filter)
     bags: list[Bag] = []
     for i, patch in enumerate(query_patches):
-        if patch.dim != db.dim:
-            raise DimensionError(f"query dim {patch.dim} != database dim {db.dim}")
+        check_query_dim(db, patch)
         vec = patch.feature.astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
@@ -230,12 +215,11 @@ def filter_and_order_bags(bags: Sequence[Bag], quality_rule: str = QUALITY_MEDIA
 def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalResult:
     """Each bag nominates its best hit carrying the bag's majority label;
     distinct slides are collected in bag order until k are found."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    entries: list[RetrievalEntry] = []
+    check_k(k)
+    nominees: list[tuple[str, SlideLabels, float]] = []
     seen: set[str] = set()
     for bag in bags:
-        if len(entries) == k:
+        if len(nominees) == k:
             break
         top = bag.hits[:5]
         counts = Counter(h.subtype for h in top)
@@ -247,17 +231,14 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
         if representative.slide_id in seen:
             continue
         seen.add(representative.slide_id)
-        labels = db.slide_labels[representative.slide_id]
-        entries.append(
-            RetrievalEntry(
-                target_id=representative.slide_id,
-                target_site=labels.site,
-                target_subtype=labels.subtype,
-                score=representative.score,
-                distance_kind="cosine",
+        nominees.append(
+            (
+                representative.slide_id,
+                db.slide_labels[representative.slide_id],
+                representative.score,
             )
         )
-    return RetrievalResult(entries=tuple(entries), k_requested=k)
+    return ranked_result(nominees, k, "cosine")
 
 
 def query_slides(
@@ -279,10 +260,8 @@ def query_patches(
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Global top-k patches by cosine, unthresholded, ties by (slide, ordinal)."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if patch.dim != db.dim:
-        raise DimensionError(f"query dim {patch.dim} != database dim {db.dim}")
+    check_k(k)
+    check_query_dim(db, patch)
     vec = patch.feature.astype(np.float64)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
@@ -294,21 +273,15 @@ def query_patches(
         np.flatnonzero(mask),
         key=lambda j: (-scores[j], db.patch_slides[j], int(j)),
     )
-    entries = []
-    for j in order[:k]:
-        sid = db.patch_slides[j]
-        labels = db.slide_labels[sid]
-        x, y = db.patch_coords[j]
-        entries.append(
-            RetrievalEntry(
-                target_id=patch_ref(sid, x, y),
-                target_site=labels.site,
-                target_subtype=labels.subtype,
-                score=float(scores[j]),
-                distance_kind="cosine",
-            )
+    hits = (
+        (
+            patch_ref(db.patch_slides[j], *db.patch_coords[j]),
+            db.slide_labels[db.patch_slides[j]],
+            float(scores[j]),
         )
-    return RetrievalResult(entries=tuple(entries), k_requested=k)
+        for j in order
+    )
+    return ranked_result(hits, k, "cosine")
 
 
 def query_patch_set(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:

@@ -15,10 +15,9 @@ database frequency of the target's label to blunt class imbalance.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,18 +30,22 @@ from .errors import (
 )
 from .model import (
     Barcode,
+    CandidateFilter,
     PatchFeature,
-    RetrievalEntry,
     RetrievalResult,
     SlideLabels,
     SlideRecord,
     binarize_barcode,
+    check_k,
+    check_query_dim,
+    database_dim,
+    encode_slides,
     hamming_distance,
     label_entropy,
     patch_ref,
-    slide_seed,
+    ranked_result,
 )
-from .mosaic import Mosaic, build_mosaic_percent, histogram_matrix
+from .mosaic import histogram_mosaic
 from .veb import VebTree
 
 #: One unit in the coarsest pooled digit; the guided walk seeds one step of
@@ -102,9 +105,6 @@ class SishDatabase:
         return len(self.slide_labels)
 
 
-CandidateFilter = Callable[[str, SlideLabels], bool]
-
-
 def index_encode(feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     """Map one feature vector to a 48-bit integer index.
 
@@ -150,13 +150,8 @@ def index_encode(feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
 
 def _mosaic_patches(slide: SlideRecord, params: SishParams) -> list[PatchFeature]:
     """Mosaic members with flat-feature patches (scanner artifacts) dropped."""
-    hist = histogram_matrix(slide, bins=params.histogram_bins)
-    mosaic: Mosaic = build_mosaic_percent(
-        slide,
-        hist,
-        k_primary=params.k_primary,
-        fraction=params.fraction,
-        seed=slide_seed(params.seed, slide.slide_id),
+    mosaic = histogram_mosaic(
+        slide, params.k_primary, params.fraction, params.histogram_bins, params.seed
     )
     kept = [m for m in mosaic.members if float(np.ptp(m.feature)) > 0.0]
     if not kept:
@@ -166,79 +161,11 @@ def _mosaic_patches(slide: SlideRecord, params: SishParams) -> list[PatchFeature
     return kept
 
 
-def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
-    params = params or SishParams()
-    if not slides:
-        raise EmptyInputError("cannot build a database from zero slides")
-    dims = {s.dim for s in slides}
-    if len(dims) != 1:
-        raise DimensionError(f"slides mix feature dimensions {sorted(dims)}")
-    dim = dims.pop()
-    if dim < 2:
-        raise DimensionError("barcoding needs feature dimension >= 2")
-
-    kept: list[tuple[SlideRecord, list[PatchFeature]]] = []
-    unprocessed: list[tuple[str, str]] = []
-    for slide in slides:
-        try:
-            kept.append((slide, _mosaic_patches(slide, params)))
-        except (ValidationError, UnprocessedSlideError) as exc:
-            unprocessed.append((slide.slide_id, str(exc)))
-    if not kept:
-        raise EmptyInputError("no slide survived mosaic construction")
-
-    # quantization ranges are a database-wide statistic, frozen at build time
-    stacked = np.stack([p.feature for _, patches in kept for p in patches])
-    lo = stacked.min(axis=0).astype(np.float64)
-    hi = stacked.max(axis=0).astype(np.float64)
-
-    db = SishDatabase(
-        params=params,
-        dim=dim,
-        code_length=dim - 1,
-        lo=lo,
-        hi=hi,
-        tree=VebTree(params.universe_bits),
-        unprocessed=unprocessed,
-    )
-    subtype_counts: Counter[str] = Counter()
-    for slide, patches in kept:
-        try:
-            entries = [
-                SishEntry(
-                    slide_id=slide.slide_id,
-                    ordinal=i,
-                    x=p.x,
-                    y=p.y,
-                    code=binarize_barcode(p.feature),
-                    index=index_encode(p.feature, lo, hi),
-                )
-                for i, p in enumerate(patches)
-            ]
-        except ValidationError as exc:
-            db.unprocessed.append((slide.slide_id, str(exc)))
-            continue
-        for entry in entries:
-            db.tree.insert(entry.index)
-            db.buckets.setdefault(entry.index, []).append(entry)
-        db.slide_labels[slide.slide_id] = slide.labels
-        subtype_counts[slide.subtype] += 1
-
-    if not db.slide_labels:
-        raise EmptyInputError("no slide survived indexing")
-    total = sum(subtype_counts.values())
-    db.subtype_freq = {name: count / total for name, count in subtype_counts.items()}
-    return db
-
-
-def prepare_query(db: SishDatabase, slide: SlideRecord) -> list[SishEntry]:
-    """Mosaic + codes for a query slide under the database's frozen ranges."""
-    if slide.dim != db.dim:
-        raise DimensionError(f"query dim {slide.dim} != database dim {db.dim}")
-    patches = _mosaic_patches(slide, db.params)
+def _encode(db: SishDatabase, slide_id: str, patches: Sequence[PatchFeature]) -> list[SishEntry]:
+    """Barcode plus integer index of each patch, under the database's ranges."""
     return [
         SishEntry(
-            slide_id=slide.slide_id,
+            slide_id=slide_id,
             ordinal=i,
             x=p.x,
             y=p.y,
@@ -247,6 +174,42 @@ def prepare_query(db: SishDatabase, slide: SlideRecord) -> list[SishEntry]:
         )
         for i, p in enumerate(patches)
     ]
+
+
+def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
+    params = params or SishParams()
+    dim = database_dim(slides, min_dim=2)
+    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_patches(slide, params))
+
+    # quantization ranges are a database-wide statistic, frozen at build time
+    stacked = np.stack([p.feature for _, patches in kept for p in patches])
+    db = SishDatabase(
+        params=params,
+        dim=dim,
+        code_length=dim - 1,
+        lo=stacked.min(axis=0).astype(np.float64),
+        hi=stacked.max(axis=0).astype(np.float64),
+        tree=VebTree(params.universe_bits),
+        unprocessed=unprocessed,
+    )
+    # index_encode fails only when every database-wide range is flat, and
+    # then for every slide alike, so its error ends the build
+    for slide, patches in kept:
+        for entry in _encode(db, slide.slide_id, patches):
+            db.tree.insert(entry.index)
+            db.buckets.setdefault(entry.index, []).append(entry)
+        db.slide_labels[slide.slide_id] = slide.labels
+
+    subtype_counts = Counter(slide.subtype for slide, _ in kept)
+    total = sum(subtype_counts.values())
+    db.subtype_freq = {name: count / total for name, count in subtype_counts.items()}
+    return db
+
+
+def prepare_query(db: SishDatabase, slide: SlideRecord) -> list[SishEntry]:
+    """Mosaic + codes for a query slide under the database's frozen ranges."""
+    check_query_dim(db, slide)
+    return _encode(db, slide.slide_id, _mosaic_patches(slide, db.params))
 
 
 def guided_search(
@@ -327,8 +290,7 @@ def rank_slides(
     k: int,
 ) -> RetrievalResult:
     """Uncertainty-filtered weighted voting over per-patch search results."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    check_k(k)
     if not patch_results:
         raise EmptyInputError("rank_slides needs at least one query patch")
 
@@ -355,17 +317,11 @@ def rank_slides(
             votes[entry.slide_id] = votes.get(entry.slide_id, 0.0) + weight
 
     ranked = sorted(votes.items(), key=lambda t: (-t[1], t[0]))
-    entries = tuple(
-        RetrievalEntry(
-            target_id=slide_id,
-            target_site=db.slide_labels[slide_id].site,
-            target_subtype=db.slide_labels[slide_id].subtype,
-            score=weight,
-            distance_kind="votes",
-        )
-        for slide_id, weight in ranked[:k]
+    return ranked_result(
+        ((slide_id, db.slide_labels[slide_id], weight) for slide_id, weight in ranked),
+        k,
+        "votes",
     )
-    return RetrievalResult(entries=entries, k_requested=k)
 
 
 def query_slides(
@@ -390,34 +346,21 @@ def query_patches(
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Top-k patches by guided search from one query patch; may come up short."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if patch.dim != db.dim:
-        raise DimensionError(f"query dim {patch.dim} != database dim {db.dim}")
-    probe = SishEntry(
-        slide_id="",
-        ordinal=0,
-        x=patch.x,
-        y=patch.y,
-        code=binarize_barcode(patch.feature),
-        index=index_encode(patch.feature, db.lo, db.hi),
-    )
+    check_k(k)
+    check_query_dim(db, patch)
+    (probe,) = _encode(db, "", [patch])
     hits = guided_search(db, probe, candidate_filter=candidate_filter)
-    entries = tuple(
-        RetrievalEntry(
-            target_id=patch_ref(e.slide_id, e.x, e.y),
-            target_site=db.slide_labels[e.slide_id].site,
-            target_subtype=db.slide_labels[e.slide_id].subtype,
-            score=float(ham),
-            distance_kind="hamming",
-        )
-        for e, ham in hits[:k]
+    return ranked_result(
+        (
+            (patch_ref(e.slide_id, e.x, e.y), db.slide_labels[e.slide_id], float(ham))
+            for e, ham in hits
+        ),
+        k,
+        "hamming",
     )
-    return RetrievalResult(entries=entries, k_requested=k)
 
 
 def query_patch_set(db: SishDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
-    if slide.dim != db.dim:
-        raise DimensionError(f"query dim {slide.dim} != database dim {db.dim}")
+    check_query_dim(db, slide)
     return _mosaic_patches(slide, db.params)

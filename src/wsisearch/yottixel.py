@@ -8,25 +8,29 @@ match.  Patch queries skip the aggregation and rank individual barcodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, ValidationError
+from .errors import DimensionError
 from .model import (
     BagOfBarcodes,
+    CandidateFilter,
     PatchFeature,
-    RetrievalEntry,
     RetrievalResult,
     SlideLabels,
     SlideRecord,
     binarize_barcode,
+    check_k,
+    check_query_dim,
+    database_dim,
+    encode_slides,
     hamming_matrix,
     pack_bit_rows,
     patch_ref,
-    slide_seed,
+    ranked_result,
 )
-from .mosaic import build_mosaic_percent, histogram_matrix
+from .mosaic import histogram_mosaic
 
 
 @dataclass(frozen=True)
@@ -59,19 +63,10 @@ class YottixelDatabase:
         return len(self.entries)
 
 
-CandidateFilter = Callable[[str, SlideLabels], bool]
-
-
 def _mosaic_members(slide: SlideRecord, params: YottixelParams) -> tuple[PatchFeature, ...]:
-    hist = histogram_matrix(slide, bins=params.histogram_bins)
-    mosaic = build_mosaic_percent(
-        slide,
-        hist,
-        k_primary=params.k_primary,
-        fraction=params.fraction,
-        seed=slide_seed(params.seed, slide.slide_id),
-    )
-    return mosaic.members
+    return histogram_mosaic(
+        slide, params.k_primary, params.fraction, params.histogram_bins, params.seed
+    ).members
 
 
 def _bag_from_slide(slide: SlideRecord, params: YottixelParams) -> BagOfBarcodes:
@@ -84,37 +79,25 @@ def _bag_from_slide(slide: SlideRecord, params: YottixelParams) -> BagOfBarcodes
 def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None = None) -> YottixelDatabase:
     """Index slides; ones that fail mosaic or barcoding land in .unprocessed."""
     params = params or YottixelParams()
-    if not slides:
-        raise EmptyInputError("cannot build a database from zero slides")
-    dims = {s.dim for s in slides}
-    if len(dims) != 1:
-        raise DimensionError(f"slides mix feature dimensions {sorted(dims)}")
-    dim = dims.pop()
-    if dim < 2:
-        raise DimensionError("barcoding needs feature dimension >= 2")
-
-    db = YottixelDatabase(params=params, dim=dim, code_length=dim - 1)
-    for slide in slides:
-        try:
-            bag = _bag_from_slide(slide, params)
-        except ValidationError as exc:
-            db.unprocessed.append((slide.slide_id, str(exc)))
-            continue
-        db.entries.append(
-            IndexedBag(
-                slide_id=slide.slide_id,
-                labels=slide.labels,
-                bag=bag,
-                packed=pack_bit_rows(bag.bit_matrix()),
-            )
+    dim = database_dim(slides, min_dim=2)
+    bags, unprocessed = encode_slides(slides, lambda slide: _bag_from_slide(slide, params))
+    entries = [
+        IndexedBag(
+            slide_id=slide.slide_id,
+            labels=slide.labels,
+            bag=bag,
+            packed=pack_bit_rows(bag.bit_matrix()),
         )
-    return db
+        for slide, bag in bags
+    ]
+    return YottixelDatabase(
+        params=params, dim=dim, code_length=dim - 1, entries=entries, unprocessed=unprocessed
+    )
 
 
 def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> BagOfBarcodes:
     """Mosaic + barcode a query slide under the database parameters."""
-    if slide.dim != db.dim:
-        raise DimensionError(f"query dim {slide.dim} != database dim {db.dim}")
+    check_query_dim(db, slide)
     return _bag_from_slide(slide, db.params)
 
 
@@ -131,8 +114,7 @@ def query_slides(
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Top-k slides by ascending median-of-minimum Hamming distance."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    check_k(k)
     bag = prepare_query(db, query) if isinstance(query, SlideRecord) else query
     if bag.code_length != db.code_length:
         raise DimensionError(
@@ -146,18 +128,7 @@ def query_slides(
             continue
         scored.append((median_min_hamming(qpacked, entry.packed), entry.slide_id, entry))
     scored.sort(key=lambda t: (t[0], t[1]))
-
-    entries = tuple(
-        RetrievalEntry(
-            target_id=e.slide_id,
-            target_site=e.labels.site,
-            target_subtype=e.labels.subtype,
-            score=dist,
-            distance_kind="hamming",
-        )
-        for dist, _, e in scored[:k]
-    )
-    return RetrievalResult(entries=entries, k_requested=k)
+    return ranked_result(((e.slide_id, e.labels, dist) for dist, _, e in scored), k, "hamming")
 
 
 def query_patches(
@@ -167,10 +138,8 @@ def query_patches(
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Top-k mosaic patches by ascending Hamming distance to one query patch."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if patch.dim != db.dim:
-        raise DimensionError(f"query dim {patch.dim} != database dim {db.dim}")
+    check_k(k)
+    check_query_dim(db, patch)
     code = binarize_barcode(patch.feature)
     qpacked = pack_bit_rows(code.as_array()[None, :])
 
@@ -182,24 +151,14 @@ def query_patches(
         for ordinal, dist in enumerate(dists):
             ranked.append((int(dist), entry.slide_id, ordinal, entry))
     ranked.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    entries = []
-    for dist, slide_id, ordinal, entry in ranked[:k]:
-        x, y = entry.bag.barcodes[ordinal][1]
-        entries.append(
-            RetrievalEntry(
-                target_id=patch_ref(slide_id, x, y),
-                target_site=entry.labels.site,
-                target_subtype=entry.labels.subtype,
-                score=float(dist),
-                distance_kind="hamming",
-            )
-        )
-    return RetrievalResult(entries=tuple(entries), k_requested=k)
+    hits = (
+        (patch_ref(slide_id, *entry.bag.barcodes[ordinal][1]), entry.labels, float(dist))
+        for dist, slide_id, ordinal, entry in ranked
+    )
+    return ranked_result(hits, k, "hamming")
 
 
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
-    if slide.dim != db.dim:
-        raise DimensionError(f"query dim {slide.dim} != database dim {db.dim}")
+    check_query_dim(db, slide)
     return list(_mosaic_members(slide, db.params))

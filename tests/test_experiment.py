@@ -1,9 +1,19 @@
 """Orchestration layer: runs, row serialization, summaries."""
+import inspect
+import typing
+
 import numpy as np
 import pytest
 
-from wsisearch.errors import FormatError, UnsupportedOperationError, ValidationError
+from wsisearch import model
+from wsisearch.errors import (
+    EmptyInputError,
+    FormatError,
+    UnsupportedOperationError,
+    ValidationError,
+)
 from wsisearch.experiment import (
+    ENGINE_MODULES,
     ExperimentConfig,
     TASK_PATCH,
     TASK_PLANS,
@@ -84,6 +94,43 @@ class TestGuards:
         cfg = ExperimentConfig(engine="yottixel", task=TASK_SUBTYPE)
         assert cfg.effective_k == TASK_PLANS[TASK_SUBTYPE].k_max
         assert ExperimentConfig(engine="yottixel", k_max=3).effective_k == 3
+
+
+ENGINE_INTERFACE = {
+    "build_database": ["slides", "params"],
+    "prepare_query": ["db", "slide"],
+    "query_slides": ["db", "query", "k", "candidate_filter"],
+    "query_patches": ["db", "patch", "k", "candidate_filter"],
+    "query_patch_set": ["db", "slide"],
+}
+
+
+class TestEngineInterface:
+    @pytest.mark.parametrize("engine", sorted(ENGINE_MODULES))
+    def test_uniform_entry_points(self, engine):
+        mod = ENGINE_MODULES[engine]
+        assert mod.CandidateFilter is model.CandidateFilter
+        for name, params in ENGINE_INTERFACE.items():
+            fn = getattr(mod, name)
+            assert list(inspect.signature(fn).parameters) == params, (engine, name)
+            if "candidate_filter" in params:
+                hint = typing.get_type_hints(fn)["candidate_filter"]
+                assert hint == typing.Optional[model.CandidateFilter], (engine, name)
+
+    def test_hshr_patch_entry_points_unsupported(self, corpus):
+        hshr = ENGINE_MODULES["hshr"]
+        db_slides, queries = corpus
+        db = hshr.build_database(db_slides)
+        with pytest.raises(UnsupportedOperationError):
+            hshr.query_patch_set(db, queries[0])
+        with pytest.raises(UnsupportedOperationError):
+            hshr.query_patches(db, queries[0].patches[0], 5)
+
+    @pytest.mark.parametrize("engine", ["yottixel", "sish", "retccl"])
+    def test_build_with_no_indexable_slide_fails(self, engine, corpus):
+        # fraction 0 makes every percent mosaic invalid, so no slide survives
+        with pytest.raises(EmptyInputError):
+            build_engine_database(engine, corpus[0], {"fraction": 0.0})
 
 
 class TestRunExperiment:

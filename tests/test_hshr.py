@@ -12,7 +12,6 @@ from wsisearch.hshr import (
     prepare_query,
     query_patches,
     query_patch_set,
-    query_similarity,
     query_slides,
     ranked_scores,
     slide_signature,
@@ -146,10 +145,10 @@ class TestScoring:
         assert len(ranked) == len(db.signatures)
         assert all(np.isfinite(s) for s, _ in ranked)
 
-    def test_query_similarity_slices_top_k(self, corpus):
+    def test_query_slides_slices_top_k(self, corpus):
         slides, db = corpus
         sig = prepare_query(db, slides[2])
-        res = query_similarity(db, sig, k=4)
+        res = query_slides(db, sig, k=4)
         assert len(res) == 4
         full = ranked_scores(db, sig)
         assert res.target_ids() == [sid for _, sid in full[:4]]

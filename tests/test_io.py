@@ -1,7 +1,10 @@
 """Feature file format, manifests, database envelopes."""
 from __future__ import annotations
 
+import pickle
 import struct
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -173,6 +176,19 @@ class TestManifests:
         with pytest.raises(FormatError, match="s2"):
             parse_manifest(path)
 
+    def test_repeated_coordinate_rejected_on_load(self, tmp_path):
+        slides = self.make_slides()
+        path = write_corpus(tmp_path, slides)
+        patches = list(slides[1].patches)
+        patches[2] = PatchFeature(patches[0].x, patches[0].y, patches[2].feature)
+        write_features(tmp_path / "s2.psf", patches)
+        # the file format itself allows repeats; the slide built from it does not
+        assert [p.coord for p in read_features(tmp_path / "s2.psf")] == [
+            p.coord for p in patches
+        ]
+        with pytest.raises(ValidationError, match="'s2'"):
+            load_slides(parse_manifest(path))
+
     def test_wrong_header_rejected(self, tmp_path):
         slides = self.make_slides()
         path = write_corpus(tmp_path, slides)
@@ -195,9 +211,28 @@ class TestDatabaseEnvelope:
         assert [e.slide_id for e in loaded.entries] == [e.slide_id for e in db.entries]
 
     def test_foreign_pickle_rejected(self, tmp_path):
-        import pickle
-
         path = tmp_path / "junk.db"
         path.write_bytes(pickle.dumps({"something": "else"}))
         with pytest.raises(FormatError):
+            load_database(path)
+
+    @pytest.mark.parametrize("vanished", ["class", "module"])
+    def test_pickle_of_vanished_class_is_format_error(self, tmp_path, monkeypatch, vanished):
+        module = types.ModuleType("wsisearch_renamed_engine")
+
+        class OldDatabase:
+            pass
+
+        OldDatabase.__module__ = module.__name__
+        OldDatabase.__qualname__ = "OldDatabase"
+        module.OldDatabase = OldDatabase
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        path = tmp_path / "old.db"
+        save_database(path, "yottixel", OldDatabase())
+
+        if vanished == "class":
+            del module.OldDatabase
+        else:
+            monkeypatch.delitem(sys.modules, module.__name__)
+        with pytest.raises(FormatError, match="old.db"):
             load_database(path)

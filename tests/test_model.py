@@ -7,11 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wsisearch.errors import DimensionError, EmptyInputError, UndefinedSimilarityError
+from wsisearch.errors import (
+    DimensionError,
+    EmptyInputError,
+    UndefinedSimilarityError,
+    ValidationError,
+)
 from wsisearch.model import (
     BagOfBarcodes,
     Barcode,
     PatchFeature,
+    SlideRecord,
     binarize_barcode,
     cosine_similarity,
     hamming_distance,
@@ -160,3 +166,21 @@ class TestIdentityHelpers:
         s = make_slide("x", np.zeros((4, 6)) + np.arange(6))
         assert s.dim == 6
         assert s.feature_matrix().shape == (4, 6)
+
+
+class TestSlideRecord:
+    def test_repeated_coordinate_rejected(self):
+        rng = np.random.default_rng(3)
+        patches = tuple(
+            PatchFeature(x=x, y=y, feature=rng.normal(size=4))
+            for x, y in ((0, 0), (1, 0), (0, 0))
+        )
+        with pytest.raises(ValidationError, match=r"'s0'.*\(0, 0\)"):
+            SlideRecord(
+                slide_id="s0",
+                patient_id="p0",
+                site="brain",
+                subtype="gbm",
+                magnification="20x",
+                patches=patches,
+            )
