@@ -12,8 +12,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    Barcode,
-    BagOfBarcodes,
     PatchFeature,
     RetrievalEntry,
     RetrievalResult,
@@ -26,8 +24,6 @@ __all__ = [
     "UnsupportedOperationError",
     "PatchFeature",
     "SlideRecord",
-    "Barcode",
-    "BagOfBarcodes",
     "RetrievalEntry",
     "RetrievalResult",
     "__version__",

@@ -187,7 +187,7 @@ def load_slides(manifest: Manifest) -> list[SlideRecord]:
 
 
 _DB_FORMAT = "wsisearch-db"
-_DB_VERSION = 1
+_DB_VERSION = 2
 
 
 def save_database(path: str | Path, engine: str, database) -> None:

@@ -16,13 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DimensionError,
     EmptyInputError,
     UnsupportedOperationError,
     ValidationError,
 )
 from .model import (
-    Barcode,
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
@@ -33,6 +31,7 @@ from .model import (
     check_query_dim,
     database_dim,
     encode_slides,
+    hamming_matrix,
     ranked_result,
     slide_seed,
 )
@@ -60,9 +59,9 @@ class SlideSignature:
     hypergraph compares."""
 
     slide_id: str
-    centroid_hashes: tuple[Barcode, ...]
+    centroid_hashes: np.ndarray  # (k_effective, ceil(L / 8)) uint8 packed
     attention: np.ndarray  # (k_effective,) non-negative, sums to 1
-    slide_hash: Barcode
+    slide_hash: np.ndarray  # (ceil(L / 8),) uint8 packed
 
 
 @dataclass
@@ -82,7 +81,7 @@ class HshrDatabase:
     signatures: list[SlideSignature]
     slide_labels: dict[str, SlideLabels]
     graph: Hypergraph
-    hash_bits: np.ndarray  # (T, L) uint8 rows of slide-hash bits
+    hashes: np.ndarray  # (T, ceil(L / 8)) uint8, row i packs signatures[i].slide_hash
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -97,13 +96,13 @@ def slide_signature(slide: SlideRecord, mosaic: Mosaic) -> SlideSignature:
         raise ValidationError(
             f"mosaic belongs to {mosaic.slide_id!r}, not {slide.slide_id!r}"
         )
-    hashes = tuple(binarize_barcode(m.feature) for m in mosaic.members)
+    features = mosaic.feature_matrix()
     sizes = np.asarray(mosaic.cluster_sizes, dtype=np.float64)
     attention = sizes / sizes.sum()
-    weighted_mean = attention @ mosaic.feature_matrix().astype(np.float64)
+    weighted_mean = attention @ features.astype(np.float64)
     return SlideSignature(
         slide_id=slide.slide_id,
-        centroid_hashes=hashes,
+        centroid_hashes=binarize_barcode(features),
         attention=attention,
         slide_hash=binarize_barcode(weighted_mean),
     )
@@ -129,16 +128,17 @@ def _knn_columns(ham: np.ndarray, k: int, skip_self: bool) -> list[np.ndarray]:
     return columns
 
 
-def build_hypergraph(signatures: Sequence[SlideSignature], knn_k: int) -> Hypergraph:
+def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> Hypergraph:
     """Each slide's hyperedge holds its knn_k nearest slides plus itself,
-    entered at affinity 1 - hamming/L."""
-    if not signatures:
-        raise EmptyInputError("cannot build a hypergraph from zero signatures")
-    t = len(signatures)
-    length = len(signatures[0].slide_hash)
-    bits = np.stack([sig.slide_hash.as_array() for sig in signatures])
-    ham = (bits[:, None, :] != bits[None, :, :]).sum(axis=2)
-    affinity = 1.0 - ham / float(length)
+    entered at affinity 1 - hamming/L.
+
+    ``hashes`` holds one packed slide hash of ``code_length`` bits per row.
+    """
+    t = hashes.shape[0]
+    if t == 0:
+        raise EmptyInputError("cannot build a hypergraph from zero slide hashes")
+    ham = hamming_matrix(hashes, hashes)
+    affinity = 1.0 - ham / float(code_length)
 
     incidence = np.zeros((t, t), dtype=np.float64)
     k = min(knn_k, t - 1)
@@ -159,16 +159,15 @@ def build_database(
     signed, unprocessed = encode_slides(slides, lambda slide: _signature_of(slide, params))
     signatures = [sig for _, sig in signed]
 
-    graph = build_hypergraph(signatures, params.knn_k)
-    hash_bits = np.stack([sig.slide_hash.as_array() for sig in signatures])
+    hashes = np.stack([sig.slide_hash for sig in signatures])
     return HshrDatabase(
         params=params,
         dim=dim,
         code_length=dim - 1,
         signatures=signatures,
         slide_labels={slide.slide_id: slide.labels for slide, _ in signed},
-        graph=graph,
-        hash_bits=hash_bits,
+        graph=build_hypergraph(hashes, dim - 1, params.knn_k),
+        hashes=hashes,
         unprocessed=unprocessed,
     )
 
@@ -187,14 +186,8 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
     its top-k after any candidate filtering.
     """
     t = len(db.signatures)
-    length = len(query.slide_hash)
-    if length != db.code_length:
-        raise DimensionError(
-            f"query hash length {length} != database hash length {db.code_length}"
-        )
-    qbits = query.slide_hash.as_array()
-    ham = (db.hash_bits != qbits[None, :]).sum(axis=1)
-    affinity = 1.0 - ham / float(length)
+    ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
+    affinity = 1.0 - ham / float(db.code_length)
 
     extended = np.zeros((t + 1, t + 1), dtype=np.float64)
     extended[:t, :t] = db.graph.incidence

@@ -4,6 +4,11 @@ Every engine consumes these types; all of them are immutable after
 construction and all operations here are pure functions.  The checks,
 slide-encoding loop and result assembly that every engine's build and query
 share also live here, so the four engines decide them in one place.
+
+A barcode is one ``np.packbits`` row: uint8, most significant bit first,
+last byte zero-padded.  Its bit length L is the database's ``code_length``
+(feature dimension minus one) and is never stored per code.
+``hamming_matrix`` is the one Hamming kernel over such rows.
 """
 from __future__ import annotations
 
@@ -74,62 +79,10 @@ class PatchFeature:
         )
 
 
-@dataclass(frozen=True)
-class Barcode:
-    """Bit string obtained by thresholding successive feature differences."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if not self.bits:
-            raise EmptyInputError("barcode must contain at least one bit")
-        if set(self.bits) - {"0", "1"}:
-            raise ValidationError("barcode bits must be '0'/'1' characters")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        """Bits as a uint8 vector of 0/1 values."""
-        return np.frombuffer(self.bits.encode("ascii"), dtype=np.uint8) - ord("0")
-
-    def as_int(self) -> int:
-        return int(self.bits, 2)
-
-
 class SlideLabels(NamedTuple):
     site: str
     subtype: str
     patient_id: str
-
-
-@dataclass(frozen=True)
-class BagOfBarcodes:
-    """A slide represented as the barcodes of its mosaic patches."""
-
-    slide_id: str
-    barcodes: tuple[tuple[Barcode, tuple[int, int]], ...]
-
-    def __post_init__(self) -> None:
-        if not self.barcodes:
-            raise EmptyInputError(f"bag for slide {self.slide_id!r} is empty")
-        lengths = {len(code) for code, _ in self.barcodes}
-        if len(lengths) != 1:
-            raise DimensionError("all barcodes in a bag must share one length")
-        coords = [coord for _, coord in self.barcodes]
-        if len(set(coords)) != len(coords):
-            raise ValidationError(f"bag for slide {self.slide_id!r} repeats a coordinate")
-
-    def __len__(self) -> int:
-        return len(self.barcodes)
-
-    @property
-    def code_length(self) -> int:
-        return len(self.barcodes[0][0])
-
-    def bit_matrix(self) -> np.ndarray:
-        """(m, L) uint8 matrix of the bag's bits, row order as stored."""
-        return np.stack([code.as_array() for code, _ in self.barcodes])
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +233,6 @@ def ranked_result(
     return RetrievalResult(entries=entries, k_requested=k)
 
 
-def hamming_distance(a: Barcode, b: Barcode) -> int:
-    """Number of differing bit positions between two equal-length barcodes."""
-    if len(a) != len(b):
-        raise DimensionError(f"barcode lengths differ: {len(a)} vs {len(b)}")
-    return (a.as_int() ^ b.as_int()).bit_count()
-
-
 def cosine_similarity(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     """Cosine of the angle between two non-zero vectors, clipped to [-1, 1]."""
     va = np.asarray(a, dtype=np.float64)
@@ -312,19 +258,11 @@ def label_entropy(labels: Iterable[str]) -> float:
 _POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
-def pack_bit_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack an (m, L) 0/1 matrix into bytes row-wise (zero-padded on the right)."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-d bit matrix, got shape {arr.shape}")
-    return np.packbits(arr, axis=1)
-
-
 def hamming_matrix(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
-    """(m_a, m_b) pairwise Hamming distances between packed bit rows.
+    """(m_a, m_b) pairwise Hamming distances between packed barcode rows.
 
-    Both inputs must come from pack_bit_rows with the same original bit
-    length, so the zero padding cancels under xor.
+    Both inputs must hold codes of one length L, so the zero padding of the
+    last byte cancels under xor.
     """
     if packed_a.shape[1] != packed_b.shape[1]:
         raise DimensionError(
@@ -332,6 +270,11 @@ def hamming_matrix(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
         )
     xored = packed_a[:, None, :] ^ packed_b[None, :, :]
     return _POPCOUNT8[xored].sum(axis=2, dtype=np.int64)
+
+
+def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
+    """Hamming distance between two packed barcode rows."""
+    return int(hamming_matrix(a[None, :], b[None, :])[0, 0])
 
 
 def patch_ref(slide_id: str, x: int, y: int) -> str:
@@ -348,16 +291,20 @@ def slide_seed(base_seed: int, slide_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def binarize_barcode(feature: Sequence[float] | np.ndarray) -> Barcode:
-    """Barcode of a feature vector: bit i is 1 iff feature[i+1] > feature[i].
+def binarize_barcode(feature: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Packed barcode of a feature vector: bit i is 1 iff feature[i+1] > feature[i].
 
-    Invariant under adding a constant to every component and under positive
-    scaling, since only the signs of successive differences matter.
+    The L = dim - 1 bits are packed most significant first into
+    ceil(L / 8) uint8 bytes, the last zero-padded.  A (m, dim) matrix gives
+    one packed row per feature row.  Invariant under adding a constant to
+    every component and under positive scaling, since only the signs of
+    successive differences matter.
     """
     arr = np.asarray(feature)
-    if arr.ndim != 1:
-        raise DimensionError(f"feature must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < 2:
+    if arr.ndim not in (1, 2):
+        raise DimensionError(
+            f"features must be one- or two-dimensional, got shape {arr.shape}"
+        )
+    if arr.shape[-1] < 2:
         raise DimensionError("barcoding needs a feature of length >= 2")
-    ascents = (np.diff(arr) > 0).astype(np.uint8)
-    return Barcode((ascents + ord("0")).tobytes().decode("ascii"))
+    return np.packbits(np.diff(arr, axis=-1) > 0, axis=-1)

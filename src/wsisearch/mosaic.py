@@ -134,6 +134,17 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
 
 
+def check_mosaic_params(k_primary: int, fraction: float, bins: int = 1) -> None:
+    """Reject percent-mosaic settings that no slide could satisfy; ``bins``
+    is the histogram surrogate's, left at 1 by recipes without one."""
+    if k_primary < 1:
+        raise ValidationError(f"k_primary must be >= 1, got {k_primary}")
+    if not (0.0 < fraction <= 1.0):
+        raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
+    if bins < 1:
+        raise ValidationError(f"histogram_bins must be >= 1, got {bins}")
+
+
 def build_mosaic_percent(
     slide: SlideRecord,
     cluster_features: np.ndarray,
@@ -157,8 +168,7 @@ def build_mosaic_percent(
         raise DimensionError(
             f"cluster_features rows ({feats.shape[0]}) must match patch count ({len(slide.patches)})"
         )
-    if not (0.0 < fraction <= 1.0):
-        raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
+    check_mosaic_params(k_primary, fraction)
 
     primary_seed, *spatial_seeds = _spawn_seeds(seed, 1 + k_primary)
     primary = kmeans(feats, k_primary, primary_seed)

@@ -37,7 +37,7 @@ from .model import (
     ranked_result,
     slide_seed,
 )
-from .mosaic import build_mosaic_percent
+from .mosaic import build_mosaic_percent, check_mosaic_params
 
 QUALITY_MEDIAN = "median"
 QUALITY_NONE = "none"
@@ -58,6 +58,7 @@ class RetcclParams:
             )
         if self.quality_rule not in (QUALITY_MEDIAN, QUALITY_NONE):
             raise ValidationError(f"unknown quality rule {self.quality_rule!r}")
+        check_mosaic_params(self.k_primary, self.fraction)
 
 
 class Hit(NamedTuple):

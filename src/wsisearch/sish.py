@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    Barcode,
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
@@ -40,12 +39,12 @@ from .model import (
     check_query_dim,
     database_dim,
     encode_slides,
-    hamming_distance,
+    hamming_matrix,
     label_entropy,
     patch_ref,
     ranked_result,
 )
-from .mosaic import histogram_mosaic
+from .mosaic import check_mosaic_params, histogram_mosaic
 from .veb import VebTree
 
 #: One unit in the coarsest pooled digit; the guided walk seeds one step of
@@ -76,15 +75,16 @@ class SishParams:
             raise ValidationError("hamming_threshold must be >= 0")
         if self.probe_budget < 1:
             raise ValidationError("probe_budget must be >= 1")
+        check_mosaic_params(self.k_primary, self.fraction, self.histogram_bins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SishEntry:
     slide_id: str
     ordinal: int  # position within the slide's mosaic
     x: int
     y: int
-    code: Barcode
+    code: np.ndarray  # (ceil(L / 8),) uint8 packed barcode
     index: int
 
 
@@ -163,16 +163,17 @@ def _mosaic_patches(slide: SlideRecord, params: SishParams) -> list[PatchFeature
 
 def _encode(db: SishDatabase, slide_id: str, patches: Sequence[PatchFeature]) -> list[SishEntry]:
     """Barcode plus integer index of each patch, under the database's ranges."""
+    codes = binarize_barcode(np.stack([p.feature for p in patches]))
     return [
         SishEntry(
             slide_id=slide_id,
             ordinal=i,
             x=p.x,
             y=p.y,
-            code=binarize_barcode(p.feature),
+            code=code,
             index=index_encode(p.feature, db.lo, db.hi),
         )
-        for i, p in enumerate(patches)
+        for i, (p, code) in enumerate(zip(patches, codes))
     ]
 
 
@@ -270,16 +271,21 @@ def guided_search(
                 walker[0] = nxt
                 visit(nxt)
 
-    results: list[tuple[SishEntry, int]] = []
-    for idx in hit_indices:
-        for entry in db.buckets.get(idx, ()):
-            if candidate_filter is not None and not candidate_filter(
-                entry.slide_id, db.slide_labels[entry.slide_id]
-            ):
-                continue
-            ham = hamming_distance(query.code, entry.code)
-            if ham <= db.params.hamming_threshold:
-                results.append((entry, ham))
+    candidates = [
+        entry
+        for idx in hit_indices
+        for entry in db.buckets.get(idx, ())
+        if candidate_filter is None
+        or candidate_filter(entry.slide_id, db.slide_labels[entry.slide_id])
+    ]
+    if not candidates:
+        return []
+    hams = hamming_matrix(query.code[None, :], np.stack([e.code for e in candidates]))[0]
+    results = [
+        (entry, int(ham))
+        for entry, ham in zip(candidates, hams)
+        if ham <= db.params.hamming_threshold
+    ]
     results.sort(key=lambda t: (t[1], t[0].slide_id, t[0].ordinal))
     return results
 

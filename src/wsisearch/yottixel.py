@@ -12,9 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
 from .model import (
-    BagOfBarcodes,
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
@@ -26,11 +24,10 @@ from .model import (
     database_dim,
     encode_slides,
     hamming_matrix,
-    pack_bit_rows,
     patch_ref,
     ranked_result,
 )
-from .mosaic import histogram_mosaic
+from .mosaic import Mosaic, check_mosaic_params, histogram_mosaic
 
 
 @dataclass(frozen=True)
@@ -40,15 +37,18 @@ class YottixelParams:
     histogram_bins: int = 16
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_mosaic_params(self.k_primary, self.fraction, self.histogram_bins)
+
 
 @dataclass(frozen=True, eq=False)
 class IndexedBag:
-    """One database slide: its labels plus the packed barcode bits."""
+    """One database slide: its labels plus its mosaic's packed barcodes."""
 
     slide_id: str
     labels: SlideLabels
-    bag: BagOfBarcodes
-    packed: np.ndarray  # (m, ceil(L / 8)) uint8
+    packed: np.ndarray  # (m, ceil(L / 8)) uint8, one row per mosaic member
+    coords: tuple[tuple[int, int], ...]  # (x, y) of each row's member
 
 
 @dataclass
@@ -63,42 +63,35 @@ class YottixelDatabase:
         return len(self.entries)
 
 
-def _mosaic_members(slide: SlideRecord, params: YottixelParams) -> tuple[PatchFeature, ...]:
+def _mosaic(slide: SlideRecord, params: YottixelParams) -> Mosaic:
     return histogram_mosaic(
         slide, params.k_primary, params.fraction, params.histogram_bins, params.seed
-    ).members
-
-
-def _bag_from_slide(slide: SlideRecord, params: YottixelParams) -> BagOfBarcodes:
-    codes = tuple(
-        (binarize_barcode(m.feature), m.coord) for m in _mosaic_members(slide, params)
     )
-    return BagOfBarcodes(slide_id=slide.slide_id, barcodes=codes)
 
 
 def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None = None) -> YottixelDatabase:
-    """Index slides; ones that fail mosaic or barcoding land in .unprocessed."""
+    """Index slides; ones whose mosaic fails land in .unprocessed."""
     params = params or YottixelParams()
     dim = database_dim(slides, min_dim=2)
-    bags, unprocessed = encode_slides(slides, lambda slide: _bag_from_slide(slide, params))
+    mosaics, unprocessed = encode_slides(slides, lambda slide: _mosaic(slide, params))
     entries = [
         IndexedBag(
             slide_id=slide.slide_id,
             labels=slide.labels,
-            bag=bag,
-            packed=pack_bit_rows(bag.bit_matrix()),
+            packed=binarize_barcode(mosaic.feature_matrix()),
+            coords=tuple(m.coord for m in mosaic.members),
         )
-        for slide, bag in bags
+        for slide, mosaic in mosaics
     ]
     return YottixelDatabase(
         params=params, dim=dim, code_length=dim - 1, entries=entries, unprocessed=unprocessed
     )
 
 
-def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> BagOfBarcodes:
-    """Mosaic + barcode a query slide under the database parameters."""
+def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
+    """Packed barcodes of a query slide's mosaic under the database parameters."""
     check_query_dim(db, slide)
-    return _bag_from_slide(slide, db.params)
+    return binarize_barcode(_mosaic(slide, db.params).feature_matrix())
 
 
 def median_min_hamming(query_packed: np.ndarray, target_packed: np.ndarray) -> float:
@@ -109,18 +102,13 @@ def median_min_hamming(query_packed: np.ndarray, target_packed: np.ndarray) -> f
 
 def query_slides(
     db: YottixelDatabase,
-    query: SlideRecord | BagOfBarcodes,
+    query: SlideRecord | np.ndarray,
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Top-k slides by ascending median-of-minimum Hamming distance."""
     check_k(k)
-    bag = prepare_query(db, query) if isinstance(query, SlideRecord) else query
-    if bag.code_length != db.code_length:
-        raise DimensionError(
-            f"query code length {bag.code_length} != database code length {db.code_length}"
-        )
-    qpacked = pack_bit_rows(bag.bit_matrix())
+    qpacked = prepare_query(db, query) if isinstance(query, SlideRecord) else query
 
     scored: list[tuple[float, str, IndexedBag]] = []
     for entry in db.entries:
@@ -140,8 +128,7 @@ def query_patches(
     """Top-k mosaic patches by ascending Hamming distance to one query patch."""
     check_k(k)
     check_query_dim(db, patch)
-    code = binarize_barcode(patch.feature)
-    qpacked = pack_bit_rows(code.as_array()[None, :])
+    qpacked = binarize_barcode(patch.feature[None, :])
 
     ranked: list[tuple[int, str, int, IndexedBag]] = []
     for entry in db.entries:
@@ -152,7 +139,7 @@ def query_patches(
             ranked.append((int(dist), entry.slide_id, ordinal, entry))
     ranked.sort(key=lambda t: (t[0], t[1], t[2]))
     hits = (
-        (patch_ref(slide_id, *entry.bag.barcodes[ordinal][1]), entry.labels, float(dist))
+        (patch_ref(slide_id, *entry.coords[ordinal]), entry.labels, float(dist))
         for dist, slide_id, ordinal, entry in ranked
     )
     return ranked_result(hits, k, "hamming")
@@ -161,4 +148,4 @@ def query_patches(
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    return list(_mosaic_members(slide, db.params))
+    return list(_mosaic(slide, db.params).members)

@@ -27,7 +27,7 @@ from wsisearch.metrics import (
     mann_whitney_u,
     mv_at_k,
 )
-from wsisearch.model import SlideRecord, binarize_barcode, patch_ref
+from wsisearch.model import SlideRecord, patch_ref
 from wsisearch.synth import SyntheticSpec, generate
 from wsisearch.veb import VebTree
 
@@ -170,29 +170,39 @@ def test_criterion_04_brute_force_equivalence():
     ydb = yottixel.build_database(db_slides, yottixel.YottixelParams(seed=1))
     assert not ydb.unprocessed
 
+    def ascent_int(patch) -> int:
+        # a barcode read as one integer: bit i is feature[i+1] > feature[i]
+        return int("".join("1" if up else "0" for up in np.diff(patch.feature) > 0), 2)
+
+    # a slide's mosaic depends only on the slide and the parameters, so the
+    # query-side mosaic of a database slide is its indexed bag
+    bags = {}
+    for slide in db_slides:
+        members = yottixel.query_patch_set(ydb, slide)
+        bags[slide.slide_id] = [(ascent_int(m), m.coord) for m in members]
+    for entry in ydb.entries:
+        assert list(entry.coords) == [coord for _, coord in bags[entry.slide_id]]
+
     for q in queries:
-        bag = yottixel.prepare_query(ydb, q)
-        q_ints = [code.as_int() for code, _ in bag.barcodes]
+        q_ints = [ascent_int(m) for m in yottixel.query_patch_set(ydb, q)]
 
         # slide oracle: median over query codes of min Hamming into each bag
         expected = []
         for entry in ydb.entries:
-            t_ints = [code.as_int() for code, _ in entry.bag.barcodes]
+            t_ints = [code for code, _ in bags[entry.slide_id]]
             mins = [min((qi ^ ti).bit_count() for ti in t_ints) for qi in q_ints]
             expected.append((float(statistics.median(mins)), entry.slide_id))
         expected.sort()
-        got = yottixel.query_slides(ydb, bag, k=len(ydb.entries))
+        got = yottixel.query_slides(ydb, yottixel.prepare_query(ydb, q), k=len(ydb.entries))
         assert [(e.score, e.target_id) for e in got.entries] == expected
 
         # patch oracle: exhaustive Hamming scan over every indexed barcode
         for patch in yottixel.query_patch_set(ydb, q)[:3]:
-            code = binarize_barcode(patch.feature).as_int()
+            code = ascent_int(patch)
             ranked = []
             for entry in ydb.entries:
-                for ordinal, (bc, coord) in enumerate(entry.bag.barcodes):
-                    ranked.append(
-                        ((code ^ bc.as_int()).bit_count(), entry.slide_id, ordinal, coord)
-                    )
+                for ordinal, (bc, coord) in enumerate(bags[entry.slide_id]):
+                    ranked.append(((code ^ bc).bit_count(), entry.slide_id, ordinal, coord))
             ranked.sort(key=lambda t: t[:3])
             got = yottixel.query_patches(ydb, patch, k=25)
             want = [

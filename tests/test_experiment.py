@@ -126,11 +126,34 @@ class TestEngineInterface:
         with pytest.raises(UnsupportedOperationError):
             hshr.query_patches(db, queries[0].patches[0], 5)
 
-    @pytest.mark.parametrize("engine", ["yottixel", "sish", "retccl"])
-    def test_build_with_no_indexable_slide_fails(self, engine, corpus):
-        # fraction 0 makes every percent mosaic invalid, so no slide survives
-        with pytest.raises(EmptyInputError):
-            build_engine_database(engine, corpus[0], {"fraction": 0.0})
+    @pytest.mark.parametrize(
+        "engine, field, value",
+        [
+            (engine, field, value)
+            for engine in ("yottixel", "sish", "retccl")
+            for field, value in (("fraction", 0.0), ("fraction", 1.5), ("k_primary", 0))
+        ]
+        + [("yottixel", "histogram_bins", 0), ("sish", "histogram_bins", 0)],
+    )
+    def test_bad_mosaic_params_rejected(self, engine, field, value):
+        with pytest.raises(ValidationError, match=field):
+            make_params(engine, {field: value})
+
+    @pytest.mark.parametrize(
+        "engine, patch_value",
+        [
+            # every patch constant: SISH drops flat mosaic patches
+            ("sish", lambda rng, n, dim: np.repeat(rng.normal(size=(n, 1)), dim, axis=1)),
+            # every patch zero: RetCCL drops zero vectors
+            ("retccl", lambda rng, n, dim: np.zeros((n, dim))),
+        ],
+        ids=["sish", "retccl"],
+    )
+    def test_build_with_no_indexable_slide_fails(self, engine, patch_value):
+        rng = np.random.default_rng(8)
+        slides = [make_slide(f"s{i}", patch_value(rng, 12, 16)) for i in range(3)]
+        with pytest.raises(EmptyInputError, match="none of 3 slides"):
+            build_engine_database(engine, slides)
 
 
 class TestRunExperiment:

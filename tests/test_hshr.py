@@ -16,10 +16,10 @@ from wsisearch.hshr import (
     ranked_scores,
     slide_signature,
 )
-from wsisearch.model import Barcode, SlideRecord
+from wsisearch.model import SlideRecord
 from wsisearch.mosaic import build_mosaic_fixed, build_mosaic_percent, histogram_matrix
 
-from util import make_slide
+from util import make_slide, packed
 
 
 def signature_with_hash(slide_id: str, bits: str):
@@ -27,9 +27,9 @@ def signature_with_hash(slide_id: str, bits: str):
 
     return SlideSignature(
         slide_id=slide_id,
-        centroid_hashes=(Barcode(bits),),
+        centroid_hashes=packed(bits)[None, :],
         attention=np.array([1.0]),
-        slide_hash=Barcode(bits),
+        slide_hash=packed(bits),
     )
 
 
@@ -72,7 +72,8 @@ class TestSignature:
             patches=slides[0].patches,
         )
         sig = prepare_query(db, twin)
-        assert sig.slide_hash.bits == db.signatures[0].slide_hash.bits
+        assert np.array_equal(sig.slide_hash, db.signatures[0].slide_hash)
+        assert np.array_equal(db.hashes[0], sig.slide_hash)
 
     def test_percent_mosaic_rejected(self):
         rng = np.random.default_rng(1)
@@ -84,15 +85,21 @@ class TestSignature:
 
 class TestHypergraph:
     def test_single_vertex_self_loop(self):
-        g = build_hypergraph([signature_with_hash("a", "0101")], knn_k=10)
+        g = build_hypergraph(packed("0101")[None, :], 4, knn_k=10)
         assert g.incidence.tolist() == [[1.0]]
         assert g.edge_weights.tolist() == [1.0]
 
     def test_identical_hashes_enter_at_affinity_one(self):
-        sigs = [signature_with_hash("a", "0101"), signature_with_hash("b", "0101")]
-        g = build_hypergraph(sigs, knn_k=4)
+        g = build_hypergraph(np.stack([packed("0101"), packed("0101")]), 4, knn_k=4)
         assert g.incidence[0, 1] == 1.0
         assert g.incidence[1, 0] == 1.0
+
+    def test_affinity_is_one_minus_hamming_over_code_length(self):
+        # 10-bit codes: the six pad bits of the second byte must not count
+        hashes = np.stack([packed("0000000000"), packed("0000000011")])
+        g = build_hypergraph(hashes, 10, knn_k=1)
+        assert g.incidence[1, 0] == pytest.approx(0.8)
+        assert g.incidence[0, 1] == pytest.approx(0.8)
 
     def test_entries_bounded_and_diagonal_one(self, corpus):
         _, db = corpus
@@ -139,7 +146,8 @@ class TestScoring:
     def test_far_query_is_ordered_without_error(self, corpus):
         slides, db = corpus
         base = db.signatures[0]
-        flipped = "".join("1" if c == "0" else "0" for c in base.slide_hash.bits)
+        bits = np.unpackbits(base.slide_hash, count=db.code_length)
+        flipped = "".join("0" if b else "1" for b in bits)
         far = signature_with_hash("far", flipped)
         ranked = ranked_scores(db, far)
         assert len(ranked) == len(db.signatures)

@@ -210,6 +210,15 @@ class TestDatabaseEnvelope:
         assert engine == "yottixel"
         assert [e.slide_id for e in loaded.entries] == [e.slide_id for e in db.entries]
 
+    def test_previous_version_rejected(self, tmp_path):
+        # version-1 databases held '0'/'1' string barcodes; packed codes
+        # changed the engine classes' fields, so such files must not load
+        path = tmp_path / "v1.db"
+        envelope = {"format": "wsisearch-db", "version": 1, "engine": "yottixel", "database": None}
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(FormatError, match="version 1 unsupported"):
+            load_database(path)
+
     def test_foreign_pickle_rejected(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_bytes(pickle.dumps({"something": "else"}))

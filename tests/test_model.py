@@ -1,4 +1,4 @@
-"""Core data model: barcodes, distances, packing, identity helpers."""
+"""Core data model: packed barcodes, distances, identity helpers."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,8 +14,6 @@ from wsisearch.errors import (
     ValidationError,
 )
 from wsisearch.model import (
-    BagOfBarcodes,
-    Barcode,
     PatchFeature,
     SlideRecord,
     binarize_barcode,
@@ -23,16 +21,27 @@ from wsisearch.model import (
     hamming_distance,
     hamming_matrix,
     label_entropy,
-    pack_bit_rows,
     patch_ref,
     slide_seed,
 )
 
-from util import make_slide
+from util import make_slide, packed
+
+#: feature dimensions whose code lengths L = dim - 1 (1, 8, 9, 16, 63, 256)
+#: fall on both sides of byte boundaries, so the last packed byte is either
+#: full or zero-padded
+PADDED_DIMS = (2, 9, 10, 17, 64, 257)
 
 
 def bits_of(feature) -> list[int]:
-    return binarize_barcode(np.asarray(feature)).as_array().tolist()
+    feature = np.asarray(feature)
+    return np.unpackbits(binarize_barcode(feature))[: feature.shape[0] - 1].tolist()
+
+
+def brute_force_hamming(a: np.ndarray, b: np.ndarray) -> list[list[int]]:
+    """Pairwise count of differing ascent bits, straight from the features."""
+    bits_a, bits_b = np.diff(a, axis=1) > 0, np.diff(b, axis=1) > 0
+    return [[int(np.sum(ra != rb)) for rb in bits_b] for ra in bits_a]
 
 
 class TestBinarize:
@@ -45,7 +54,11 @@ class TestBinarize:
 
     def test_length_is_dim_minus_one(self):
         rng = np.random.default_rng(0)
-        assert len(binarize_barcode(rng.normal(size=17))) == 16
+        assert binarize_barcode(rng.normal(size=17)).shape == (2,)
+        code = binarize_barcode(rng.normal(size=18))
+        assert code.dtype == np.uint8 and code.shape == (3,)
+        # 17 bits: the last byte holds one code bit and seven zero pad bits
+        assert code[-1] & 0x7F == 0
 
     def test_scalar_feature_rejected(self):
         with pytest.raises(DimensionError):
@@ -66,32 +79,60 @@ class TestBinarize:
 
 class TestHamming:
     def test_known_distance(self):
-        assert hamming_distance(Barcode("1011"), Barcode("0010")) == 2
+        assert hamming_distance(packed("1011"), packed("0010")) == 2
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimensionError):
-            hamming_distance(Barcode("0000"), Barcode("00000"))
+            hamming_distance(packed("0" * 8), packed("0" * 9))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64), st.data())
     def test_matches_bit_count(self, bits, data):
         other = data.draw(st.lists(st.integers(0, 1), min_size=len(bits), max_size=len(bits)))
-        a = Barcode("".join(map(str, bits)))
-        b = Barcode("".join(map(str, other)))
+        a = packed("".join(map(str, bits)))
+        b = packed("".join(map(str, other)))
         assert hamming_distance(a, b) == sum(x != y for x, y in zip(bits, other))
 
     def test_matrix_agrees_with_pairwise(self):
         rng = np.random.default_rng(3)
         a = rng.integers(0, 2, size=(5, 19)).astype(np.uint8)
         b = rng.integers(0, 2, size=(7, 19)).astype(np.uint8)
-        mat = hamming_matrix(pack_bit_rows(a), pack_bit_rows(b))
+        mat = hamming_matrix(np.packbits(a, axis=1), np.packbits(b, axis=1))
         assert mat.shape == (5, 7)
         for i in range(5):
             for j in range(7):
                 assert mat[i, j] == int(np.sum(a[i] != b[j]))
 
     def test_pack_requires_2d(self):
+        # packing takes one feature vector or a matrix of them, nothing deeper
         with pytest.raises(DimensionError):
-            pack_bit_rows(np.zeros(8, dtype=np.uint8))
+            binarize_barcode(np.zeros((2, 3, 4)))
+
+
+class TestPackedKernel:
+    """binarize_barcode + hamming_matrix against a count over np.diff bits."""
+
+    @given(
+        st.sampled_from(PADDED_DIMS),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_matches_brute_force(self, dim, rows_a, rows_b, seed):
+        rng = np.random.default_rng(seed)
+        # small integers make equal neighbours (0 bits) common
+        a = rng.integers(-3, 4, size=(rows_a, dim)).astype(np.float32)
+        b = rng.integers(-3, 4, size=(rows_b, dim)).astype(np.float32)
+        got = hamming_matrix(binarize_barcode(a), binarize_barcode(b))
+        assert got.tolist() == brute_force_hamming(a, b)
+
+    @given(st.sampled_from(PADDED_DIMS), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matrix_rows_equal_vector_codes(self, dim, rows, seed):
+        features = np.random.default_rng(seed).normal(size=(rows, dim))
+        codes = binarize_barcode(features)
+        assert codes.dtype == np.uint8
+        assert codes.shape == (rows, -(-(dim - 1) // 8))
+        for i in range(rows):
+            assert np.array_equal(codes[i], binarize_barcode(features[i]))
 
 
 class TestCosine:
@@ -129,23 +170,6 @@ class TestLabelEntropy:
 
 
 class TestBarcodeTypes:
-    def test_barcode_int_round_trip(self):
-        b = Barcode(bits="1011")
-        assert b.as_int() == 0b1011
-        assert b.as_array().tolist() == [1, 0, 1, 1]
-
-    def test_barcode_rejects_junk(self):
-        with pytest.raises(Exception):
-            Barcode(bits="10x1")
-
-    def test_bag_bit_matrix_shape(self):
-        bag = BagOfBarcodes(
-            slide_id="s",
-            barcodes=((Barcode(bits="101"), (0, 0)), (Barcode(bits="010"), (1, 0))),
-        )
-        assert bag.code_length == 3
-        assert bag.bit_matrix().shape == (2, 3)
-
     def test_patch_feature_frozen(self):
         p = PatchFeature(x=0, y=0, feature=np.arange(3.0))
         assert p.feature.dtype == np.float32

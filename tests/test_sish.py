@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wsisearch.errors import DegenerateFeatureError, EmptyInputError, ValidationError
-from wsisearch.model import Barcode, SlideLabels
+from wsisearch.model import SlideLabels
 from wsisearch.sish import (
     COARSE_DIGIT_UNIT,
     SishDatabase,
@@ -21,7 +21,7 @@ from wsisearch.sish import (
 )
 from wsisearch.veb import VebTree
 
-from util import gaussian_slides, make_slide
+from util import gaussian_slides, make_slide, packed
 
 
 def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "00000"):
@@ -46,7 +46,7 @@ def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "
                     ordinal=ordinal,
                     x=0,
                     y=0,
-                    code=Barcode(code_bits),
+                    code=packed(code_bits),
                     index=index,
                 )
             )
@@ -99,7 +99,7 @@ class TestIndexEncode:
 class TestGuidedSearch:
     def test_probe_order_prefers_near_indices(self):
         db = handmade_db({100: [("near-lo", "x")], 105: [("near-hi", "x")], 200: [("far", "x")]})
-        query = SishEntry("", 0, 0, 0, Barcode("00000"), 101)
+        query = SishEntry("", 0, 0, 0, packed("00000"), 101)
         # 3 member probes + succ(101) + pred(101) + one dead walker probe
         hits = guided_search(db, query, probe_budget=6)
         assert {e.slide_id for e, _ in hits} == {"near-lo", "near-hi"}
@@ -109,27 +109,27 @@ class TestGuidedSearch:
 
     def test_exact_match_found_with_hamming_zero(self):
         db = handmade_db({500: [("target", "x")], 900: [("other", "x")]})
-        db.buckets[900][0] = SishEntry("other", 0, 0, 0, Barcode("01100"), 900)
-        query = SishEntry("", 0, 0, 0, Barcode("00000"), 500)
+        db.buckets[900][0] = SishEntry("other", 0, 0, 0, packed("01100"), 900)
+        query = SishEntry("", 0, 0, 0, packed("00000"), 500)
         hits = guided_search(db, query, probe_budget=500)
         assert hits[0][0].slide_id == "target"
         assert hits[0][1] == 0
 
     def test_threshold_excludes_distant_codes(self):
         db = handmade_db({500: [("a", "x")]}, code_bits="0" * 200)
-        query = SishEntry("", 0, 0, 0, Barcode("1" * 200), 500)
+        query = SishEntry("", 0, 0, 0, packed("1" * 200), 500)
         assert guided_search(db, query, probe_budget=500) == []
 
     def test_results_ascend_in_hamming(self):
         db = handmade_db({10: [("a", "x")], 11: [("b", "x")]}, code_bits="0000")
-        db.buckets[11][0] = SishEntry("b", 0, 0, 0, Barcode("0011"), 11)
-        query = SishEntry("", 0, 0, 0, Barcode("0001"), 10)
+        db.buckets[11][0] = SishEntry("b", 0, 0, 0, packed("0011"), 11)
+        query = SishEntry("", 0, 0, 0, packed("0001"), 10)
         hams = [h for _, h in guided_search(db, query, probe_budget=500)]
         assert hams == sorted(hams)
 
     def test_budget_validated(self):
         db = handmade_db({1: [("a", "x")]})
-        query = SishEntry("", 0, 0, 0, Barcode("00000"), 1)
+        query = SishEntry("", 0, 0, 0, packed("00000"), 1)
         with pytest.raises(ValidationError):
             guided_search(db, query, probe_budget=0)
 
@@ -139,7 +139,7 @@ class TestGuidedSearch:
 
 class TestRankSlides:
     def entry(self, slide_id):
-        return SishEntry(slide_id, 0, 0, 0, Barcode("00000"), 0)
+        return SishEntry(slide_id, 0, 0, 0, packed("00000"), 0)
 
     def test_single_clean_patch_scores_one(self):
         db = handmade_db({0: [("only", "x")]})
@@ -230,5 +230,6 @@ class TestEndToEnd:
         entries = prepare_query(db, slides[1])
         assert entries
         for e in entries:
-            assert len(e.code) == db.code_length
+            assert e.code.dtype == np.uint8
+            assert e.code.shape == (-(-db.code_length // 8),)
             assert 0 <= e.index < 2**48

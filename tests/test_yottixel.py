@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wsisearch.errors import DimensionError, EmptyInputError, ValidationError
-from wsisearch.model import BagOfBarcodes, hamming_distance
+from wsisearch.model import hamming_distance
 from wsisearch.yottixel import (
     YottixelParams,
     build_database,
@@ -54,8 +54,8 @@ class TestBuild:
     def test_bags_use_mosaic_subset(self, two_cluster_db):
         slides, db = two_cluster_db
         for slide, entry in zip(slides, db.entries):
-            assert 1 <= len(entry.bag.barcodes) <= len(slide.patches)
-            assert entry.packed.shape[0] == len(entry.bag.barcodes)
+            assert 1 <= len(entry.coords) <= len(slide.patches)
+            assert entry.packed.shape == (len(entry.coords), 3)  # 23 bits per row
 
 
 class TestMedianMinHamming:
@@ -68,8 +68,8 @@ class TestMedianMinHamming:
         _, db = two_cluster_db
         a, b = db.entries[0], db.entries[5]
         mins = []
-        for code_a, _ in a.bag.barcodes:
-            mins.append(min(hamming_distance(code_a, code_b) for code_b, _ in b.bag.barcodes))
+        for code_a in a.packed:
+            mins.append(min(hamming_distance(code_a, code_b) for code_b in b.packed))
         assert median_min_hamming(a.packed, b.packed) == pytest.approx(float(np.median(mins)))
 
 
@@ -99,9 +99,9 @@ class TestSlideQuery:
 
     def test_prepared_bag_can_query(self, two_cluster_db):
         slides, db = two_cluster_db
-        bag = prepare_query(db, slides[3])
-        assert isinstance(bag, BagOfBarcodes)
-        res = query_slides(db, bag, k=2)
+        codes = prepare_query(db, slides[3])
+        assert codes.dtype == np.uint8 and codes.shape[1] == 3
+        res = query_slides(db, codes, k=2)
         assert res.entries[0].target_id == slides[3].slide_id
 
     def test_k_validated(self, two_cluster_db):

@@ -6,6 +6,11 @@ import numpy as np
 from wsisearch.model import PatchFeature, SlideRecord
 
 
+def packed(bits: str) -> np.ndarray:
+    """Packed barcode row of a '0'/'1' string, as binarize_barcode lays it out."""
+    return np.packbits(np.array([c == "1" for c in bits], dtype=bool))
+
+
 def grid_coords(n: int, width: int = 8) -> list[tuple[int, int]]:
     return [(i % width, i // width) for i in range(n)]
 
