@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .model import MAGNIFICATIONS, PatchFeature, SlideRecord
+from .model import MAGNIFICATIONS, PatchFeature, SlideRecord, as_patches
 
 MAGIC = b"PSF1"
 _HEADER = struct.Struct("<4sII")
@@ -49,8 +49,8 @@ def write_features(path: str | Path, patches: Sequence[PatchFeature]) -> None:
     path.write_bytes(b"".join(chunks))
 
 
-def read_features(path: str | Path) -> list[PatchFeature]:
-    path = Path(path)
+def _read_psf(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The one PSF parser: (n, 2) coords and an (n, dim) view of the features."""
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -60,8 +60,7 @@ def read_features(path: str | Path) -> list[PatchFeature]:
     if n_patches == 0:
         if len(raw) != _HEADER.size:
             raise FormatError(f"{path}: trailing bytes after empty patch list")
-        return []
-    if dim == 0:
+    elif dim == 0:
         raise FormatError(f"{path}: feature dimension 0 with {n_patches} patches")
     record = np.dtype([("x", "<i4"), ("y", "<i4"), ("f", "<f4", (dim,))])
     expected = _HEADER.size + n_patches * record.itemsize
@@ -70,10 +69,11 @@ def read_features(path: str | Path) -> list[PatchFeature]:
             f"{path}: size {len(raw)} != expected {expected} for {n_patches} patches of dim {dim}"
         )
     body = np.frombuffer(raw, dtype=record, count=n_patches, offset=_HEADER.size)
-    return [
-        PatchFeature(int(rec["x"]), int(rec["y"]), np.asarray(rec["f"]))
-        for rec in body
-    ]
+    return np.stack([body["x"], body["y"]], axis=1), body["f"]
+
+
+def read_features(path: str | Path) -> list[PatchFeature]:
+    return as_patches(*_read_psf(Path(path)))
 
 
 class ManifestRow(NamedTuple):
@@ -172,7 +172,7 @@ def load_slides(manifest: Manifest) -> list[SlideRecord]:
     """Materialize every manifest row into a SlideRecord."""
     slides = []
     for row in manifest.rows:
-        patches = read_features(manifest.resolve(row))
+        coords, features = _read_psf(manifest.resolve(row))
         slides.append(
             SlideRecord(
                 slide_id=row.slide_id,
@@ -180,14 +180,15 @@ def load_slides(manifest: Manifest) -> list[SlideRecord]:
                 site=row.site,
                 subtype=row.subtype,
                 magnification=row.magnification,
-                patches=tuple(patches),
+                coords=coords,
+                features=features,
             )
         )
     return slides
 
 
 _DB_FORMAT = "wsisearch-db"
-_DB_VERSION = 2
+_DB_VERSION = 3
 
 
 def save_database(path: str | Path, engine: str, database) -> None:

@@ -1,12 +1,12 @@
 """Hypergraph retrieval over per-slide hash signatures.  Slide-level only.
 
-A slide's signature is built from its fixed-centroid mosaic: every centroid
-feature is hashed to a bit string, attention weights follow cluster
-population, and the slide hash is the hash of the attention-weighted mean
-feature.  Each database slide spans one hyperedge containing its K nearest
-slides by hash distance; a query joins the graph as a fresh vertex and
-hyperedge, and scores combine vertex-level and hyperedge-level similarity
-read off the weighted incidence products.
+A slide's signature is built from its fixed-centroid mosaic: attention
+weights follow cluster population, and the slide hash is the barcode of the
+attention-weighted mean of the centroid features.  Each database slide
+spans one hyperedge containing its K nearest slides by hash distance; a
+query joins the graph as a fresh vertex and hyperedge, and scores combine
+vertex-level and hyperedge-level similarity read off the weighted incidence
+products.
 """
 from __future__ import annotations
 
@@ -55,12 +55,9 @@ class HshrParams:
 
 @dataclass(frozen=True, eq=False)
 class SlideSignature:
-    """Hashes plus attention for one slide; the slide_hash is what the
-    hypergraph compares."""
+    """One slide's hash, the code the hypergraph compares."""
 
     slide_id: str
-    centroid_hashes: np.ndarray  # (k_effective, ceil(L / 8)) uint8 packed
-    attention: np.ndarray  # (k_effective,) non-negative, sums to 1
     slide_hash: np.ndarray  # (ceil(L / 8),) uint8 packed
 
 
@@ -78,14 +75,14 @@ class HshrDatabase:
     params: HshrParams
     dim: int
     code_length: int
-    signatures: list[SlideSignature]
+    slide_ids: list[str]
     slide_labels: dict[str, SlideLabels]
     graph: Hypergraph
-    hashes: np.ndarray  # (T, ceil(L / 8)) uint8, row i packs signatures[i].slide_hash
+    hashes: np.ndarray  # (T, ceil(L / 8)) uint8, row i the hash of slide_ids[i]
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.signatures)
+        return len(self.slide_ids)
 
 
 def slide_signature(slide: SlideRecord, mosaic: Mosaic) -> SlideSignature:
@@ -96,16 +93,10 @@ def slide_signature(slide: SlideRecord, mosaic: Mosaic) -> SlideSignature:
         raise ValidationError(
             f"mosaic belongs to {mosaic.slide_id!r}, not {slide.slide_id!r}"
         )
-    features = mosaic.feature_matrix()
     sizes = np.asarray(mosaic.cluster_sizes, dtype=np.float64)
     attention = sizes / sizes.sum()
-    weighted_mean = attention @ features.astype(np.float64)
-    return SlideSignature(
-        slide_id=slide.slide_id,
-        centroid_hashes=binarize_barcode(features),
-        attention=attention,
-        slide_hash=binarize_barcode(weighted_mean),
-    )
+    weighted_mean = attention @ mosaic.features.astype(np.float64)
+    return SlideSignature(slide_id=slide.slide_id, slide_hash=binarize_barcode(weighted_mean))
 
 
 def _signature_of(slide: SlideRecord, params: HshrParams) -> SlideSignature:
@@ -157,14 +148,12 @@ def build_database(
     params = params or HshrParams()
     dim = database_dim(slides, min_dim=2)
     signed, unprocessed = encode_slides(slides, lambda slide: _signature_of(slide, params))
-    signatures = [sig for _, sig in signed]
-
-    hashes = np.stack([sig.slide_hash for sig in signatures])
+    hashes = np.stack([sig.slide_hash for _, sig in signed])
     return HshrDatabase(
         params=params,
         dim=dim,
         code_length=dim - 1,
-        signatures=signatures,
+        slide_ids=[sig.slide_id for _, sig in signed],
         slide_labels={slide.slide_id: slide.labels for slide, _ in signed},
         graph=build_hypergraph(hashes, dim - 1, params.knn_k),
         hashes=hashes,
@@ -185,7 +174,7 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
     (score, slide_id) sorted descending, ties by slide_id; the caller slices
     its top-k after any candidate filtering.
     """
-    t = len(db.signatures)
+    t = len(db)
     ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
     affinity = 1.0 - ham / float(db.code_length)
 
@@ -207,7 +196,7 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
     scores = db.params.alpha * vertex_sim[t, :t] + db.params.beta * edge_sim[t, :t]
 
     ranked = sorted(
-        ((float(scores[i]), db.signatures[i].slide_id) for i in range(t)),
+        ((float(scores[i]), db.slide_ids[i]) for i in range(t)),
         key=lambda pair: (-pair[0], pair[1]),
     )
     return ranked

@@ -5,6 +5,10 @@ construction and all operations here are pure functions.  The checks,
 slide-encoding loop and result assembly that every engine's build and query
 share also live here, so the four engines decide them in one place.
 
+A slide is columnar: one (n, 2) int32 ``coords`` array and one (n, dim)
+float32 ``features`` matrix.  ``PatchFeature`` is the single-patch form the
+API edge speaks (feature files, patch queries); ``as_patches`` derives it.
+
 A barcode is one ``np.packbits`` row: uint8, most significant bit first,
 last byte zero-padded.  Its bit length L is the database's ``code_length``
 (feature dimension minus one) and is never stored per code.
@@ -37,16 +41,20 @@ DISTANCE_KINDS = ("hamming", "cosine", "hypergraph", "votes")
 DEFAULT_DIM = 1024
 
 
+def _read_only_copy(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _frozen_feature(vec: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float32)
+    arr = _read_only_copy(vec, np.float32)
     if arr.ndim != 1:
         raise DimensionError(f"feature must be one-dimensional, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise EmptyInputError("feature vector is empty")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("feature vector contains non-finite components")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
@@ -69,15 +77,6 @@ class PatchFeature:
     def coord(self) -> tuple[int, int]:
         return (self.x, self.y)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PatchFeature):
-            return NotImplemented
-        return (
-            self.x == other.x
-            and self.y == other.y
-            and np.array_equal(self.feature, other.feature)
-        )
-
 
 class SlideLabels(NamedTuple):
     site: str
@@ -87,14 +86,16 @@ class SlideLabels(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SlideRecord:
-    """A slide with its identifiers, labels, and dense patch grid."""
+    """A slide's identifiers, labels, and patch grid as read-only copies of
+    two columns: row i of ``coords`` is the (x, y) cell of feature row i."""
 
     slide_id: str
     patient_id: str
     site: str
     subtype: str
     magnification: str
-    patches: tuple[PatchFeature, ...]
+    coords: np.ndarray  # (n, 2) int32
+    features: np.ndarray  # (n, dim) float32
 
     def __post_init__(self) -> None:
         if not self.patient_id:
@@ -103,29 +104,34 @@ class SlideRecord:
             raise ValidationError(
                 f"slide {self.slide_id!r}: magnification must be one of {MAGNIFICATIONS}"
             )
-        if not self.patches:
+        object.__setattr__(self, "coords", _read_only_copy(self.coords, np.int32))
+        object.__setattr__(self, "features", _read_only_copy(self.features, np.float32))
+        coords, features = self.coords, self.features
+        if features.size == 0:
             raise EmptyInputError(f"slide {self.slide_id!r} has no patches")
-        dims = {p.dim for p in self.patches}
-        if len(dims) != 1:
-            raise DimensionError(f"slide {self.slide_id!r} mixes feature dimensions {dims}")
-        seen: set[tuple[int, int]] = set()
-        for p in self.patches:
-            if p.coord in seen:
-                raise ValidationError(
-                    f"slide {self.slide_id!r} repeats patch coordinate {p.coord}"
-                )
-            seen.add(p.coord)
+        if features.ndim != 2 or coords.shape != (len(features), 2):
+            raise DimensionError(f"slide {self.slide_id!r}: coords {coords.shape} "
+                                 f"and features {features.shape} are not (n, 2) and (n, dim)")
+        if not np.all(np.isfinite(features)):
+            raise ValidationError(f"slide {self.slide_id!r} has non-finite features")
+        _, first = np.unique(coords, axis=0, return_index=True)
+        if len(first) < len(coords):
+            repeat = tuple(coords[np.setdiff1d(np.arange(len(coords)), first)[0]].tolist())
+            raise ValidationError(f"slide {self.slide_id!r} repeats patch coordinate {repeat}")
 
     @property
     def dim(self) -> int:
-        return self.patches[0].dim
+        return int(self.features.shape[1])
 
     @property
     def labels(self) -> SlideLabels:
         return SlideLabels(self.site, self.subtype, self.patient_id)
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([p.feature for p in self.patches])
+
+def as_patches(coords: np.ndarray, features: np.ndarray) -> list[PatchFeature]:
+    """Per-patch objects of columnar rows, for the API edge that speaks in
+    single patches (feature files, patch queries)."""
+    return [PatchFeature(x, y, f) for (x, y), f in zip(coords.tolist(), features)]
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,13 @@ class RetrievalResult:
 CandidateFilter = Callable[[str, SlideLabels], bool]
 
 Encoding = TypeVar("Encoding")
+
+
+def kept_slides(
+    candidate_filter: CandidateFilter | None, slides: Iterable[tuple[str, SlideLabels]]
+) -> list[bool]:
+    """Per (slide_id, labels), whether the filter keeps it; no filter keeps all."""
+    return [candidate_filter is None or candidate_filter(*slide) for slide in slides]
 
 
 def database_dim(slides: Sequence[SlideRecord], min_dim: int = 1) -> int:

@@ -6,22 +6,24 @@ surrogate), then keeps a fixed fraction of each cluster by running a second
 k-means on the spatial coordinates and picking the patch nearest each
 spatial centroid.  The fixed recipe clusters patch features into a fixed
 number of classes and keeps the centroids themselves as synthetic patches.
+A mosaic is columnar like its slide: row i of coords and features is member i.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, ValidationError
-from .model import PatchFeature, SlideRecord, slide_seed
+from .model import SlideRecord, slide_seed
 
 PERCENT_OF_CLUSTERS = "percent_of_clusters"
 FIXED_CENTROIDS = "fixed_centroids"
 
 MAX_LLOYD_ITERATIONS = 100
+HISTOGRAM_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,6 @@ class KMeansResult:
 
     assignments: np.ndarray  # (n,) int, indices into centroids
     centroids: np.ndarray    # (k_effective, d)
-    inertia: float
-    requested_k: int
 
     @property
     def effective_k(self) -> int:
@@ -41,26 +41,23 @@ class KMeansResult:
         return np.bincount(self.assignments, minlength=self.effective_k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mosaic:
     slide_id: str
-    members: tuple[PatchFeature, ...]
+    coords: np.ndarray  # (m, 2) int32, one (x, y) per member
+    features: np.ndarray  # (m, dim) float32, one feature per member
     method: str
-    params: dict = field(default_factory=dict)
     # populated only for fixed-centroid mosaics: patches per centroid
     cluster_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.method not in (PERCENT_OF_CLUSTERS, FIXED_CENTROIDS):
             raise ValidationError(f"unknown mosaic method {self.method!r}")
-        if not self.members:
+        if len(self) == 0:
             raise EmptyInputError(f"mosaic for slide {self.slide_id!r} is empty")
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([m.feature for m in self.members])
+        return int(self.features.shape[0])
 
 
 def _plus_plus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,7 +93,6 @@ def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) ->
         raise EmptyInputError("k-means needs at least one point")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    requested = k
     k = min(k, pts.shape[0])
 
     rng = np.random.default_rng(seed)
@@ -120,8 +116,7 @@ def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) ->
     remap[keep] = np.arange(keep.size)
     assign = remap[assign]
     centers = centers[keep]
-    inertia = float(((pts - centers[assign]) ** 2).sum())
-    return KMeansResult(assignments=assign, centroids=centers, inertia=inertia, requested_k=requested)
+    return KMeansResult(assignments=assign, centroids=centers)
 
 
 def _nearest_point_index(points: np.ndarray, target: np.ndarray) -> int:
@@ -159,21 +154,19 @@ def build_mosaic_percent(
     member nearest each spatial centroid is kept, so every non-empty primary
     cluster contributes at least one patch.
     """
-    if not slide.patches:
-        raise EmptyInputError(f"slide {slide.slide_id!r} has no patches")
     feats = np.asarray(cluster_features, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[:, None]
-    if feats.shape[0] != len(slide.patches):
+    if feats.shape[0] != len(slide.coords):
         raise DimensionError(
-            f"cluster_features rows ({feats.shape[0]}) must match patch count ({len(slide.patches)})"
+            f"cluster_features rows ({feats.shape[0]}) must match patch count ({len(slide.coords)})"
         )
     check_mosaic_params(k_primary, fraction)
 
     primary_seed, *spatial_seeds = _spawn_seeds(seed, 1 + k_primary)
     primary = kmeans(feats, k_primary, primary_seed)
 
-    coords = np.array([[p.x, p.y] for p in slide.patches], dtype=np.float64)
+    coords = slide.coords.astype(np.float64)
     selected: list[int] = []
     for ci in range(primary.effective_k):
         group = np.flatnonzero(primary.assignments == ci)
@@ -187,9 +180,9 @@ def build_mosaic_percent(
     selected.sort()
     return Mosaic(
         slide_id=slide.slide_id,
-        members=tuple(slide.patches[i] for i in selected),
+        coords=slide.coords[selected],
+        features=slide.features[selected],
         method=PERCENT_OF_CLUSTERS,
-        params={"k_primary": k_primary, "fraction": fraction, "seed": seed},
     )
 
 
@@ -213,40 +206,44 @@ def histogram_mosaic(
 def build_mosaic_fixed(slide: SlideRecord, k_fixed: int, seed: int) -> Mosaic:
     """Fixed mosaic: k-means centroids of the patch features themselves.
 
-    Members are synthetic patches whose feature is the centroid vector and
-    whose coordinate is borrowed from the nearest real patch; k clamps to
-    the patch count and degenerate slides collapse to fewer centroids.
+    Members are synthetic patches: the float32 centroid vectors, each at the
+    coordinate of its nearest real patch; k clamps to the patch count and
+    degenerate slides collapse to fewer centroids.
     """
-    if not slide.patches:
-        raise EmptyInputError(f"slide {slide.slide_id!r} has no patches")
-    feats = slide.feature_matrix().astype(np.float64)
+    feats = slide.features.astype(np.float64)
     result = kmeans(feats, min(k_fixed, feats.shape[0]), seed)
 
-    members = []
-    for centroid in result.centroids:
-        anchor = slide.patches[_nearest_point_index(feats, centroid)]
-        members.append(PatchFeature(anchor.x, anchor.y, centroid.astype(np.float32)))
+    anchors = [_nearest_point_index(feats, centroid) for centroid in result.centroids]
     sizes = tuple(int(s) for s in result.cluster_sizes())
     return Mosaic(
         slide_id=slide.slide_id,
-        members=tuple(members),
+        coords=slide.coords[anchors],
+        features=result.centroids.astype(np.float32),
         method=FIXED_CENTROIDS,
-        params={"k_fixed": k_fixed, "seed": seed},
         cluster_sizes=sizes,
     )
 
 
-def feature_histogram(feature: np.ndarray, bins: int, value_range: tuple[float, float]) -> np.ndarray:
-    """Normalized histogram of a feature's components, a stand-in for the
-    color histograms some recipes cluster on."""
-    counts, _ = np.histogram(np.asarray(feature, dtype=np.float64), bins=bins, range=value_range)
-    return counts.astype(np.float64) / max(1, counts.sum())
-
-
 def histogram_matrix(slide: SlideRecord, bins: int = 16) -> np.ndarray:
-    """Per-patch histogram surrogate over a slide-wide value range."""
-    feats = slide.feature_matrix()
-    lo, hi = float(feats.min()), float(feats.max())
+    """Per-patch normalized histogram of the feature components over the
+    slide-wide value range, a stand-in for the color histograms some recipes
+    cluster on.  Uses ``np.histogram``'s arithmetic (edges, index corrections,
+    right edge in the last bin) on blocks of whole rows, about HISTOGRAM_BLOCK
+    components each as np.histogram blocks its input, to bound temporaries."""
+    lo, hi = float(slide.features.min()), float(slide.features.max())
     if lo == hi:
         hi = lo + 1.0
-    return np.stack([feature_histogram(p.feature, bins, (lo, hi)) for p in slide.patches])
+    edges = np.linspace(lo, hi, bins + 1)
+    n, dim = slide.features.shape
+    step = max(1, HISTOGRAM_BLOCK // dim)
+    counts = np.empty((n, bins))
+    for start in range(0, n, step):
+        feats = slide.features[start : start + step].astype(np.float64)
+        index = ((feats - lo) / (hi - lo) * bins).astype(np.intp)
+        index[index == bins] -= 1
+        index[feats < edges[index]] -= 1
+        index[(feats >= edges[index + 1]) & (index != bins - 1)] += 1
+        index += np.arange(len(feats))[:, None] * bins  # one run of bins per row
+        block = np.bincount(index.ravel(), minlength=len(feats) * bins)
+        counts[start : start + step] = block.reshape(-1, bins)
+    return counts / dim

@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionError,
     EmptyInputError,
     UndefinedSimilarityError,
     UnprocessedSlideError,
@@ -28,10 +29,12 @@ from .model import (
     RetrievalResult,
     SlideLabels,
     SlideRecord,
+    as_patches,
     check_k,
     check_query_dim,
     database_dim,
     encode_slides,
+    kept_slides,
     label_entropy,
     patch_ref,
     ranked_result,
@@ -83,7 +86,7 @@ class RetcclDatabase:
     dim: int
     unit_features: np.ndarray  # (N, dim) float64, rows normalized
     patch_slides: list[str]  # slide_id per row of unit_features
-    patch_coords: list[tuple[int, int]]
+    patch_coords: np.ndarray  # (N, 2) int32, (x, y) per row of unit_features
     slide_labels: dict[str, SlideLabels]
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
@@ -95,22 +98,23 @@ class RetcclDatabase:
         return int(self.unit_features.shape[0])
 
 
-def _mosaic_members(slide: SlideRecord, params: RetcclParams) -> list[PatchFeature]:
-    """Percent mosaic clustered on the features themselves; zero vectors are
-    dropped because cosine similarity cannot see them."""
+def _mosaic_rows(slide: SlideRecord, params: RetcclParams) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, features) of the percent mosaic clustered on the features
+    themselves; zero vectors are dropped because cosine similarity cannot
+    see them."""
     mosaic = build_mosaic_percent(
         slide,
-        slide.feature_matrix().astype(np.float64),
+        slide.features.astype(np.float64),
         k_primary=params.k_primary,
         fraction=params.fraction,
         seed=slide_seed(params.seed, slide.slide_id),
     )
-    kept = [m for m in mosaic.members if float(np.linalg.norm(m.feature)) > 0.0]
-    if not kept:
+    nonzero = np.linalg.norm(mosaic.features, axis=1) > 0.0
+    if not nonzero.any():
         raise UnprocessedSlideError(
             f"slide {slide.slide_id!r}: every mosaic patch is a zero vector"
         )
-    return kept
+    return mosaic.coords[nonzero], mosaic.features[nonzero]
 
 
 def build_database(
@@ -118,62 +122,51 @@ def build_database(
 ) -> RetcclDatabase:
     params = params or RetcclParams()
     dim = database_dim(slides)
-    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_members(slide, params))
-
-    rows: list[np.ndarray] = []
-    patch_slides: list[str] = []
-    patch_coords: list[tuple[int, int]] = []
-    for slide, members in kept:
-        for m in members:
-            vec = m.feature.astype(np.float64)
-            rows.append(vec / np.linalg.norm(vec))
-            patch_slides.append(slide.slide_id)
-            patch_coords.append(m.coord)
-
+    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_rows(slide, params))
+    unit = np.concatenate([features for _, (_, features) in kept]).astype(np.float64)
+    for vec in unit:  # one norm per row, as queries take theirs; axis=1 rounds differently
+        vec /= np.linalg.norm(vec)
     return RetcclDatabase(
         params=params,
         dim=dim,
-        unit_features=np.stack(rows),
-        patch_slides=patch_slides,
-        patch_coords=patch_coords,
+        unit_features=unit,
+        patch_slides=[slide.slide_id for slide, (coords, _) in kept for _ in coords],
+        patch_coords=np.concatenate([coords for _, (coords, _) in kept]),
         slide_labels={slide.slide_id: slide.labels for slide, _ in kept},
         unprocessed=unprocessed,
     )
 
 
-def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:
+def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> np.ndarray:
+    """(m, dim) features of the query slide's non-zero mosaic members."""
     check_query_dim(db, slide)
-    return _mosaic_members(slide, db.params)
+    return _mosaic_rows(slide, db.params)[1]
 
 
 def _candidate_mask(db: RetcclDatabase, candidate_filter: CandidateFilter | None) -> np.ndarray:
-    if candidate_filter is None:
-        return np.ones(db.n_patches, dtype=bool)
-    keep_slide = {
-        sid: candidate_filter(sid, labels) for sid, labels in db.slide_labels.items()
-    }
-    return np.fromiter(
-        (keep_slide[sid] for sid in db.patch_slides), dtype=bool, count=db.n_patches
-    )
+    keep = dict(zip(db.slide_labels, kept_slides(candidate_filter, db.slide_labels.items())))
+    return np.array([keep[sid] for sid in db.patch_slides], dtype=bool)
 
 
 def build_bags(
     db: RetcclDatabase,
-    query_patches: Sequence[PatchFeature],
+    query_features: np.ndarray,
     candidate_filter: CandidateFilter | None = None,
 ) -> list[Bag]:
-    """One bag per query patch: all candidates at cosine >= the threshold.
+    """One bag per row of the (m, dim) query features: all candidates at
+    cosine >= the threshold.
 
-    A zero-vector query patch yields an empty bag (entropy +inf) rather than
+    A zero-vector query row yields an empty bag (entropy +inf) rather than
     an error, mirroring how zero vectors are invisible to the index.
     """
-    if not query_patches:
+    if len(query_features) == 0:
         raise EmptyInputError("query mosaic has no patches")
+    if query_features.shape[1] != db.dim:
+        raise DimensionError(f"query dim {query_features.shape[1]} != database dim {db.dim}")
     mask = _candidate_mask(db, candidate_filter)
     bags: list[Bag] = []
-    for i, patch in enumerate(query_patches):
-        check_query_dim(db, patch)
-        vec = patch.feature.astype(np.float64)
+    for i, row in enumerate(query_features):
+        vec = row.astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             bags.append(Bag(ordinal=i, hits=(), entropy=math.inf))
@@ -244,12 +237,12 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
 
 def query_slides(
     db: RetcclDatabase,
-    query: SlideRecord | Sequence[PatchFeature],
+    query: SlideRecord | np.ndarray,
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    patches = prepare_query(db, query) if isinstance(query, SlideRecord) else list(query)
-    bags = build_bags(db, patches, candidate_filter)
+    features = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    bags = build_bags(db, features, candidate_filter)
     ordered = filter_and_order_bags(bags, db.params.quality_rule)
     return vote_slides(ordered, db, k)
 
@@ -276,7 +269,7 @@ def query_patches(
     )
     hits = (
         (
-            patch_ref(db.patch_slides[j], *db.patch_coords[j]),
+            patch_ref(db.patch_slides[j], *db.patch_coords[j].tolist()),
             db.slide_labels[db.patch_slides[j]],
             float(scores[j]),
         )
@@ -287,4 +280,5 @@ def query_patches(
 
 def query_patch_set(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
-    return prepare_query(db, slide)
+    check_query_dim(db, slide)
+    return as_patches(*_mosaic_rows(slide, db.params))

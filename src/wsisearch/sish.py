@@ -34,6 +34,7 @@ from .model import (
     RetrievalResult,
     SlideLabels,
     SlideRecord,
+    as_patches,
     binarize_barcode,
     check_k,
     check_query_dim,
@@ -148,55 +149,55 @@ def index_encode(feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     return index
 
 
-def _mosaic_patches(slide: SlideRecord, params: SishParams) -> list[PatchFeature]:
-    """Mosaic members with flat-feature patches (scanner artifacts) dropped."""
+def _mosaic_rows(slide: SlideRecord, params: SishParams) -> tuple[np.ndarray, np.ndarray]:
+    """Mosaic (coords, features) without flat-feature patches (scanner artifacts)."""
     mosaic = histogram_mosaic(
         slide, params.k_primary, params.fraction, params.histogram_bins, params.seed
     )
-    kept = [m for m in mosaic.members if float(np.ptp(m.feature)) > 0.0]
-    if not kept:
-        raise UnprocessedSlideError(
-            f"slide {slide.slide_id!r}: every mosaic patch is constant"
-        )
-    return kept
+    varied = np.ptp(mosaic.features, axis=1) > 0.0
+    if not varied.any():
+        raise UnprocessedSlideError(f"slide {slide.slide_id!r}: every mosaic patch is constant")
+    return mosaic.coords[varied], mosaic.features[varied]
 
 
-def _encode(db: SishDatabase, slide_id: str, patches: Sequence[PatchFeature]) -> list[SishEntry]:
+def _encode(
+    db: SishDatabase, slide_id: str, coords: np.ndarray, features: np.ndarray
+) -> list[SishEntry]:
     """Barcode plus integer index of each patch, under the database's ranges."""
-    codes = binarize_barcode(np.stack([p.feature for p in patches]))
+    codes = binarize_barcode(features)
     return [
         SishEntry(
             slide_id=slide_id,
             ordinal=i,
-            x=p.x,
-            y=p.y,
+            x=x,
+            y=y,
             code=code,
-            index=index_encode(p.feature, db.lo, db.hi),
+            index=index_encode(feature, db.lo, db.hi),
         )
-        for i, (p, code) in enumerate(zip(patches, codes))
+        for i, ((x, y), feature, code) in enumerate(zip(coords.tolist(), features, codes))
     ]
 
 
 def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
     params = params or SishParams()
     dim = database_dim(slides, min_dim=2)
-    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_patches(slide, params))
+    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_rows(slide, params))
 
     # quantization ranges are a database-wide statistic, frozen at build time
-    stacked = np.stack([p.feature for _, patches in kept for p in patches])
+    member_features = [features for _, (_, features) in kept]
     db = SishDatabase(
         params=params,
         dim=dim,
         code_length=dim - 1,
-        lo=stacked.min(axis=0).astype(np.float64),
-        hi=stacked.max(axis=0).astype(np.float64),
+        lo=np.min([f.min(axis=0) for f in member_features], axis=0).astype(np.float64),
+        hi=np.max([f.max(axis=0) for f in member_features], axis=0).astype(np.float64),
         tree=VebTree(params.universe_bits),
         unprocessed=unprocessed,
     )
     # index_encode fails only when every database-wide range is flat, and
     # then for every slide alike, so its error ends the build
-    for slide, patches in kept:
-        for entry in _encode(db, slide.slide_id, patches):
+    for slide, (coords, features) in kept:
+        for entry in _encode(db, slide.slide_id, coords, features):
             db.tree.insert(entry.index)
             db.buckets.setdefault(entry.index, []).append(entry)
         db.slide_labels[slide.slide_id] = slide.labels
@@ -210,7 +211,7 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
 def prepare_query(db: SishDatabase, slide: SlideRecord) -> list[SishEntry]:
     """Mosaic + codes for a query slide under the database's frozen ranges."""
     check_query_dim(db, slide)
-    return _encode(db, slide.slide_id, _mosaic_patches(slide, db.params))
+    return _encode(db, slide.slide_id, *_mosaic_rows(slide, db.params))
 
 
 def guided_search(
@@ -354,7 +355,7 @@ def query_patches(
     """Top-k patches by guided search from one query patch; may come up short."""
     check_k(k)
     check_query_dim(db, patch)
-    (probe,) = _encode(db, "", [patch])
+    (probe,) = _encode(db, "", np.array([patch.coord]), patch.feature[None, :])
     hits = guided_search(db, probe, candidate_filter=candidate_filter)
     return ranked_result(
         (
@@ -369,4 +370,4 @@ def query_patches(
 def query_patch_set(db: SishDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    return _mosaic_patches(slide, db.params)
+    return as_patches(*_mosaic_rows(slide, db.params))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import ManifestRow, write_features, write_manifest
 from .errors import ValidationError
-from .model import MAGNIFICATIONS, PatchFeature, SlideRecord
+from .model import MAGNIFICATIONS, SlideRecord, as_patches
 
 SITE_NAMES = (
     "brain",
@@ -118,17 +118,15 @@ def _make_slide(
 ) -> SlideRecord:
     width = int(np.ceil(np.sqrt(spec.patches_per_slide)))
     feats = rng.normal(0.0, 1.0, (spec.patches_per_slide, spec.dim)) * spec.sigma + mean
-    patches = tuple(
-        PatchFeature(i % width, i // width, feats[i].astype(np.float32))
-        for i in range(spec.patches_per_slide)
-    )
+    cells = np.arange(spec.patches_per_slide)
     return SlideRecord(
         slide_id=slide_id,
         patient_id=patient_id,
         site=site,
         subtype=subtype,
         magnification=spec.magnification,
-        patches=patches,
+        coords=np.stack([cells % width, cells // width], axis=1),
+        features=feats,
     )
 
 
@@ -192,7 +190,7 @@ def synth_generate(spec: SyntheticSpec, out_dir: str | Path) -> tuple[Path, Path
         rows = []
         for slide in slides:
             rel = Path("features") / f"{slide.slide_id}.psf"
-            write_features(out_dir / rel, slide.patches)
+            write_features(out_dir / rel, as_patches(slide.coords, slide.features))
             rows.append(
                 ManifestRow(
                     slide_id=slide.slide_id,

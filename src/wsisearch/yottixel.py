@@ -1,9 +1,11 @@
 """Barcode-based retrieval: mosaic patches, binarize, compare by Hamming.
 
-A slide is indexed as the barcodes of its mosaic members.  Slide-to-slide
-distance is the median over query barcodes of the minimum Hamming distance
-to the target's bag, so one aberrant mosaic patch cannot dominate the
-match.  Patch queries skip the aggregation and rank individual barcodes.
+A slide is indexed as the barcodes of its mosaic members, stacked with the
+other slides' so one kernel call scores a query against all of them.
+Slide-to-slide distance is the median over query barcodes of the minimum
+Hamming distance to the target's bag, so one aberrant mosaic patch cannot
+dominate the match.  Patch queries skip the aggregation and rank individual
+barcodes.
 """
 from __future__ import annotations
 
@@ -18,12 +20,14 @@ from .model import (
     RetrievalResult,
     SlideLabels,
     SlideRecord,
+    as_patches,
     binarize_barcode,
     check_k,
     check_query_dim,
     database_dim,
     encode_slides,
     hamming_matrix,
+    kept_slides,
     patch_ref,
     ranked_result,
 )
@@ -41,26 +45,23 @@ class YottixelParams:
         check_mosaic_params(self.k_primary, self.fraction, self.histogram_bins)
 
 
-@dataclass(frozen=True, eq=False)
-class IndexedBag:
-    """One database slide: its labels plus its mosaic's packed barcodes."""
-
-    slide_id: str
-    labels: SlideLabels
-    packed: np.ndarray  # (m, ceil(L / 8)) uint8, one row per mosaic member
-    coords: tuple[tuple[int, int], ...]  # (x, y) of each row's member
-
-
 @dataclass
 class YottixelDatabase:
+    """Every indexed slide's mosaic barcodes, stacked: slide i owns rows
+    starts[i] up to starts[i + 1] (or the end) of ``packed`` and ``coords``."""
+
     params: YottixelParams
     dim: int
     code_length: int
-    entries: list[IndexedBag] = field(default_factory=list)
+    slide_ids: list[str]
+    labels: list[SlideLabels]
+    packed: np.ndarray  # (N, ceil(L / 8)) uint8, one row per mosaic member
+    coords: np.ndarray  # (N, 2) int32, (x, y) of each row's member
+    starts: np.ndarray  # (T,) int64, first row of each slide
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.slide_ids)
 
 
 def _mosaic(slide: SlideRecord, params: YottixelParams) -> Mosaic:
@@ -69,35 +70,41 @@ def _mosaic(slide: SlideRecord, params: YottixelParams) -> Mosaic:
     )
 
 
+def _bag(slide: SlideRecord, params: YottixelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(packed barcodes, coords) of the slide's mosaic members."""
+    mosaic = _mosaic(slide, params)
+    return binarize_barcode(mosaic.features), mosaic.coords
+
+
 def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None = None) -> YottixelDatabase:
     """Index slides; ones whose mosaic fails land in .unprocessed."""
     params = params or YottixelParams()
     dim = database_dim(slides, min_dim=2)
-    mosaics, unprocessed = encode_slides(slides, lambda slide: _mosaic(slide, params))
-    entries = [
-        IndexedBag(
-            slide_id=slide.slide_id,
-            labels=slide.labels,
-            packed=binarize_barcode(mosaic.feature_matrix()),
-            coords=tuple(m.coord for m in mosaic.members),
-        )
-        for slide, mosaic in mosaics
-    ]
+    bags, unprocessed = encode_slides(slides, lambda slide: _bag(slide, params))
     return YottixelDatabase(
-        params=params, dim=dim, code_length=dim - 1, entries=entries, unprocessed=unprocessed
+        params=params,
+        dim=dim,
+        code_length=dim - 1,
+        slide_ids=[slide.slide_id for slide, _ in bags],
+        labels=[slide.labels for slide, _ in bags],
+        packed=np.concatenate([packed for _, (packed, _) in bags]),
+        coords=np.concatenate([coords for _, (_, coords) in bags]),
+        starts=np.cumsum([0] + [len(packed) for _, (packed, _) in bags[:-1]]),
+        unprocessed=unprocessed,
     )
 
 
 def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
     """Packed barcodes of a query slide's mosaic under the database parameters."""
     check_query_dim(db, slide)
-    return binarize_barcode(_mosaic(slide, db.params).feature_matrix())
+    return _bag(slide, db.params)[0]
 
 
-def median_min_hamming(query_packed: np.ndarray, target_packed: np.ndarray) -> float:
-    """Median over query rows of the minimum distance into the target rows."""
-    distances = hamming_matrix(query_packed, target_packed)
-    return float(np.median(distances.min(axis=1)))
+def median_min_hamming(query: np.ndarray, stacked: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per target slide, the median over query rows of the minimum distance
+    into that slide's rows; slide i owns rows starts[i] up to starts[i + 1]."""
+    distances = hamming_matrix(query, stacked)
+    return np.median(np.minimum.reduceat(distances, starts, axis=1), axis=0)
 
 
 def query_slides(
@@ -109,14 +116,13 @@ def query_slides(
     """Top-k slides by ascending median-of-minimum Hamming distance."""
     check_k(k)
     qpacked = prepare_query(db, query) if isinstance(query, SlideRecord) else query
-
-    scored: list[tuple[float, str, IndexedBag]] = []
-    for entry in db.entries:
-        if candidate_filter is not None and not candidate_filter(entry.slide_id, entry.labels):
-            continue
-        scored.append((median_min_hamming(qpacked, entry.packed), entry.slide_id, entry))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return ranked_result(((e.slide_id, e.labels, dist) for dist, _, e in scored), k, "hamming")
+    scores = median_min_hamming(qpacked, db.packed, db.starts)
+    kept = kept_slides(candidate_filter, zip(db.slide_ids, db.labels))
+    order = sorted(
+        (i for i in range(len(db)) if kept[i]), key=lambda i: (scores[i], db.slide_ids[i])
+    )
+    hits = ((db.slide_ids[i], db.labels[i], float(scores[i])) for i in order)
+    return ranked_result(hits, k, "hamming")
 
 
 def query_patches(
@@ -125,22 +131,20 @@ def query_patches(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    """Top-k mosaic patches by ascending Hamming distance to one query patch."""
+    """Top-k mosaic patches by ascending Hamming distance to one query patch;
+    ties go to the lower slide_id, then to the earlier mosaic member."""
     check_k(k)
     check_query_dim(db, patch)
-    qpacked = binarize_barcode(patch.feature[None, :])
-
-    ranked: list[tuple[int, str, int, IndexedBag]] = []
-    for entry in db.entries:
-        if candidate_filter is not None and not candidate_filter(entry.slide_id, entry.labels):
-            continue
-        dists = hamming_matrix(qpacked, entry.packed)[0]
-        for ordinal, dist in enumerate(dists):
-            ranked.append((int(dist), entry.slide_id, ordinal, entry))
-    ranked.sort(key=lambda t: (t[0], t[1], t[2]))
+    dists = hamming_matrix(binarize_barcode(patch.feature[None, :]), db.packed)[0]
+    owner = np.repeat(np.arange(len(db)), np.diff(db.starts, append=len(db.packed))).tolist()
+    kept = kept_slides(candidate_filter, zip(db.slide_ids, db.labels))
+    order = sorted(
+        ((r, s) for r, s in enumerate(owner) if kept[s]),
+        key=lambda rs: (dists[rs[0]], db.slide_ids[rs[1]], rs[0]),
+    )
     hits = (
-        (patch_ref(slide_id, *entry.coords[ordinal]), entry.labels, float(dist))
-        for dist, slide_id, ordinal, entry in ranked
+        (patch_ref(db.slide_ids[s], *db.coords[r].tolist()), db.labels[s], float(dists[r]))
+        for r, s in order
     )
     return ranked_result(hits, k, "hamming")
 
@@ -148,4 +152,5 @@ def query_patches(
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    return list(_mosaic(slide, db.params).members)
+    mosaic = _mosaic(slide, db.params)
+    return as_patches(mosaic.coords, mosaic.features)

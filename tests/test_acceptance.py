@@ -31,7 +31,7 @@ from wsisearch.model import SlideRecord, patch_ref
 from wsisearch.synth import SyntheticSpec, generate
 from wsisearch.veb import VebTree
 
-from util import make_slide
+from util import make_slide, patch_at
 
 
 def relevance_row(rel):
@@ -180,29 +180,31 @@ def test_criterion_04_brute_force_equivalence():
     for slide in db_slides:
         members = yottixel.query_patch_set(ydb, slide)
         bags[slide.slide_id] = [(ascent_int(m), m.coord) for m in members]
-    for entry in ydb.entries:
-        assert list(entry.coords) == [coord for _, coord in bags[entry.slide_id]]
+    # the database stacks those bags in slide order, one row per member
+    assert ydb.slide_ids == [slide.slide_id for slide in db_slides]
+    for slide_id, coords in zip(ydb.slide_ids, np.split(ydb.coords, ydb.starts[1:])):
+        assert [tuple(c) for c in coords.tolist()] == [coord for _, coord in bags[slide_id]]
 
     for q in queries:
         q_ints = [ascent_int(m) for m in yottixel.query_patch_set(ydb, q)]
 
         # slide oracle: median over query codes of min Hamming into each bag
         expected = []
-        for entry in ydb.entries:
-            t_ints = [code for code, _ in bags[entry.slide_id]]
+        for slide_id in ydb.slide_ids:
+            t_ints = [code for code, _ in bags[slide_id]]
             mins = [min((qi ^ ti).bit_count() for ti in t_ints) for qi in q_ints]
-            expected.append((float(statistics.median(mins)), entry.slide_id))
+            expected.append((float(statistics.median(mins)), slide_id))
         expected.sort()
-        got = yottixel.query_slides(ydb, yottixel.prepare_query(ydb, q), k=len(ydb.entries))
+        got = yottixel.query_slides(ydb, yottixel.prepare_query(ydb, q), k=len(ydb))
         assert [(e.score, e.target_id) for e in got.entries] == expected
 
         # patch oracle: exhaustive Hamming scan over every indexed barcode
         for patch in yottixel.query_patch_set(ydb, q)[:3]:
             code = ascent_int(patch)
             ranked = []
-            for entry in ydb.entries:
-                for ordinal, (bc, coord) in enumerate(bags[entry.slide_id]):
-                    ranked.append(((code ^ bc).bit_count(), entry.slide_id, ordinal, coord))
+            for slide_id in ydb.slide_ids:
+                for ordinal, (bc, coord) in enumerate(bags[slide_id]):
+                    ranked.append(((code ^ bc).bit_count(), slide_id, ordinal, coord))
             ranked.sort(key=lambda t: t[:3])
             got = yottixel.query_patches(ydb, patch, k=25)
             want = [
@@ -330,7 +332,7 @@ def test_criterion_07_hshr_contracts():
     hdb = hshr.build_database(db_slides, hshr.HshrParams(seed=2))
 
     with pytest.raises(UnsupportedOperationError):
-        hshr.query_patches(hdb, db_slides[0].patches[0], 5)
+        hshr.query_patches(hdb, patch_at(db_slides[0], 0), 5)
     with pytest.raises(UnsupportedOperationError):
         hshr.query_patch_set(hdb, db_slides[0])
 
@@ -342,7 +344,8 @@ def test_criterion_07_hshr_contracts():
             site=src.site,
             subtype=src.subtype,
             magnification=src.magnification,
-            patches=src.patches,
+            coords=src.coords,
+            features=src.features,
         )
         res = hshr.query_slides(hdb, twin, k=5)
         assert res.entries[0].target_id == src.slide_id

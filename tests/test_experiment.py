@@ -30,9 +30,11 @@ from wsisearch.experiment import (
     write_rows,
     write_summary,
 )
+from wsisearch.dataio import load_slides, parse_manifest
 from wsisearch.metrics import QueryRow, RetrievalSlot
+from wsisearch.synth import SyntheticSpec, synth_generate
 
-from util import gaussian_slides, make_slide
+from util import gaussian_slides, make_slide, patch_at
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +126,7 @@ class TestEngineInterface:
         with pytest.raises(UnsupportedOperationError):
             hshr.query_patch_set(db, queries[0])
         with pytest.raises(UnsupportedOperationError):
-            hshr.query_patches(db, queries[0].patches[0], 5)
+            hshr.query_patches(db, patch_at(queries[0], 0), 5)
 
     @pytest.mark.parametrize(
         "engine, field, value",
@@ -154,6 +156,28 @@ class TestEngineInterface:
         slides = [make_slide(f"s{i}", patch_value(rng, 12, 16)) for i in range(3)]
         with pytest.raises(EmptyInputError, match="none of 3 slides"):
             build_engine_database(engine, slides)
+
+
+class TestHotPathGuard:
+    def test_slide_search_builds_no_patch_objects(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(
+            n_sites=2, subtypes_per_site=2, slides_per_subtype=3, patches_per_slide=30,
+            dim=16, queries_per_subtype=1, seed=3,
+        )
+        manifest, queries = synth_generate(spec, tmp_path)
+
+        def refuse(self):
+            raise AssertionError("a PatchFeature was built on the slide-search path")
+
+        monkeypatch.setattr(model.PatchFeature, "__post_init__", refuse)
+        db_slides = load_slides(parse_manifest(manifest))
+        query_slides = load_slides(parse_manifest(queries))
+        for engine, mod in ENGINE_MODULES.items():
+            db = build_engine_database(engine, db_slides)
+            for query in query_slides:
+                prepared = mod.prepare_query(db, query)
+                assert len(mod.query_slides(db, prepared, 3)) > 0, engine
+                assert len(mod.query_slides(db, query, 3)) > 0, engine
 
 
 class TestRunExperiment:

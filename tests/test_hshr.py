@@ -16,7 +16,7 @@ from wsisearch.hshr import (
     ranked_scores,
     slide_signature,
 )
-from wsisearch.model import SlideRecord
+from wsisearch.model import binarize_barcode, slide_seed
 from wsisearch.mosaic import build_mosaic_fixed, build_mosaic_percent, histogram_matrix
 
 from util import make_slide, packed
@@ -25,12 +25,7 @@ from util import make_slide, packed
 def signature_with_hash(slide_id: str, bits: str):
     from wsisearch.hshr import SlideSignature
 
-    return SlideSignature(
-        slide_id=slide_id,
-        centroid_hashes=packed(bits)[None, :],
-        attention=np.array([1.0]),
-        slide_hash=packed(bits),
-    )
+    return SlideSignature(slide_id=slide_id, slide_hash=packed(bits))
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +46,33 @@ class TestSignature:
     def test_identical_patches_collapse_to_one_centroid(self):
         slide = make_slide("flat", np.tile(np.arange(6.0), (10, 1)))
         mosaic = build_mosaic_fixed(slide, k_fixed=20, seed=0)
+        assert len(mosaic) == 1
+        assert mosaic.cluster_sizes == (10,)
+        assert mosaic.features.tolist() == [list(range(6))]
         sig = slide_signature(slide, mosaic)
-        assert len(sig.centroid_hashes) == 1
-        assert sig.attention.tolist() == [1.0]
+        assert np.array_equal(sig.slide_hash, binarize_barcode(np.arange(6.0)))
 
-    def test_attention_sums_to_one(self, corpus):
+    def test_slide_hash_is_barcode_of_weighted_centroid_mean(self, corpus):
         slides, db = corpus
-        for sig in db.signatures:
-            assert sig.attention.sum() == pytest.approx(1.0)
-            assert np.all(sig.attention >= 0)
+        for i, slide in enumerate(slides):
+            mosaic = build_mosaic_fixed(slide, db.params.k_fixed, slide_seed(5, slide.slide_id))
+            sizes = np.array(mosaic.cluster_sizes, dtype=np.float64)
+            assert sizes.sum() == len(slide.features)
+            weighted = (sizes[:, None] * mosaic.features.astype(np.float64)).sum(axis=0)
+            mean = weighted / sizes.sum()
+            # a weighted sum, not the engine's attention-vector product: the
+            # two round differently, but on this corpus no successive
+            # difference of the mean is near enough to zero to flip a bit
+            assert np.array_equal(db.hashes[i], binarize_barcode(mean))
+            assert np.array_equal(slide_signature(slide, mosaic).slide_hash, db.hashes[i])
 
     def test_duplicate_slides_share_signature(self, corpus):
         slides, db = corpus
-        twin = SlideRecord(
-            slide_id=slides[0].slide_id,
-            patient_id="someone-else",
-            site=slides[0].site,
-            subtype=slides[0].subtype,
-            magnification=slides[0].magnification,
-            patches=slides[0].patches,
+        twin = make_slide(
+            slides[0].slide_id, slides[0].features, site=slides[0].site, patient_id="someone-else"
         )
         sig = prepare_query(db, twin)
-        assert np.array_equal(sig.slide_hash, db.signatures[0].slide_hash)
+        assert sig.slide_id == db.slide_ids[0]
         assert np.array_equal(db.hashes[0], sig.slide_hash)
 
     def test_percent_mosaic_rejected(self):
@@ -125,14 +125,7 @@ class TestHypergraph:
 class TestScoring:
     def test_self_retrieval_twin_first(self, corpus):
         slides, db = corpus
-        twin = SlideRecord(
-            slide_id="twin",
-            patient_id="someone-else",
-            site=slides[3].site,
-            subtype=slides[3].subtype,
-            magnification=slides[3].magnification,
-            patches=slides[3].patches,
-        )
+        twin = make_slide("twin", slides[3].features, site=slides[3].site, patient_id="someone-else")
         res = query_slides(db, twin, k=3)
         assert res.entries[0].target_id == slides[3].slide_id
 
@@ -145,12 +138,11 @@ class TestScoring:
 
     def test_far_query_is_ordered_without_error(self, corpus):
         slides, db = corpus
-        base = db.signatures[0]
-        bits = np.unpackbits(base.slide_hash, count=db.code_length)
+        bits = np.unpackbits(db.hashes[0], count=db.code_length)
         flipped = "".join("0" if b else "1" for b in bits)
         far = signature_with_hash("far", flipped)
         ranked = ranked_scores(db, far)
-        assert len(ranked) == len(db.signatures)
+        assert len(ranked) == len(db)
         assert all(np.isfinite(s) for s, _ in ranked)
 
     def test_query_slides_slices_top_k(self, corpus):

@@ -23,7 +23,7 @@ from wsisearch.dataio import (
     write_manifest,
 )
 from wsisearch.errors import FormatError, ValidationError
-from wsisearch.model import PatchFeature
+from wsisearch.model import PatchFeature, as_patches
 from wsisearch.yottixel import YottixelParams, build_database
 
 from util import make_slide
@@ -109,7 +109,7 @@ def write_corpus(tmp_path, slides):
     rows = []
     for slide in slides:
         rel = f"{slide.slide_id}.psf"
-        write_features(tmp_path / rel, list(slide.patches))
+        write_features(tmp_path / rel, as_patches(slide.coords, slide.features))
         rows.append(
             ManifestRow(
                 slide.slide_id,
@@ -139,7 +139,30 @@ class TestManifests:
         manifest = parse_manifest(write_corpus(tmp_path, slides))
         loaded = load_slides(manifest)
         assert [s.slide_id for s in loaded] == ["s1", "s2", "s3"]
-        assert loaded[0].feature_matrix().tobytes() == slides[0].feature_matrix().tobytes()
+        assert loaded[0].features.tobytes() == slides[0].features.tobytes()
+        assert loaded[0].coords.tobytes() == slides[0].coords.tobytes()
+
+    @given(st.integers(1, 30), st.integers(1, 16), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_loaded_columns_equal_written_patches(self, n, dim, seed):
+        import tempfile
+        from pathlib import Path
+
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(200 * 200, size=n, replace=False)
+        patches = [
+            PatchFeature(int(c % 200) - 100, int(c // 200), f)
+            for c, f in zip(cells, rng.normal(size=(n, dim)).astype(np.float32) * 1e3)
+        ]
+        with tempfile.TemporaryDirectory() as tdir:
+            write_features(Path(tdir) / "s.psf", patches)
+            write_manifest(
+                Path(tdir) / "m.csv", [ManifestRow("s", "p", "brain", "gbm", "20x", "s.psf")]
+            )
+            (slide,) = load_slides(parse_manifest(Path(tdir) / "m.csv"))
+        assert slide.coords.dtype == np.int32 and slide.features.dtype == np.float32
+        assert slide.coords.tolist() == [[p.x, p.y] for p in patches]
+        assert slide.features.tobytes() == b"".join(p.feature.tobytes() for p in patches)
 
     def test_duplicate_slide_id_rejected(self, tmp_path):
         slides = self.make_slides()
@@ -153,7 +176,7 @@ class TestManifests:
     def test_shared_patient_warns_but_keeps(self, tmp_path):
         slides = self.make_slides()
         slides[1] = make_slide(
-            "s2", np.asarray(slides[1].feature_matrix()), patient_id="p1"
+            "s2", slides[1].features, patient_id="p1"
         )
         path = write_corpus(tmp_path, slides)
         with pytest.warns(UserWarning):
@@ -179,7 +202,7 @@ class TestManifests:
     def test_repeated_coordinate_rejected_on_load(self, tmp_path):
         slides = self.make_slides()
         path = write_corpus(tmp_path, slides)
-        patches = list(slides[1].patches)
+        patches = as_patches(slides[1].coords, slides[1].features)
         patches[2] = PatchFeature(patches[0].x, patches[0].y, patches[2].feature)
         write_features(tmp_path / "s2.psf", patches)
         # the file format itself allows repeats; the slide built from it does not
@@ -208,16 +231,21 @@ class TestDatabaseEnvelope:
         save_database(path, "yottixel", db)
         engine, loaded = load_database(path)
         assert engine == "yottixel"
-        assert [e.slide_id for e in loaded.entries] == [e.slide_id for e in db.entries]
+        assert loaded.slide_ids == db.slide_ids
+        assert loaded.packed.tobytes() == db.packed.tobytes()
 
     def test_previous_version_rejected(self, tmp_path):
-        # version-1 databases held '0'/'1' string barcodes; packed codes
-        # changed the engine classes' fields, so such files must not load
-        path = tmp_path / "v1.db"
-        envelope = {"format": "wsisearch-db", "version": 1, "engine": "yottixel", "database": None}
-        path.write_bytes(pickle.dumps(envelope))
-        with pytest.raises(FormatError, match="version 1 unsupported"):
-            load_database(path)
+        # version 1 held '0'/'1' string barcodes; version 2 held per-slide
+        # yottixel bags and unused HSHR signature fields.  Both changed the
+        # engine classes' fields, so such files must not load
+        for version in (1, 2):
+            path = tmp_path / f"v{version}.db"
+            envelope = {
+                "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None
+            }
+            path.write_bytes(pickle.dumps(envelope))
+            with pytest.raises(FormatError, match=f"version {version} unsupported"):
+                load_database(path)
 
     def test_foreign_pickle_rejected(self, tmp_path):
         path = tmp_path / "junk.db"

@@ -189,22 +189,68 @@ class TestIdentityHelpers:
     def test_make_slide_helper_dims(self):
         s = make_slide("x", np.zeros((4, 6)) + np.arange(6))
         assert s.dim == 6
-        assert s.feature_matrix().shape == (4, 6)
+        assert s.features.shape == (4, 6)
+        assert s.coords.shape == (4, 2)
+
+
+def slide_of(coords, features, slide_id="s0"):
+    return SlideRecord(
+        slide_id=slide_id,
+        patient_id="p0",
+        site="brain",
+        subtype="gbm",
+        magnification="20x",
+        coords=coords,
+        features=features,
+    )
 
 
 class TestSlideRecord:
     def test_repeated_coordinate_rejected(self):
         rng = np.random.default_rng(3)
-        patches = tuple(
-            PatchFeature(x=x, y=y, feature=rng.normal(size=4))
-            for x, y in ((0, 0), (1, 0), (0, 0))
-        )
         with pytest.raises(ValidationError, match=r"'s0'.*\(0, 0\)"):
-            SlideRecord(
-                slide_id="s0",
-                patient_id="p0",
-                site="brain",
-                subtype="gbm",
-                magnification="20x",
-                patches=patches,
-            )
+            slide_of([(0, 0), (1, 0), (0, 0)], rng.normal(size=(3, 4)))
+
+    def test_first_repeat_is_named(self):
+        coords = [(5, 5), (2, 1), (7, 0), (2, 1), (5, 5)]
+        with pytest.raises(ValidationError, match=r"repeats patch coordinate \(2, 1\)"):
+            slide_of(coords, np.zeros((5, 3)))
+
+    def test_columns_are_typed_read_only_copies(self):
+        coords = np.array([[0, 0], [1, 0]])
+        features = np.arange(6.0).reshape(2, 3)
+        s = slide_of(coords, features)
+        assert s.coords.dtype == np.int32 and s.features.dtype == np.float32
+        with pytest.raises(ValueError):
+            s.features[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            s.coords[0, 0] = 9
+        features[0, 0] = 9.0  # the slide owns its copy
+        assert s.features[0, 0] == 0.0
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            slide_of([(0, 0), (1, 0)], np.zeros((3, 4)))
+
+    def test_non_2d_features_rejected(self):
+        with pytest.raises(DimensionError):
+            slide_of([(0, 0), (1, 0)], np.zeros(2))
+        with pytest.raises(DimensionError):
+            slide_of([(0, 0), (1, 0)], np.zeros((2, 2, 2)))
+
+    def test_non_2d_coords_rejected(self):
+        with pytest.raises(DimensionError):
+            slide_of([0, 1], np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.zeros((2, 4))
+        features[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            slide_of([(0, 0), (1, 0)], features)
+
+    def test_empty_slide_rejected(self):
+        with pytest.raises(EmptyInputError):
+            slide_of(np.zeros((0, 2)), np.zeros((0, 4)))
+        with pytest.raises(EmptyInputError):
+            slide_of([(0, 0)], np.zeros((1, 0)))

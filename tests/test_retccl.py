@@ -61,8 +61,7 @@ def axis_db():
 class TestBuildBags:
     def test_stored_patch_scores_one_in_own_bag(self, axis_db):
         slides, db = axis_db
-        patch = slides[0].patches[0]
-        bags = build_bags(db, [patch])
+        bags = build_bags(db, slides[0].features[:1])
         assert len(bags) == 1
         top = bags[0].hits[0]
         assert top.slide_id == "s0"
@@ -70,7 +69,7 @@ class TestBuildBags:
 
     def test_all_hits_clear_threshold(self, axis_db):
         slides, db = axis_db
-        bags = build_bags(db, list(slides[1].patches))
+        bags = build_bags(db, slides[1].features)
         for bag in bags:
             for hit in bag.hits:
                 assert hit.score >= db.params.sim_threshold
@@ -79,18 +78,18 @@ class TestBuildBags:
         _, db = axis_db
         lonely = np.zeros(8, dtype=np.float32)
         lonely[7] = 1.0  # the one axis no database slide occupies
-        bags = build_bags(db, [PatchFeature(0, 0, lonely)])
+        bags = build_bags(db, lonely[None, :])
         assert bags[0].hits == ()
         assert math.isinf(bags[0].entropy)
 
     def test_zero_patch_gives_empty_bag(self, axis_db):
         _, db = axis_db
-        bags = build_bags(db, [PatchFeature(0, 0, np.zeros(8, dtype=np.float32))])
+        bags = build_bags(db, np.zeros((1, 8), dtype=np.float32))
         assert bags[0].hits == ()
 
     def test_hits_sorted_descending(self, axis_db):
         slides, db = axis_db
-        bags = build_bags(db, list(slides[2].patches))
+        bags = build_bags(db, slides[2].features)
         for bag in bags:
             scores = [h.score for h in bag.hits]
             assert scores == sorted(scores, reverse=True)
@@ -98,7 +97,7 @@ class TestBuildBags:
     def test_empty_query_rejected(self, axis_db):
         _, db = axis_db
         with pytest.raises(EmptyInputError):
-            build_bags(db, [])
+            build_bags(db, np.zeros((0, 8), dtype=np.float32))
 
 
 class TestFilterAndOrder:

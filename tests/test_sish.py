@@ -21,7 +21,7 @@ from wsisearch.sish import (
 )
 from wsisearch.veb import VebTree
 
-from util import gaussian_slides, make_slide, packed
+from util import gaussian_slides, make_slide, packed, patch_at
 
 
 def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "00000"):
@@ -214,7 +214,7 @@ class TestEndToEnd:
 
     def test_patch_query_scores_within_threshold(self, corpus_db):
         slides, db = corpus_db
-        res = query_patches(db, slides[0].patches[0], k=8)
+        res = query_patches(db, patch_at(slides[0], 0), k=8)
         assert len(res) >= 1
         assert all(e.score <= db.params.hamming_threshold for e in res.entries)
 

@@ -68,8 +68,8 @@ class TestGenerate:
         db, queries = generate(spec)
         assert len(db) == spec.n_subtypes * spec.slides_per_subtype
         assert len(queries) == spec.n_subtypes * spec.queries_per_subtype
-        assert all(len(s.patches) == spec.patches_per_slide for s in db + queries)
-        assert all(s.patches[0].feature.shape == (spec.dim,) for s in db)
+        assert all(s.features.shape == (spec.patches_per_slide, spec.dim) for s in db + queries)
+        assert all(s.coords.shape == (spec.patches_per_slide, 2) for s in db + queries)
 
     def test_ids_unique_and_patients_disjoint(self):
         db, queries = generate(tiny_spec())
@@ -89,13 +89,13 @@ class TestGenerate:
         for xs, ys in ((a_db, b_db), (a_q, b_q)):
             assert [s.slide_id for s in xs] == [s.slide_id for s in ys]
             for x, y in zip(xs, ys):
-                for px, py in zip(x.patches, y.patches):
-                    assert px.feature.tobytes() == py.feature.tobytes()
+                assert x.features.tobytes() == y.features.tobytes()
+                assert x.coords.tobytes() == y.coords.tobytes()
 
     def test_seed_changes_features(self):
         a_db, _ = generate(tiny_spec(seed=1))
         b_db, _ = generate(tiny_spec(seed=2))
-        assert a_db[0].patches[0].feature.tobytes() != b_db[0].patches[0].feature.tobytes()
+        assert a_db[0].features[0].tobytes() != b_db[0].features[0].tobytes()
 
     def test_low_sigma_classes_separate(self):
         # with sigma far below separation, per-class patch means must be
@@ -105,8 +105,7 @@ class TestGenerate:
         means = {}
         for s in db:
             key = (s.site, s.subtype)
-            stack = np.stack([p.feature for p in s.patches])
-            means.setdefault(key, []).append(stack.mean(axis=0))
+            means.setdefault(key, []).append(s.features.mean(axis=0))
         centers = {k: np.mean(v, axis=0) for k, v in means.items()}
         for key, per_slide in means.items():
             for m in per_slide:
@@ -118,11 +117,10 @@ class TestGenerate:
         db, queries = generate(spec)
         by_class = {}
         for s in db:
-            stack = np.stack([p.feature for p in s.patches])
-            by_class.setdefault((s.site, s.subtype), []).append(stack.mean(axis=0))
+            by_class.setdefault((s.site, s.subtype), []).append(s.features.mean(axis=0))
         centers = {k: np.mean(v, axis=0) for k, v in by_class.items()}
         for q in queries:
-            qm = np.stack([p.feature for p in q.patches]).mean(axis=0)
+            qm = q.features.mean(axis=0)
             dists = {k: float(np.linalg.norm(qm - c)) for k, c in centers.items()}
             assert min(dists, key=dists.get) == (q.site, q.subtype)
 
@@ -146,9 +144,8 @@ class TestSynthGenerate:
         for d, m_ in zip(disk_db, mem_db):
             assert d.patient_id == m_.patient_id
             assert d.site == m_.site and d.subtype == m_.subtype
-            for pd, pm in zip(d.patches, m_.patches):
-                assert (pd.x, pd.y) == (pm.x, pm.y)
-                assert pd.feature.tobytes() == pm.feature.tobytes()
+            assert d.coords.tobytes() == m_.coords.tobytes()
+            assert d.features.tobytes() == m_.features.tobytes()
 
     def test_byte_identical_across_runs(self, tmp_path):
         spec = tiny_spec()

@@ -16,7 +16,7 @@ from wsisearch.yottixel import (
     query_slides,
 )
 
-from util import gaussian_slides, make_slide
+from util import gaussian_slides, make_slide, patch_at
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,8 @@ def two_cluster_db():
 class TestBuild:
     def test_all_slides_indexed(self, two_cluster_db):
         slides, db = two_cluster_db
-        assert len(db.entries) == len(slides)
+        assert len(db) == len(slides)
+        assert db.slide_ids == [s.slide_id for s in slides]
         assert db.unprocessed == []
         assert db.code_length == 23
 
@@ -53,24 +54,39 @@ class TestBuild:
 
     def test_bags_use_mosaic_subset(self, two_cluster_db):
         slides, db = two_cluster_db
-        for slide, entry in zip(slides, db.entries):
-            assert 1 <= len(entry.coords) <= len(slide.patches)
-            assert entry.packed.shape == (len(entry.coords), 3)  # 23 bits per row
+        assert db.packed.shape == (len(db.coords), 3)  # 23 bits per row
+        assert db.starts[0] == 0 and np.all(np.diff(db.starts) > 0)
+        for slide, coords in zip(slides, np.split(db.coords, db.starts[1:])):
+            assert 1 <= len(coords) <= len(slide.coords)
+            assert set(map(tuple, coords.tolist())) <= set(map(tuple, slide.coords.tolist()))
 
 
 class TestMedianMinHamming:
     def test_identical_bags_score_zero(self, two_cluster_db):
         _, db = two_cluster_db
-        e = db.entries[0]
-        assert median_min_hamming(e.packed, e.packed) == 0.0
+        bag = np.split(db.packed, db.starts[1:])[0]
+        assert median_min_hamming(bag, db.packed, db.starts)[0] == 0.0
 
     def test_matches_slow_formula(self, two_cluster_db):
         _, db = two_cluster_db
-        a, b = db.entries[0], db.entries[5]
-        mins = []
-        for code_a in a.packed:
-            mins.append(min(hamming_distance(code_a, code_b) for code_b in b.packed))
-        assert median_min_hamming(a.packed, b.packed) == pytest.approx(float(np.median(mins)))
+        bags = np.split(db.packed, db.starts[1:])
+        query = np.concatenate([bags[0][:2], bags[5]])
+        expected = [
+            float(np.median([min(hamming_distance(q, t) for t in bag) for q in query]))
+            for bag in bags
+        ]
+        assert median_min_hamming(query, db.packed, db.starts).tolist() == expected
+
+    def test_one_kernel_call_per_query(self, two_cluster_db, monkeypatch):
+        import wsisearch.yottixel as yottixel
+
+        slides, db = two_cluster_db
+        calls = []
+        kernel = yottixel.hamming_matrix
+        monkeypatch.setattr(yottixel, "hamming_matrix", lambda a, b: calls.append(1) or kernel(a, b))
+        query_slides(db, prepare_query(db, slides[0]), k=3)
+        query_patches(db, patch_at(slides[0], 0), k=3)
+        assert len(calls) == 2
 
 
 class TestSlideQuery:
@@ -119,7 +135,7 @@ class TestSlideQuery:
 class TestPatchQuery:
     def test_patch_targets_are_patch_refs(self, two_cluster_db):
         slides, db = two_cluster_db
-        patch = slides[0].patches[0]
+        patch = patch_at(slides[0], 0)
         res = query_patches(db, patch, k=5)
         assert len(res.entries) == 5
         for e in res.entries:
@@ -130,7 +146,7 @@ class TestPatchQuery:
 
     def test_distances_ascending_integers(self, two_cluster_db):
         slides, db = two_cluster_db
-        res = query_patches(db, slides[0].patches[3], k=10)
+        res = query_patches(db, patch_at(slides[0], 3), k=10)
         scores = [e.score for e in res.entries]
         assert scores == sorted(scores)
         assert all(float(s).is_integer() for s in scores)
@@ -138,4 +154,4 @@ class TestPatchQuery:
     def test_query_patch_set_is_mosaic(self, two_cluster_db):
         slides, db = two_cluster_db
         patches = query_patch_set(db, slides[0])
-        assert 1 <= len(patches) <= len(slides[0].patches)
+        assert 1 <= len(patches) <= len(slides[0].coords)

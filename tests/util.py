@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from wsisearch.model import PatchFeature, SlideRecord
+from wsisearch.model import PatchFeature, SlideRecord, as_patches
 
 
 def packed(bits: str) -> np.ndarray:
@@ -27,17 +27,14 @@ def make_slide(
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
         raise AssertionError("make_slide wants a (n, dim) feature matrix")
-    patches = tuple(
-        PatchFeature(x=x, y=y, feature=row)
-        for (x, y), row in zip(grid_coords(len(features)), features)
-    )
     return SlideRecord(
         slide_id=slide_id,
         patient_id=patient_id if patient_id is not None else f"pt-{slide_id}",
         site=site,
         subtype=subtype,
         magnification=magnification,
-        patches=patches,
+        coords=grid_coords(len(features)),
+        features=features,
     )
 
 
@@ -63,3 +60,8 @@ def gaussian_slides(
             make_slide(f"{prefix}{i:03d}", feats, site=site, subtype=subtype)
         )
     return out
+
+
+def patch_at(slide: SlideRecord, i: int) -> PatchFeature:
+    """Row i of a slide as the single-patch object patch queries take."""
+    return as_patches(slide.coords, slide.features)[i]
