@@ -24,6 +24,15 @@ FIXED_CENTROIDS = "fixed_centroids"
 
 MAX_LLOYD_ITERATIONS = 100
 HISTOGRAM_BLOCK = 65536
+#: below this many differences (points x centers x dims) the direct distance
+#: formula costs less than the GEMM and its certificate
+GEMM_MIN_DIFFERENCES = 4096
+#: differences the direct formula forms at once, to bound its temporaries
+DIRECT_BLOCK = 16384
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+#: per dimension, more than the absolute error that underflowing products add
+#: to the two distance forms together
+SUBNORMAL_SLACK = 8 * np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -60,22 +69,127 @@ class Mosaic:
         return int(self.features.shape[0])
 
 
-def _plus_plus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _direct_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``((x - c) ** 2).sum()`` for every (point, center) pair, the reference
+    arithmetic, over blocks of points of about DIRECT_BLOCK differences."""
+    step = max(1, DIRECT_BLOCK // centers.size)
+    return np.concatenate(
+        [
+            ((points[start : start + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            for start in range(0, points.shape[0], step)
+        ]
+    )
+
+
+def _gemm_sq_distances(
+    points: np.ndarray, centers: np.ndarray, points_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``|x|^2 - 2 x.c + |c|^2`` for every (point, center) pair from one GEMM,
+    and per point a bound on how far each of its estimates may lie from the
+    direct formula's value.
+
+    Both forms lie within 4(d+3)u(|x|^2 + |c|^2) of the exact squared
+    distance (u the unit roundoff; the direct one from its d subtractions,
+    d squares and d - 1 additions, the GEMM one from the norms, the dot
+    product and the two additions), so they differ by at most twice that.
+    A non-finite norm or estimate in a row makes its bound infinite or NaN,
+    which no comparison the callers make passes.
+    """
+    d = points.shape[1]
+    centers_sq = np.einsum("ij,ij->i", centers, centers)
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += points_sq[:, None]
+    d2 += centers_sq
+    err = 8 * (d + 3) * UNIT_ROUNDOFF * (points_sq + centers_sq.max()) + SUBNORMAL_SLACK * d
+    err[~np.isfinite(d2).all(axis=1)] = np.inf  # an overflow voids the bound
+    return d2, err
+
+
+def _nearest(
+    points: np.ndarray, centers: np.ndarray, points_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Row index into ``centers`` of the center nearest each point.
+
+    The result is the argmin of the direct ``((x - c) ** 2).sum()``, the
+    lowest center index among ties.  Inputs of fewer than
+    GEMM_MIN_DIFFERENCES differences take the direct formula outright.
+    Larger ones take the (n, k) GEMM estimate: a point whose two smallest
+    estimates lie further apart than twice the estimate's error bound has
+    the same argmin under the direct formula, and the other points (ties,
+    near-ties, non-finite values) are recomputed with it.  ``points_sq``
+    holds the points' squared norms when the caller reuses them.  Memory is
+    O(n k) plus a copy of the rows recomputed.
+    """
+    n, d = points.shape
+    if n * centers.shape[0] * d < GEMM_MIN_DIFFERENCES:
+        return _direct_sq_distances(points, centers).argmin(axis=1)
+    if points_sq is None:
+        points_sq = np.einsum("ij,ij->i", points, points)
+    d2, err = _gemm_sq_distances(points, centers, points_sq)
+    rows = np.arange(n)
+    best = d2.argmin(axis=1)
+    first = d2[rows, best]
+    d2[rows, best] = np.inf
+    doubt = np.flatnonzero(~(d2.min(axis=1) - first > 2 * err))
+    if doubt.size:
+        best[doubt] = _direct_sq_distances(points[doubt], centers).argmin(axis=1)
+    return best
+
+
+def _lower_to_center(
+    d2: np.ndarray, points: np.ndarray, points_sq: np.ndarray, center: np.ndarray
+) -> None:
+    """Lower ``d2`` in place to each point's direct distance to ``center``
+    where that is smaller, taking the direct formula only for the points
+    whose GEMM estimate cannot rule it out."""
+    n, d = points.shape
+    center = center[None, :]
+    if n * d < GEMM_MIN_DIFFERENCES:
+        np.minimum(d2, _direct_sq_distances(points, center)[:, 0], out=d2)
+        return
+    est, err = _gemm_sq_distances(points, center, points_sq)
+    maybe = np.flatnonzero(~(est[:, 0] - err > d2))
+    d2[maybe] = np.minimum(d2[maybe], _direct_sq_distances(points[maybe], center)[:, 0])
+
+
+def _plus_plus_seeding(
+    points: np.ndarray, points_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _direct_sq_distances(points, centers[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass at distance zero: duplicate points
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            # the draw rng.choice(n, p=d2 / total) makes, without its checks
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[i] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+        _lower_to_center(d2, points, points_sq, centers[i])
     return centers
+
+
+def _move_centers(centers: np.ndarray, points: np.ndarray, assign: np.ndarray) -> None:
+    """Move each non-empty cluster's center to its points' mean, in place;
+    empty clusters keep their previous position (kmeans drops them).
+
+    A stable sort by cluster makes each cluster one block of rows in their
+    original order, and the block's ``add.reduce`` over its size is the
+    arithmetic of ``points[assign == j].mean(axis=0)``, bit for bit.
+    """
+    grouped = points[np.argsort(assign, kind="stable")]
+    start = 0
+    for j, end in enumerate(np.bincount(assign, minlength=len(centers)).cumsum().tolist()):
+        if end > start:
+            centers[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
+        start = end
 
 
 def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) -> KMeansResult:
@@ -85,30 +199,43 @@ def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) ->
     than the point count is clamped; clusters that end up empty are dropped
     and the remaining centroid indices compacted, so the requested and
     effective k can differ.
+
+    Exact: every assignment is the argmin of the direct
+    ``((x - c) ** 2).sum()`` with ties to the lowest centroid index (see
+    _nearest), every k-means++ draw weighs the points by that formula's
+    distances, and every centroid is its cluster's ``mean(axis=0)``, so
+    assignments and centroids are bit for bit those of the Lloyd loop that
+    forms every difference.  Memory is O(n k + n d): no (n, k, d) tensor
+    is formed.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
+    # C order: the k == 1 mean must add whole rows in turn, as a mean over
+    # a cluster's copied rows does
+    pts = np.ascontiguousarray(pts)
     if pts.shape[0] == 0:
         raise EmptyInputError("k-means needs at least one point")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     k = min(k, pts.shape[0])
+    if k == 1:
+        # one cluster holds every point whatever the seed: no draw, one mean
+        return KMeansResult(
+            assignments=np.zeros(pts.shape[0], dtype=np.int64),
+            centroids=pts.mean(axis=0)[None, :],
+        )
 
     rng = np.random.default_rng(seed)
-    centers = _plus_plus_seeding(pts, k, rng)
+    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    centers = _plus_plus_seeding(pts, pts_sq, k, rng)
     assign = np.full(pts.shape[0], -1, dtype=np.int64)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        new_assign = _nearest(pts, centers, pts_sq)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            mask = assign == j
-            if mask.any():
-                centers[j] = pts[mask].mean(axis=0)
-            # empty clusters keep their previous position; dropped below
+        _move_centers(centers, pts, assign)
 
     counts = np.bincount(assign, minlength=k)
     keep = np.flatnonzero(counts > 0)
@@ -213,7 +340,7 @@ def build_mosaic_fixed(slide: SlideRecord, k_fixed: int, seed: int) -> Mosaic:
     feats = slide.features.astype(np.float64)
     result = kmeans(feats, min(k_fixed, feats.shape[0]), seed)
 
-    anchors = [_nearest_point_index(feats, centroid) for centroid in result.centroids]
+    anchors = _nearest(result.centroids, feats)
     sizes = tuple(int(s) for s in result.cluster_sizes())
     return Mosaic(
         slide_id=slide.slide_id,

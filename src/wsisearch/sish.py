@@ -106,19 +106,21 @@ class SishDatabase:
         return len(self.slide_labels)
 
 
-def index_encode(feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
-    """Map one feature vector to a 48-bit integer index.
+def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | np.ndarray:
+    """Map a feature vector to a 48-bit integer index.
 
     Components quantize to 0..255 against the database-wide ranges (values
     outside clip; flat components read as 0).  The byte vector is padded by
     cyclic repetition to a multiple of 6 and pooled over the whole, the two
     halves, and the three thirds; the six rounded means are the base-256
-    digits of the index, coarsest first.
+    digits of the index, coarsest first.  A (m, dim) matrix gives one int64
+    index per row; the pooled sums are of integers, so exact, and each row's
+    index is the one its 1-D call returns.
     """
-    f = np.asarray(feature, dtype=np.float64)
+    f = np.asarray(features, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    if f.shape != lo.shape or f.shape != hi.shape:
+    if f.ndim not in (1, 2) or f.shape[-1:] != lo.shape or lo.shape != hi.shape:
         raise DimensionError(
             f"feature shape {f.shape} does not match range shapes {lo.shape}/{hi.shape}"
         )
@@ -126,27 +128,27 @@ def index_encode(feature: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     live = span > 0
     if not live.any():
         raise DegenerateFeatureError("every component range is flat; index undefined")
-    q = np.zeros(f.shape[0], dtype=np.float64)
-    q[live] = np.clip(np.rint(255.0 * (f[live] - lo[live]) / span[live]), 0, 255)
+    rows = np.atleast_2d(f)
+    q = np.zeros(rows.shape, dtype=np.float64)
+    q[:, live] = np.clip(np.rint(255.0 * (rows[:, live] - lo[live]) / span[live]), 0, 255)
 
-    if q.shape[0] % N_DIGITS:
-        pad = N_DIGITS - q.shape[0] % N_DIGITS
-        q = np.concatenate([q, q[:pad]])
-    half = q.shape[0] // 2
-    third = q.shape[0] // 3
+    if q.shape[1] % N_DIGITS:
+        pad = N_DIGITS - q.shape[1] % N_DIGITS
+        q = np.concatenate([q, q[:, :pad]], axis=1)
+    half = q.shape[1] // 2
+    third = q.shape[1] // 3
     pools = (
-        q.mean(),
-        q[:half].mean(),
-        q[half:].mean(),
-        q[:third].mean(),
-        q[third : 2 * third].mean(),
-        q[2 * third :].mean(),
+        q.mean(axis=1),
+        q[:, :half].mean(axis=1),
+        q[:, half:].mean(axis=1),
+        q[:, :third].mean(axis=1),
+        q[:, third : 2 * third].mean(axis=1),
+        q[:, 2 * third :].mean(axis=1),
     )
-    index = 0
+    index = np.zeros(rows.shape[0], dtype=np.int64)
     for value in pools:
-        digit = int(np.clip(np.rint(value), 0, 255))
-        index = (index << 8) | digit
-    return index
+        index = (index << 8) | np.clip(np.rint(value), 0, 255).astype(np.int64)
+    return int(index[0]) if f.ndim == 1 else index
 
 
 def _mosaic_rows(slide: SlideRecord, params: SishParams) -> tuple[np.ndarray, np.ndarray]:
@@ -165,16 +167,10 @@ def _encode(
 ) -> list[SishEntry]:
     """Barcode plus integer index of each patch, under the database's ranges."""
     codes = binarize_barcode(features)
+    indices = index_encode(features, db.lo, db.hi).tolist()
     return [
-        SishEntry(
-            slide_id=slide_id,
-            ordinal=i,
-            x=x,
-            y=y,
-            code=code,
-            index=index_encode(feature, db.lo, db.hi),
-        )
-        for i, ((x, y), feature, code) in enumerate(zip(coords.tolist(), features, codes))
+        SishEntry(slide_id=slide_id, ordinal=i, x=x, y=y, code=code, index=index)
+        for i, ((x, y), code, index) in enumerate(zip(coords.tolist(), codes, indices))
     ]
 
 

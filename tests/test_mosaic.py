@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -11,9 +13,13 @@ from hypothesis import strategies as st
 
 from wsisearch import mosaic as mosaic_module
 from wsisearch.errors import EmptyInputError, ValidationError
+from wsisearch.model import SlideRecord
 from wsisearch.mosaic import (
     FIXED_CENTROIDS,
+    MAX_LLOYD_ITERATIONS,
     PERCENT_OF_CLUSTERS,
+    KMeansResult,
+    _nearest_point_index,
     build_mosaic_fixed,
     build_mosaic_percent,
     histogram_matrix,
@@ -218,3 +224,250 @@ class TestHistogramEquivalence:
         slide = make_slide("edge", [row])
         got = histogram_matrix(slide, bins=bins)
         assert got.tobytes() == reference_histograms(slide, bins).tobytes()
+
+
+# The k-means that the GEMM kernel replaced, kept word for word as the
+# reference: the (n, k, d) broadcast, rng.choice seeding and per-cluster means.
+def reference_plus_plus_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            # all remaining mass at distance zero: duplicate points
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[i] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def reference_kmeans(points, k: int, seed: int) -> KMeansResult:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[0] == 0:
+        raise EmptyInputError("k-means needs at least one point")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    k = min(k, pts.shape[0])
+
+    rng = np.random.default_rng(seed)
+    centers = reference_plus_plus_seeding(pts, k, rng)
+    assign = np.full(pts.shape[0], -1, dtype=np.int64)
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            mask = assign == j
+            if mask.any():
+                centers[j] = pts[mask].mean(axis=0)
+            # empty clusters keep their previous position; dropped below
+
+    counts = np.bincount(assign, minlength=k)
+    keep = np.flatnonzero(counts > 0)
+    remap = np.full(k, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    assign = remap[assign]
+    centers = centers[keep]
+    return KMeansResult(assignments=assign, centroids=centers)
+
+
+def _near_equidistant(rng, n, d):
+    """Midpoints of pairs of a few anchors, some nudged one ulp in one
+    component, with the anchors themselves repeated so that seeds land on
+    them: points that sit exactly or within an ulp of two centres."""
+    anchors = rng.normal(size=(4, d)).astype(np.float32).astype(np.float64)
+    i = rng.integers(0, 4, n)
+    j = (i + rng.integers(1, 4, n)) % 4
+    pts = (anchors[i] + anchors[j]) / 2
+    nudged = np.flatnonzero(rng.random(n) < 0.5)
+    comp = rng.integers(0, d, nudged.size)
+    toward = rng.choice([-np.inf, np.inf], nudged.size)
+    pts[nudged, comp] = np.nextafter(pts[nudged, comp], toward)
+    return np.concatenate([pts, anchors[rng.integers(0, 4, n // 2)]])
+
+
+def _kmeans_input(kind, rng):
+    """(points, k) of one family the mosaics cluster, or an adversarial one."""
+    if kind == "grid":  # spatial clustering: small integer grids, many exact ties
+        n = int(rng.integers(1, 40))
+        return rng.integers(0, 6, (n, 2)).astype(np.float64), int(rng.integers(1, 7))
+    if kind == "histogram":  # histogram surrogate rows: multiples of 1/16
+        return rng.integers(0, 5, (100, 16)) / 16.0, int(rng.integers(1, 10))
+    if kind == "float32":  # raw float32 patch features
+        pts = rng.normal(size=(600, 512)).astype(np.float32).astype(np.float64)
+        return pts, int(rng.integers(2, 6))
+    if kind == "duplicates":
+        base = rng.normal(size=(int(rng.integers(1, 6)), 24))
+        return base[rng.integers(0, len(base), 150)], int(rng.integers(1, 9))
+    return _near_equidistant(rng, 120, int(rng.choice([2, 16, 64]))), int(rng.integers(2, 6))
+
+
+KINDS = ["grid", "histogram", "float32", "duplicates", "equidistant"]
+
+
+@contextmanager
+def _kernel_sizes(force_gemm: bool):
+    """Send every shape through the GEMM path and the direct formula through
+    one-point blocks, or leave the size thresholds as they are."""
+    if not force_gemm:
+        yield
+        return
+    with patch.multiple(mosaic_module, GEMM_MIN_DIFFERENCES=0, DIRECT_BLOCK=1):
+        yield
+
+
+class TestKMeansEquivalence:
+    """The GEMM kernel, the certified argmin, the cdf seeding and the sorted
+    centroid update reproduce the reference loop byte for byte."""
+
+    @given(
+        st.sampled_from(KINDS),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_bytes(self, kind, force_gemm, data_seed, seed):
+        pts, k = _kmeans_input(kind, np.random.default_rng(data_seed))
+        with _kernel_sizes(force_gemm):
+            got = kmeans(pts, k, seed)
+        want = reference_kmeans(pts, k, seed)
+        assert got.assignments.dtype == want.assignments.dtype
+        assert got.assignments.tobytes() == want.assignments.tobytes()
+        assert got.centroids.shape == want.centroids.shape
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+
+    @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_seeding_draws_what_rng_choice_draws(self, kind, data_seed, seed):
+        pts, k = _kmeans_input(kind, np.random.default_rng(data_seed))
+        k = min(k, len(pts))
+        pts_sq = np.einsum("ij,ij->i", pts, pts)
+        with _kernel_sizes(force_gemm=True):
+            got = mosaic_module._plus_plus_seeding(pts, pts_sq, k, np.random.default_rng(seed))
+        want = reference_plus_plus_seeding(pts, k, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_cdf_draw_is_rng_choice(self, n, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n) * (rng.random(n) < 0.7)
+        weights[rng.integers(n)] += 1.0
+        p = weights / weights.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(5):
+            assert int(cdf.searchsorted(a.random(), side="right")) == int(b.choice(n, p=p))
+
+    @given(
+        st.sampled_from([2, 16, 64, 512]),
+        st.integers(2, 12),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_is_direct_argmin(self, d, k, integer, seed):
+        # the GEMM path on exact ties and 1-ulp near-ties
+        rng = np.random.default_rng(seed)
+        if integer:
+            centers = rng.integers(-3, 4, (k, d)).astype(np.float64)
+            pts = rng.integers(-3, 4, (400, d)).astype(np.float64)
+        else:
+            pts = _near_equidistant(rng, 400, d)
+            centers = pts[rng.choice(len(pts), k, replace=False)]
+        want = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        with _kernel_sizes(force_gemm=True):
+            assert np.array_equal(mosaic_module._nearest(pts, centers), want)
+
+    def test_nearest_non_finite_rows_take_direct_formula(self):
+        pts = np.random.default_rng(3).normal(size=(200, 32))
+        pts[5, 3] = np.inf
+        pts[9, 0] = np.nan
+        centers = pts[[0, 1, 2]].copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+            got = mosaic_module._nearest(pts, centers)
+        assert np.array_equal(got, want)
+
+    @given(st.sampled_from(["float32", "duplicates"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_fixed_anchors_are_per_centroid_nearest_points(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        feats = (rng.normal(size=(300, 64)) if kind == "float32" else
+                 rng.normal(size=(4, 64))[rng.integers(0, 4, 300)])
+        slide = make_slide("anchors", feats)
+        mosaic = build_mosaic_fixed(slide, k_fixed=20, seed=seed)
+        points = slide.features.astype(np.float64)
+        result = kmeans(points, 20, seed)
+        anchors = [_nearest_point_index(points, c) for c in result.centroids]
+        assert mosaic.coords.tobytes() == slide.coords[anchors].tobytes()
+
+
+class TestTieBreaking:
+    """Exact ties resolve to the lowest index: pinned behaviour, not noise."""
+
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_equidistant_point_joins_lower_centroid(self, dim):
+        # seeds land on one copy of 0 and one of 4 e_0, in either order; the
+        # midpoint 2 e_0 ties between them and joins centroid 0, the first
+        # seed's cluster, and stays there once the means move
+        pts = np.zeros((1001, dim))
+        pts[500:1000, 0] = 4.0
+        pts[1000, 0] = 2.0
+        for seed in range(6):
+            first = reference_plus_plus_seeding(pts, 2, np.random.default_rng(seed))[0]
+            res = kmeans(pts, 2, seed)
+            assert res.assignments[1000] == 0
+            assert res.assignments[0 if first[0] == 0.0 else 500] == 0
+
+    def test_nearest_point_lowest_row_among_ties(self):
+        points = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
+        assert _nearest_point_index(points, np.array([0.0, 0.0])) == 1
+        assert _nearest_point_index(points[::-1], np.array([0.0, 0.0])) == 0
+
+    def test_grid_tie_picks_lowest_row(self):
+        # a 4 x 4 grid clustered into one spatial cluster: the centroid
+        # (1.5, 1.5) is equidistant from (1, 1), (1, 2), (2, 1) and (2, 2),
+        # which sit at rows 9, 4, 12 and 6; the lowest row, 4, is kept
+        grid = [(x, y) for x in range(4) for y in range(4)]
+        order = [0, 3, 12, 15, 6, 1, 10, 2, 13, 5, 14, 7, 9, 11, 8, 4]
+        coords = [grid[i] for i in order]
+        slide = SlideRecord(
+            slide_id="ties", patient_id="pt", site="brain", subtype="gbm",
+            magnification="20x", coords=coords,
+            features=np.ones((16, 3), dtype=np.float32),
+        )
+        mosaic = build_mosaic_percent(
+            slide, np.ones((16, 1)), k_primary=1, fraction=1 / 16, seed=0
+        )
+        assert mosaic.coords.tolist() == [list(coords[4])]
+        assert coords[4] == (1, 2)
+
+
+class TestKMeansScale:
+    def test_memory_is_linear_in_points_at_real_feature_size(self):
+        # n = 3000, d = 1024, k = 20: the (n, k, d) broadcast peaked at
+        # ~470 MB here; the GEMM kernel keeps to O(n k + n d)
+        rng = np.random.default_rng(0)
+        blobs = rng.normal(size=(20, 1024))
+        pts = blobs[rng.integers(0, 20, 3000)] + 0.3 * rng.normal(size=(3000, 1024))
+        tracemalloc.start()
+        try:
+            got = kmeans(pts, 20, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * pts.nbytes + 8 * 2**20
+        want = reference_kmeans(pts, 20, seed=4)
+        assert np.array_equal(got.assignments, want.assignments)

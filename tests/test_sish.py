@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wsisearch.errors import DegenerateFeatureError, EmptyInputError, ValidationError
+from wsisearch.errors import DegenerateFeatureError, DimensionError, EmptyInputError, ValidationError
 from wsisearch.model import SlideLabels
 from wsisearch.sish import (
     COARSE_DIGIT_UNIT,
@@ -94,6 +96,24 @@ class TestIndexEncode:
         lo, hi = np.zeros(7), np.ones(7)
         idx = index_encode(np.linspace(0, 1, 7), lo, hi)
         assert 0 <= idx < 2**48
+
+    @given(st.integers(1, 40), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_call_is_row_by_row(self, m, dim, seed):
+        # features partly outside the ranges, some components flat
+        rng = np.random.default_rng(seed)
+        lo = rng.normal(size=dim)
+        hi = lo + rng.uniform(0.0, 3.0, dim) * (rng.random(dim) < 0.8)
+        live = rng.integers(dim)
+        hi[live] = lo[live] + 1.0  # at least one component is not flat
+        feats = (rng.normal(size=(m, dim)) * 2.0).astype(np.float32)
+        got = index_encode(feats, lo, hi)
+        assert got.shape == (m,)
+        assert got.tolist() == [index_encode(row, lo, hi) for row in feats]
+
+    def test_matrix_width_must_match_ranges(self):
+        with pytest.raises(DimensionError):
+            index_encode(np.zeros((3, 5)), np.zeros(6), np.ones(6))
 
 
 class TestGuidedSearch:
