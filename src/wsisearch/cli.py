@@ -65,7 +65,7 @@ def _add_engine_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sim-threshold", type=float, help="retccl: cosine cut for bag membership")
     sp.add_argument("--quality-rule", choices=("median", "none"), help="retccl: weak-bag filter")
     sp.add_argument("--hamming-threshold", type=int, help="sish: result distance ceiling")
-    sp.add_argument("--probe-budget", type=int, help="sish: tree probes per guided search")
+    sp.add_argument("--probe-budget", type=int, help="sish: index probes per guided search")
     sp.add_argument("--knn-k", type=int, help="hshr: hyperedge neighborhood size")
     sp.add_argument("--alpha", type=float, help="hshr: vertex similarity weight")
     sp.add_argument("--beta", type=float, help="hshr: hyperedge similarity weight")

@@ -32,6 +32,7 @@ from .model import (
     database_dim,
     encode_slides,
     hamming_matrix,
+    kept_slides,
     ranked_result,
     slide_seed,
 )
@@ -211,12 +212,12 @@ def query_slides(
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
     signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    kept = dict(zip(db.slide_labels, kept_slides(candidate_filter, db.slide_labels.items())))
     hits = (
         (slide_id, db.slide_labels[slide_id], score)
         for score, slide_id in ranked_scores(db, signature)
+        if kept[slide_id]
     )
-    if candidate_filter is not None:
-        hits = (hit for hit in hits if candidate_filter(hit[0], hit[1]))
     return ranked_result(hits, k, "hypergraph")
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     EmptyInputError,
-    UndefinedSimilarityError,
     UnprocessedSlideError,
     ValidationError,
 )
@@ -176,7 +175,9 @@ Encoding = TypeVar("Encoding")
 def kept_slides(
     candidate_filter: CandidateFilter | None, slides: Iterable[tuple[str, SlideLabels]]
 ) -> list[bool]:
-    """Per (slide_id, labels), whether the filter keeps it; no filter keeps all."""
+    """Per (slide_id, labels), whether the filter keeps it; no filter keeps
+    all.  Engines take it once per query, so the filter runs once per
+    database slide."""
     return [candidate_filter is None or candidate_filter(*slide) for slide in slides]
 
 
@@ -211,8 +212,12 @@ def encode_slides(
 
     Returns (slide, encoding) pairs in input order plus the (slide_id,
     reason) of each slide whose encoding failed; at least one slide must
-    survive.
+    survive.  Slide ids must be distinct, since engines key slides by id.
     """
+    ids = Counter(slide.slide_id for slide in slides)
+    repeated = [slide_id for slide_id, n in ids.items() if n > 1]
+    if repeated:
+        raise ValidationError(f"duplicate slide_id {repeated[0]!r} in database build")
     kept: list[tuple[SlideRecord, Encoding]] = []
     unprocessed: list[tuple[str, str]] = []
     for slide in slides:
@@ -244,19 +249,6 @@ def ranked_result(
         for target_id, labels, score in islice(hits, k)
     )
     return RetrievalResult(entries=entries, k_requested=k)
-
-
-def cosine_similarity(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Cosine of the angle between two non-zero vectors, clipped to [-1, 1]."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DimensionError(f"vector shapes differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
 
 
 def label_entropy(labels: Iterable[str]) -> float:

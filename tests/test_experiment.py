@@ -30,9 +30,10 @@ from wsisearch.experiment import (
     write_rows,
     write_summary,
 )
-from wsisearch.dataio import load_slides, parse_manifest
+from wsisearch.dataio import load_database, load_slides, parse_manifest, save_database
 from wsisearch.metrics import QueryRow, RetrievalSlot
 from wsisearch.synth import SyntheticSpec, synth_generate
+from wsisearch.veb import VebTree
 
 from util import gaussian_slides, make_slide, patch_at
 
@@ -81,6 +82,9 @@ class TestGuards:
     def test_make_params_rejects_unknown_override(self):
         with pytest.raises(ValidationError, match="sim_threshold"):
             make_params("yottixel", {"sim_threshold": 0.5})
+        # sish's index universe is fixed at 48 bits, no longer a parameter
+        with pytest.raises(ValidationError, match="universe_bits"):
+            make_params("sish", {"universe_bits": 48})
 
     def test_make_params_applies_override(self):
         params = make_params("retccl", {"sim_threshold": 0.5})
@@ -158,6 +162,45 @@ class TestEngineInterface:
             build_engine_database(engine, slides)
 
 
+class TestCandidateFilter:
+    @pytest.mark.parametrize("engine", sorted(ENGINE_MODULES))
+    def test_duplicate_slide_id_rejected(self, engine, corpus):
+        db, _ = corpus
+        twin = make_slide(db[0].slide_id, db[5].features, site="lung", subtype="luad")
+        with pytest.raises(ValidationError, match="duplicate slide_id"):
+            build_engine_database(engine, [*db[:4], twin])
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_MODULES))
+    def test_filter_runs_once_per_slide_and_only_removes(self, engine, corpus):
+        db_slides, queries = corpus
+        mod = ENGINE_MODULES[engine]
+        db = build_engine_database(engine, db_slides)
+        calls = []
+
+        def keep(slide_id, labels):
+            calls.append(slide_id)
+            return labels.subtype != "lgg"
+
+        def without_lgg(result):
+            return [e for e in result.entries if e.target_subtype != "lgg"]
+
+        for query in queries[:3]:
+            calls.clear()
+            filtered = mod.query_slides(db, query, len(db), keep)
+            assert len(calls) == len(db), engine
+            assert all(e.target_subtype != "lgg" for e in filtered.entries)
+            if engine in ("yottixel", "hshr"):
+                # slides score independently, so the filter only removes
+                assert list(filtered.entries) == without_lgg(mod.query_slides(db, query, len(db)))
+            if engine == "hshr":
+                continue
+            patch = mod.query_patch_set(db, query)[0]
+            calls.clear()
+            filtered = mod.query_patches(db, patch, 10_000, keep)
+            assert len(calls) == len(db), engine
+            assert list(filtered.entries) == without_lgg(mod.query_patches(db, patch, 10_000))
+
+
 class TestHotPathGuard:
     def test_slide_search_builds_no_patch_objects(self, tmp_path, monkeypatch):
         spec = SyntheticSpec(
@@ -178,6 +221,27 @@ class TestHotPathGuard:
                 prepared = mod.prepare_query(db, query)
                 assert len(mod.query_slides(db, prepared, 3)) > 0, engine
                 assert len(mod.query_slides(db, query, 3)) > 0, engine
+
+    def test_sish_never_touches_a_veb_tree(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(
+            n_sites=2, subtypes_per_site=2, slides_per_subtype=3, patches_per_slide=30,
+            dim=16, queries_per_subtype=1, seed=3,
+        )
+        manifest, queries = synth_generate(spec, tmp_path)
+
+        def refuse(self, key):
+            raise AssertionError("a vEB tree operation ran on the SISH path")
+
+        for method in ("insert", "member", "successor", "predecessor"):
+            monkeypatch.setattr(VebTree, method, refuse)
+        db = build_engine_database("sish", load_slides(parse_manifest(manifest)))
+        save_database(tmp_path / "sish.db", "sish", db)
+        _, db = load_database(tmp_path / "sish.db")
+        sish = ENGINE_MODULES["sish"]
+        for query in load_slides(parse_manifest(queries)):
+            assert len(sish.query_slides(db, query, 3)) > 0
+            patch = sish.query_patch_set(db, query)[0]
+            assert len(sish.query_patches(db, patch, 3)) > 0
 
 
 class TestRunExperiment:

@@ -236,9 +236,10 @@ class TestDatabaseEnvelope:
 
     def test_previous_version_rejected(self, tmp_path):
         # version 1 held '0'/'1' string barcodes; version 2 held per-slide
-        # yottixel bags and unused HSHR signature fields.  Both changed the
-        # engine classes' fields, so such files must not load
-        for version in (1, 2):
+        # yottixel bags and unused HSHR signature fields; version 3 held
+        # SISH's vEB tree and per-patch entries.  Each changed the engine
+        # classes' fields, so such files must not load
+        for version in (1, 2, 3):
             path = tmp_path / f"v{version}.db"
             envelope = {
                 "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None

@@ -10,14 +10,12 @@ from hypothesis.extra import numpy as hnp
 from wsisearch.errors import (
     DimensionError,
     EmptyInputError,
-    UndefinedSimilarityError,
     ValidationError,
 )
 from wsisearch.model import (
     PatchFeature,
     SlideRecord,
     binarize_barcode,
-    cosine_similarity,
     hamming_distance,
     hamming_matrix,
     label_entropy,
@@ -133,28 +131,6 @@ class TestPackedKernel:
         assert codes.shape == (rows, -(-(dim - 1) // 8))
         for i in range(rows):
             assert np.array_equal(codes[i], binarize_barcode(features[i]))
-
-
-class TestCosine:
-    def test_parallel_is_one(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, 4 * v) == pytest.approx(1.0)
-
-    def test_orthogonal_is_zero(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
-
-    def test_zero_vector_undefined(self):
-        with pytest.raises(UndefinedSimilarityError):
-            cosine_similarity(np.zeros(3), np.ones(3))
-
-    @given(
-        hnp.arrays(np.float64, 8, elements=st.floats(-3, 3)),
-        hnp.arrays(np.float64, 8, elements=st.floats(-3, 3)),
-    )
-    def test_bounded(self, a, b):
-        if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
-            return
-        assert -1.0 <= cosine_similarity(a, b) <= 1.0
 
 
 class TestLabelEntropy:
