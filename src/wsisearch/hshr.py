@@ -77,7 +77,7 @@ class HshrDatabase:
     dim: int
     code_length: int
     slide_ids: list[str]
-    slide_labels: dict[str, SlideLabels]
+    labels: list[SlideLabels]
     graph: Hypergraph
     hashes: np.ndarray  # (T, ceil(L / 8)) uint8, row i the hash of slide_ids[i]
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
@@ -107,17 +107,12 @@ def _signature_of(slide: SlideRecord, params: HshrParams) -> SlideSignature:
     return slide_signature(slide, mosaic)
 
 
-def _knn_columns(ham: np.ndarray, k: int, skip_self: bool) -> list[np.ndarray]:
-    """Per column of a pairwise Hamming matrix, the k nearest row indices
-    (ascending distance, index as tie-break)."""
+def _knn_columns(ham: np.ndarray, k: int) -> np.ndarray:
+    """Row s: the k nearest other indices to s by column s of a square
+    pairwise Hamming matrix (ascending distance, index as tie-break)."""
     t = ham.shape[0]
-    columns = []
-    for s in range(ham.shape[1]):
-        order = np.lexsort((np.arange(t), ham[:, s]))
-        if skip_self:
-            order = order[order != s]
-        columns.append(order[:k])
-    return columns
+    order = np.argsort(ham, axis=0, kind="stable").T
+    return order[order != np.arange(t)[:, None]].reshape(t, t - 1)[:, :k]
 
 
 def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> Hypergraph:
@@ -133,10 +128,10 @@ def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> Hyperg
     affinity = 1.0 - ham / float(code_length)
 
     incidence = np.zeros((t, t), dtype=np.float64)
-    k = min(knn_k, t - 1)
-    for s, neighbors in enumerate(_knn_columns(ham, k, skip_self=True)):
-        incidence[neighbors, s] = affinity[neighbors, s]
-        incidence[s, s] = 1.0
+    edges = np.arange(t)
+    neighbors = _knn_columns(ham, min(knn_k, t - 1))
+    incidence[neighbors, edges[:, None]] = affinity[neighbors, edges[:, None]]
+    incidence[edges, edges] = 1.0
     weights = np.array(
         [incidence[:, s][incidence[:, s] > 0].mean() for s in range(t)]
     )
@@ -155,7 +150,7 @@ def build_database(
         dim=dim,
         code_length=dim - 1,
         slide_ids=[sig.slide_id for _, sig in signed],
-        slide_labels={slide.slide_id: slide.labels for slide, _ in signed},
+        labels=[slide.labels for slide, _ in signed],
         graph=build_hypergraph(hashes, dim - 1, params.knn_k),
         hashes=hashes,
         unprocessed=unprocessed,
@@ -181,8 +176,7 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
 
     extended = np.zeros((t + 1, t + 1), dtype=np.float64)
     extended[:t, :t] = db.graph.incidence
-    order = np.lexsort((np.arange(t), ham))
-    neighbors = order[: min(db.graph.knn_k, t)]
+    neighbors = np.argsort(ham, kind="stable")[: min(db.graph.knn_k, t)]
     extended[neighbors, t] = affinity[neighbors]
     extended[t, t] = 1.0
 
@@ -212,11 +206,12 @@ def query_slides(
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
     signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
-    kept = dict(zip(db.slide_labels, kept_slides(candidate_filter, db.slide_labels.items())))
+    kept = kept_slides(candidate_filter, db)
+    slide_of = {slide_id: s for s, slide_id in enumerate(db.slide_ids)}
     hits = (
-        (slide_id, db.slide_labels[slide_id], score)
+        (slide_id, db.labels[slide_of[slide_id]], score)
         for score, slide_id in ranked_scores(db, signature)
-        if kept[slide_id]
+        if kept[slide_of[slide_id]]
     )
     return ranked_result(hits, k, "hypergraph")
 

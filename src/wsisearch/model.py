@@ -172,13 +172,13 @@ CandidateFilter = Callable[[str, SlideLabels], bool]
 Encoding = TypeVar("Encoding")
 
 
-def kept_slides(
-    candidate_filter: CandidateFilter | None, slides: Iterable[tuple[str, SlideLabels]]
-) -> list[bool]:
-    """Per (slide_id, labels), whether the filter keeps it; no filter keeps
-    all.  Engines take it once per query, so the filter runs once per
-    database slide."""
-    return [candidate_filter is None or candidate_filter(*slide) for slide in slides]
+def kept_slides(candidate_filter: CandidateFilter | None, db) -> np.ndarray:
+    """Per slide of ``db`` (its ``slide_ids`` and ``labels``), whether the
+    filter keeps it; no filter keeps all.  Engines take it once per query,
+    so the filter runs once per database slide."""
+    if candidate_filter is None:
+        return np.ones(len(db.slide_ids), dtype=bool)
+    return np.array([candidate_filter(*s) for s in zip(db.slide_ids, db.labels)], dtype=bool)
 
 
 def database_dim(slides: Sequence[SlideRecord], min_dim: int = 1) -> int:
@@ -203,6 +203,16 @@ def check_query_dim(db, query: SlideRecord | PatchFeature) -> None:
     """A query slide or patch must match the dimension the database was built at."""
     if query.dim != db.dim:
         raise DimensionError(f"query dim {query.dim} != database dim {db.dim}")
+
+
+def check_query_rows(rows: np.ndarray, width: int) -> None:
+    """A prepared slide query must be a non-empty (m, width) matrix."""
+    if rows.ndim != 2:
+        raise DimensionError(f"prepared query must be (m, {width}), got shape {rows.shape}")
+    if len(rows) == 0:
+        raise EmptyInputError("query mosaic has no patches")
+    if rows.shape[1] != width:
+        raise DimensionError(f"prepared query width {rows.shape[1]} != database width {width}")
 
 
 def encode_slides(

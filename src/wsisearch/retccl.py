@@ -6,19 +6,22 @@ forming a bag.  Bags with mixed labels (high entropy) sort last, bags whose
 best scores are weak (mean of top five under the cross-bag median) are
 dropped, and each surviving bag nominates one slide: the best-scoring hit
 that carries the bag's majority label.
+
+The index is columnar: one unit feature row per indexed patch, in build
+order, with its coords and the rank of its slide in the slide table, which
+lists slides in slide_id order.  A bag is the array of its hit rows plus
+their scores, ranked by one lexsort on (-score, slide rank, row).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    DimensionError,
-    EmptyInputError,
     UndefinedSimilarityError,
     UnprocessedSlideError,
     ValidationError,
@@ -32,6 +35,7 @@ from .model import (
     as_patches,
     check_k,
     check_query_dim,
+    check_query_rows,
     database_dim,
     encode_slides,
     kept_slides,
@@ -64,34 +68,32 @@ class RetcclParams:
         check_mosaic_params(self.k_primary, self.fraction)
 
 
-class Hit(NamedTuple):
-    slide_id: str
-    ordinal: int  # position of the patch in the flat index
-    score: float
-    subtype: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bag:
     """One query patch with everything the database matched to it."""
 
     ordinal: int
-    hits: tuple[Hit, ...]  # sorted by score descending
+    hits: np.ndarray  # (n,) int64 database rows, by score descending, slide_id, row
+    scores: np.ndarray  # (n,) float64 cosine of each hit
     entropy: float  # +inf for an empty bag, so it always filters out
 
 
 @dataclass
 class RetcclDatabase:
+    """Slides are listed in slide_id order, so a row's ``slide`` is also the
+    rank of its slide_id; rows stay in build order."""
+
     params: RetcclParams
     dim: int
+    slide_ids: list[str]
+    labels: list[SlideLabels]
     unit_features: np.ndarray  # (N, dim) float64, rows normalized
-    patch_slides: list[str]  # slide_id per row of unit_features
+    slide: np.ndarray  # (N,) int64, index into slide_ids and labels
     patch_coords: np.ndarray  # (N, 2) int32, (x, y) per row of unit_features
-    slide_labels: dict[str, SlideLabels]
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.slide_labels)
+        return len(self.slide_ids)
 
     @property
     def n_patches(self) -> int:
@@ -126,13 +128,16 @@ def build_database(
     unit = np.concatenate([features for _, (_, features) in kept]).astype(np.float64)
     for vec in unit:  # one norm per row, as queries take theirs; axis=1 rounds differently
         vec /= np.linalg.norm(vec)
+    by_id = sorted(range(len(kept)), key=lambda i: kept[i][0].slide_id)
     return RetcclDatabase(
         params=params,
         dim=dim,
+        slide_ids=[kept[i][0].slide_id for i in by_id],
+        labels=[kept[i][0].labels for i in by_id],
         unit_features=unit,
-        patch_slides=[slide.slide_id for slide, (coords, _) in kept for _ in coords],
+        # argsort of by_id is each kept slide's rank
+        slide=np.repeat(np.argsort(by_id), [len(coords) for _, (coords, _) in kept]),
         patch_coords=np.concatenate([coords for _, (coords, _) in kept]),
-        slide_labels={slide.slide_id: slide.labels for slide, _ in kept},
         unprocessed=unprocessed,
     )
 
@@ -143,9 +148,18 @@ def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> np.ndarray:
     return _mosaic_rows(slide, db.params)[1]
 
 
-def _candidate_mask(db: RetcclDatabase, candidate_filter: CandidateFilter | None) -> np.ndarray:
-    keep = dict(zip(db.slide_labels, kept_slides(candidate_filter, db.slide_labels.items())))
-    return np.array([keep[sid] for sid in db.patch_slides], dtype=bool)
+def _unit_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
+    """Cosine of every database row against a feature; None for a zero vector."""
+    vec = feature.astype(np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        return None
+    return np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
+
+
+def _ranked(db: RetcclDatabase, scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` by descending score, ties by slide_id, then by row."""
+    return rows[np.lexsort((rows, db.slide[rows], -scores[rows]))]
 
 
 def build_bags(
@@ -159,32 +173,20 @@ def build_bags(
     A zero-vector query row yields an empty bag (entropy +inf) rather than
     an error, mirroring how zero vectors are invisible to the index.
     """
-    if len(query_features) == 0:
-        raise EmptyInputError("query mosaic has no patches")
-    if query_features.shape[1] != db.dim:
-        raise DimensionError(f"query dim {query_features.shape[1]} != database dim {db.dim}")
-    mask = _candidate_mask(db, candidate_filter)
+    check_query_rows(query_features, db.dim)
+    mask = kept_slides(candidate_filter, db)[db.slide]
+    subtypes = [labels.subtype for labels in db.labels]
     bags: list[Bag] = []
     for i, row in enumerate(query_features):
-        vec = row.astype(np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            bags.append(Bag(ordinal=i, hits=(), entropy=math.inf))
+        scores = _unit_scores(db, row)
+        if scores is None:
+            bags.append(Bag(i, np.empty(0, dtype=np.int64), np.empty(0), math.inf))
             continue
-        scores = np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
-        picked = np.flatnonzero((scores >= db.params.sim_threshold) & mask)
-        hits = [
-            Hit(
-                slide_id=db.patch_slides[j],
-                ordinal=int(j),
-                score=float(scores[j]),
-                subtype=db.slide_labels[db.patch_slides[j]].subtype,
-            )
-            for j in picked
-        ]
-        hits.sort(key=lambda h: (-h.score, h.slide_id, h.ordinal))
-        entropy = label_entropy(h.subtype for h in hits) if hits else math.inf
-        bags.append(Bag(ordinal=i, hits=tuple(hits), entropy=entropy))
+        hits = _ranked(db, scores, np.flatnonzero((scores >= db.params.sim_threshold) & mask))
+        # subtypes in hit order, the order the entropy sums its terms in
+        hit_subtypes = [subtypes[s] for s in db.slide[hits].tolist()]
+        entropy = label_entropy(hit_subtypes) if hit_subtypes else math.inf
+        bags.append(Bag(i, hits, scores[hits], entropy))
     return bags
 
 
@@ -194,11 +196,11 @@ def filter_and_order_bags(bags: Sequence[Bag], quality_rule: str = QUALITY_MEDIA
     Weak means the mean of the bag's top-5 scores falls strictly below the
     median of those means across non-empty bags.
     """
-    nonempty = [b for b in bags if b.hits]
+    nonempty = [b for b in bags if len(b.hits)]
     if not nonempty:
         return []
     if quality_rule == QUALITY_MEDIAN:
-        means = [float(np.mean([h.score for h in b.hits[:5]])) for b in nonempty]
+        means = [float(np.mean(b.scores[:5])) for b in nonempty]
         cutoff = float(np.median(means))
         nonempty = [b for b, m in zip(nonempty, means) if m >= cutoff]
     elif quality_rule != QUALITY_NONE:
@@ -211,27 +213,22 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
     distinct slides are collected in bag order until k are found."""
     check_k(k)
     nominees: list[tuple[str, SlideLabels, float]] = []
-    seen: set[str] = set()
+    seen: set[int] = set()
     for bag in bags:
         if len(nominees) == k:
             break
-        top = bag.hits[:5]
-        counts = Counter(h.subtype for h in top)
+        top = db.slide[bag.hits[:5]].tolist()
+        counts = Counter(db.labels[s].subtype for s in top)
         best = max(counts.values())
         # hits are score-descending, so the first hit whose label is tied
-        # for the majority settles the tie toward the higher-scoring label
-        majority = next(h.subtype for h in top if counts[h.subtype] == best)
-        representative = next(h for h in bag.hits if h.subtype == majority)
-        if representative.slide_id in seen:
+        # for the majority settles the tie toward the higher-scoring label;
+        # that hit is also the bag's best hit carrying the majority label
+        at = next(i for i, s in enumerate(top) if counts[db.labels[s].subtype] == best)
+        slide = top[at]
+        if slide in seen:
             continue
-        seen.add(representative.slide_id)
-        nominees.append(
-            (
-                representative.slide_id,
-                db.slide_labels[representative.slide_id],
-                representative.score,
-            )
-        )
+        seen.add(slide)
+        nominees.append((db.slide_ids[slide], db.labels[slide], float(bag.scores[at])))
     return ranked_result(nominees, k, "cosine")
 
 
@@ -256,24 +253,13 @@ def query_patches(
     """Global top-k patches by cosine, unthresholded, ties by (slide, ordinal)."""
     check_k(k)
     check_query_dim(db, patch)
-    vec = patch.feature.astype(np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    scores = _unit_scores(db, patch.feature)
+    if scores is None:
         raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
-    scores = np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
-    mask = _candidate_mask(db, candidate_filter)
-
-    order = sorted(
-        np.flatnonzero(mask),
-        key=lambda j: (-scores[j], db.patch_slides[j], int(j)),
-    )
+    top = _ranked(db, scores, np.flatnonzero(kept_slides(candidate_filter, db)[db.slide]))[:k]
     hits = (
-        (
-            patch_ref(db.patch_slides[j], *db.patch_coords[j].tolist()),
-            db.slide_labels[db.patch_slides[j]],
-            float(scores[j]),
-        )
-        for j in order
+        (patch_ref(db.slide_ids[s], *db.patch_coords[j].tolist()), db.labels[s], float(scores[j]))
+        for j, s in zip(top.tolist(), db.slide[top].tolist())
     )
     return ranked_result(hits, k, "cosine")
 

@@ -274,13 +274,14 @@ def guided_search(
     query: SishProbe,
     probe_budget: int | None = None,
     kept: np.ndarray | None = None,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Walk the keys outward from the query index (``visited_ranges``), keep
     near-in-Hamming hits.
 
-    Results are (row, hamming) pairs of the rows of kept slides (``kept`` is
-    a per-slide mask, None keeps all) within db.params.hamming_threshold,
-    ascending by distance, then slide_id, then ordinal; may be empty.
+    Results are one (n, 2) int64 array of (row, hamming) pairs: the rows of
+    kept slides (``kept`` is a per-slide mask, None keeps all) within
+    db.params.hamming_threshold, ascending by distance, then slide_id, then
+    ordinal; n may be 0.
     """
     budget = db.params.probe_budget if probe_budget is None else probe_budget
     if budget < 1:
@@ -293,15 +294,16 @@ def guided_search(
     near = hams <= db.params.hamming_threshold
     rows, hams = rows[near], hams[near]
     order = np.lexsort((db.ordinal[rows], db.slide[rows], hams))
-    return list(zip(rows[order].tolist(), hams[order].tolist()))
+    return np.stack((rows[order], hams[order]), axis=1)
 
 
 def rank_slides(
-    patch_results: Sequence[Sequence[tuple[int, int]]],
+    patch_results: Sequence[np.ndarray],
     db: SishDatabase,
     k: int,
 ) -> RetrievalResult:
-    """Uncertainty-filtered weighted voting over per-patch search results."""
+    """Uncertainty-filtered weighted voting over per-patch search results
+    (``guided_search`` arrays)."""
     check_k(k)
     if not patch_results:
         raise EmptyInputError("rank_slides needs at least one query patch")
@@ -309,8 +311,8 @@ def rank_slides(
     subtypes = [labels.subtype for labels in db.labels]
     surviving: list[tuple[float, np.ndarray]] = []
     for results in patch_results:
-        if results:
-            slides = db.slide[[row for row, _ in results]]
+        if len(results):
+            slides = db.slide[results[:, 0]]
             surviving.append((label_entropy(subtypes[s] for s in slides.tolist()), slides))
     if not surviving:
         return RetrievalResult(entries=(), k_requested=k)
@@ -325,7 +327,8 @@ def rank_slides(
         np.concatenate([weight / freq[slides] for weight, slides in voting]),
         minlength=len(db),
     )
-    ranked = sorted(np.flatnonzero(votes).tolist(), key=lambda s: -votes[s])
+    voted = np.flatnonzero(votes)
+    ranked = voted[np.lexsort((voted, -votes[voted]))][:k].tolist()
     return ranked_result(
         ((db.slide_ids[s], db.labels[s], float(votes[s])) for s in ranked), k, "votes"
     )
@@ -340,7 +343,7 @@ def query_slides(
     probes = prepare_query(db, query) if isinstance(query, SlideRecord) else list(query)
     if not probes:
         raise EmptyInputError("query has no mosaic patches")
-    kept = np.array(kept_slides(candidate_filter, zip(db.slide_ids, db.labels)))
+    kept = kept_slides(candidate_filter, db)
     return rank_slides([guided_search(db, probe, kept=kept) for probe in probes], db, k)
 
 
@@ -354,11 +357,10 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     (probe,) = _probes(db, patch.feature[None, :])
-    kept = np.array(kept_slides(candidate_filter, zip(db.slide_ids, db.labels)))
     hits = (
         (patch_ref(db.slide_ids[db.slide[row]], *db.coords[row].tolist()),
          db.labels[db.slide[row]], float(ham))
-        for row, ham in guided_search(db, probe, kept=kept)
+        for row, ham in guided_search(db, probe, kept=kept_slides(candidate_filter, db)).tolist()
     )
     return ranked_result(hits, k, "hamming")
 

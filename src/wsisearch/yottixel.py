@@ -24,6 +24,7 @@ from .model import (
     binarize_barcode,
     check_k,
     check_query_dim,
+    check_query_rows,
     database_dim,
     encode_slides,
     hamming_matrix,
@@ -100,6 +101,11 @@ def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
     return _bag(slide, db.params)[0]
 
 
+def _slide_rank(db: YottixelDatabase) -> np.ndarray:
+    """Rank of each slide_id in Python's string order (numpy's drops trailing NULs)."""
+    return np.argsort(sorted(range(len(db)), key=db.slide_ids.__getitem__))
+
+
 def median_min_hamming(query: np.ndarray, stacked: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per target slide, the median over query rows of the minimum distance
     into that slide's rows; slide i owns rows starts[i] up to starts[i + 1]."""
@@ -116,12 +122,11 @@ def query_slides(
     """Top-k slides by ascending median-of-minimum Hamming distance."""
     check_k(k)
     qpacked = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    check_query_rows(qpacked, db.packed.shape[1])
     scores = median_min_hamming(qpacked, db.packed, db.starts)
-    kept = kept_slides(candidate_filter, zip(db.slide_ids, db.labels))
-    order = sorted(
-        (i for i in range(len(db)) if kept[i]), key=lambda i: (scores[i], db.slide_ids[i])
-    )
-    hits = ((db.slide_ids[i], db.labels[i], float(scores[i])) for i in order)
+    kept = np.flatnonzero(kept_slides(candidate_filter, db))
+    top = kept[np.lexsort((_slide_rank(db)[kept], scores[kept]))][:k].tolist()
+    hits = ((db.slide_ids[i], db.labels[i], float(scores[i])) for i in top)
     return ranked_result(hits, k, "hamming")
 
 
@@ -136,15 +141,12 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     dists = hamming_matrix(binarize_barcode(patch.feature[None, :]), db.packed)[0]
-    owner = np.repeat(np.arange(len(db)), np.diff(db.starts, append=len(db.packed))).tolist()
-    kept = kept_slides(candidate_filter, zip(db.slide_ids, db.labels))
-    order = sorted(
-        ((r, s) for r, s in enumerate(owner) if kept[s]),
-        key=lambda rs: (dists[rs[0]], db.slide_ids[rs[1]], rs[0]),
-    )
+    owner = np.repeat(np.arange(len(db)), np.diff(db.starts, append=len(db.packed)))
+    rows = np.flatnonzero(kept_slides(candidate_filter, db)[owner])
+    top = rows[np.lexsort((rows, _slide_rank(db)[owner[rows]], dists[rows]))][:k]
     hits = (
         (patch_ref(db.slide_ids[s], *db.coords[r].tolist()), db.labels[s], float(dists[r]))
-        for r, s in order
+        for r, s in zip(top.tolist(), owner[top].tolist())
     )
     return ranked_result(hits, k, "hamming")
 

@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsisearch.errors import UnsupportedOperationError, ValidationError
 from wsisearch.hshr import (
     HshrParams,
+    _knn_columns,
     build_database,
     build_hypergraph,
     prepare_query,
@@ -16,7 +19,7 @@ from wsisearch.hshr import (
     ranked_scores,
     slide_signature,
 )
-from wsisearch.model import binarize_barcode, slide_seed
+from wsisearch.model import binarize_barcode, hamming_matrix, slide_seed
 from wsisearch.mosaic import build_mosaic_fixed, build_mosaic_percent, histogram_matrix
 
 from util import make_slide, packed
@@ -120,6 +123,63 @@ class TestHypergraph:
         H = db.graph.incidence
         mutual = (H > 0) & (H.T > 0)
         assert np.allclose(H[mutual], H.T[mutual])
+
+
+def loop_knn_columns(ham: np.ndarray, k: int, skip_self: bool) -> list[np.ndarray]:
+    """Per column of a pairwise Hamming matrix, the k nearest row indices
+    (ascending distance, index as tie-break): the per-column loop that
+    ``_knn_columns`` replaced, its reference."""
+    t = ham.shape[0]
+    columns = []
+    for s in range(ham.shape[1]):
+        order = np.lexsort((np.arange(t), ham[:, s]))
+        if skip_self:
+            order = order[order != s]
+        columns.append(order[:k])
+    return columns
+
+
+@st.composite
+def hamming_matrices(draw):
+    """Square Hamming matrices with heavy ties: pairwise distances of a few
+    short codes, or arbitrary small counts (the diagonal need not be 0)."""
+    t = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        codes = rng.integers(0, 2, size=(t, draw(st.integers(1, 6)))).astype(bool)
+        return hamming_matrix(np.packbits(codes, axis=1), np.packbits(codes, axis=1))
+    return rng.integers(0, 4, size=(t, t))
+
+
+class TestKnnColumns:
+    @given(hamming_matrices(), st.integers(0, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_column_loop(self, ham, k):
+        t = ham.shape[0]
+        got = _knn_columns(ham, k)
+        expected = loop_knn_columns(ham, k, skip_self=True)
+        assert got.shape == (t, min(k, t - 1))
+        assert [row.tolist() for row in got] == [col.tolist() for col in expected]
+        # the query's neighbor order in ranked_scores: one stable argsort
+        for s in range(t):
+            assert np.array_equal(
+                np.argsort(ham[:, s], kind="stable"), np.lexsort((np.arange(t), ham[:, s]))
+            )
+
+    @given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 14), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_incidence_matches_per_column_assignment(self, t, bits, knn_k, seed):
+        codes = np.random.default_rng(seed).integers(0, 2, size=(t, bits)).astype(bool)
+        hashes = np.packbits(codes, axis=1)
+        graph = build_hypergraph(hashes, bits, knn_k)
+        ham = hamming_matrix(hashes, hashes)
+        affinity = 1.0 - ham / float(bits)
+        incidence = np.zeros((t, t))
+        for s, neighbors in enumerate(loop_knn_columns(ham, min(knn_k, t - 1), skip_self=True)):
+            incidence[neighbors, s] = affinity[neighbors, s]
+            incidence[s, s] = 1.0
+        assert graph.incidence.tobytes() == incidence.tobytes()
 
 
 class TestScoring:

@@ -71,6 +71,17 @@ def probe(index: int, bits: str = "00000") -> SishProbe:
     return SishProbe(index, packed(bits))
 
 
+def hit_rows(*pairs: tuple[int, int]) -> np.ndarray:
+    """A per-patch search result as ``guided_search`` returns it."""
+    return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+
+
+def pairs(hits: np.ndarray) -> list[tuple[int, int]]:
+    """(row, hamming) tuples of a ``guided_search`` result."""
+    assert hits.dtype == np.int64 and hits.ndim == 2 and hits.shape[1] == 2
+    return [tuple(hit) for hit in hits.tolist()]
+
+
 def tree_walk(tree: VebTree, m: int, c: int, budget: int) -> list[int]:
     """The guided walk as it ran over a van Emde Boas tree, one successor or
     predecessor call per probe; the reference for the array walk."""
@@ -222,7 +233,7 @@ class TestGuidedSearch:
 
     def test_threshold_excludes_distant_codes(self):
         db = handmade_db({500: [("a", "x")]}, code_bits="0" * 200)
-        assert guided_search(db, probe(500, "1" * 200), probe_budget=500) == []
+        assert pairs(guided_search(db, probe(500, "1" * 200), probe_budget=500)) == []
 
     def test_results_ascend_in_hamming(self):
         db = handmade_db({10: [("a", "x")], 11: [("b", "x")]}, code_bits="0000")
@@ -286,8 +297,8 @@ class TestArrayWalk:
         lung = np.array([lab.site == "lung" for lab in db.labels])
         for slide in slides[::3]:
             for q in prepare_query(db, slide):
-                assert guided_search(db, q, budget) == tree_guided_search(db, q, budget)
-                assert guided_search(db, q, budget, kept=lung) == tree_guided_search(
+                assert pairs(guided_search(db, q, budget)) == tree_guided_search(db, q, budget)
+                assert pairs(guided_search(db, q, budget, kept=lung)) == tree_guided_search(
                     db, q, budget, candidate_filter=lambda sid, lab: lab.site == "lung"
                 )
 
@@ -309,27 +320,27 @@ class TestArrayWalk:
 class TestRankSlides:
     def test_single_clean_patch_scores_one(self):
         db = handmade_db({0: [("only", "x")]})
-        res = rank_slides([[(row_of(db, "only"), 0)]], db, k=3)
+        res = rank_slides([hit_rows((row_of(db, "only"), 0))], db, k=3)
         assert res.target_ids() == ["only"]
         assert res.entries[0].score == pytest.approx(1.0)
 
     def test_rare_label_outranks_common_on_equal_votes(self):
         db = handmade_db({0: [("a", "x"), ("c", "x"), ("b", "y")]})
-        hits = [[(row_of(db, "a"), 0), (row_of(db, "b"), 0)]]
+        hits = [hit_rows((row_of(db, "a"), 0), (row_of(db, "b"), 0))]
         res = rank_slides(hits, db, k=2)
         assert res.target_ids() == ["b", "a"]
 
     def test_high_entropy_patches_dropped(self):
         db = handmade_db({0: [("a", "x"), ("b", "y"), ("c", "x")]})
-        clean = [(row_of(db, "a"), 0), (row_of(db, "c"), 0)]
-        noisy = [(row_of(db, "a"), 0), (row_of(db, "b"), 0)]
+        clean = hit_rows((row_of(db, "a"), 0), (row_of(db, "c"), 0))
+        noisy = hit_rows((row_of(db, "a"), 0), (row_of(db, "b"), 0))
         res = rank_slides([clean, noisy], db, k=3)
         # the noisy patch's exclusive candidate never receives a vote
         assert "b" not in res.target_ids()
 
     def test_all_empty_patches_give_empty_result(self):
         db = handmade_db({0: [("a", "x")]})
-        res = rank_slides([[], []], db, k=3)
+        res = rank_slides([hit_rows(), hit_rows()], db, k=3)
         assert len(res) == 0
 
     def test_needs_at_least_one_patch(self):
