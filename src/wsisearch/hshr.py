@@ -7,6 +7,10 @@ spans one hyperedge containing its K nearest slides by hash distance; a
 query joins the graph as a fresh vertex and hyperedge, and scores combine
 vertex-level and hyperedge-level similarity read off the weighted incidence
 products.
+
+Slides are listed in slide_id order, so ties broken by slide index (equal
+hash distances to nearest neighbours, equal scores) go to the lower
+slide_id whatever order the slides arrive in.
 """
 from __future__ import annotations
 
@@ -68,7 +72,6 @@ class Hypergraph:
 
     incidence: np.ndarray  # (T, T) float64, entries in [0, 1]
     edge_weights: np.ndarray  # (T,) mean of positive entries per column
-    knn_k: int
 
 
 @dataclass
@@ -135,7 +138,7 @@ def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> Hyperg
     weights = np.array(
         [incidence[:, s][incidence[:, s] > 0].mean() for s in range(t)]
     )
-    return Hypergraph(incidence=incidence, edge_weights=weights, knn_k=knn_k)
+    return Hypergraph(incidence=incidence, edge_weights=weights)
 
 
 def build_database(
@@ -162,13 +165,14 @@ def prepare_query(db: HshrDatabase, slide: SlideRecord) -> SlideSignature:
     return _signature_of(slide, db.params)
 
 
-def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, str]]:
+def ranked_scores(db: HshrDatabase, query: SlideSignature) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every database slide against the query, best first.
 
     The query becomes vertex/hyperedge T in a copy of the incidence matrix;
     scoring reads row T of the row-normalized weighted products.  Returns
-    (score, slide_id) sorted descending, ties by slide_id; the caller slices
-    its top-k after any candidate filtering.
+    (order, scores): ``scores[s]`` is slide s's score and ``order`` lists
+    every slide index by descending score, ties by slide_id; the caller
+    slices its top-k after any candidate filtering.
     """
     t = len(db)
     ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
@@ -176,7 +180,7 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
 
     extended = np.zeros((t + 1, t + 1), dtype=np.float64)
     extended[:t, :t] = db.graph.incidence
-    neighbors = np.argsort(ham, kind="stable")[: min(db.graph.knn_k, t)]
+    neighbors = np.argsort(ham, kind="stable")[: min(db.params.knn_k, t)]
     extended[neighbors, t] = affinity[neighbors]
     extended[t, t] = 1.0
 
@@ -190,11 +194,7 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, 
     edge_sim = overlap / overlap.sum(axis=1, keepdims=True)
     scores = db.params.alpha * vertex_sim[t, :t] + db.params.beta * edge_sim[t, :t]
 
-    ranked = sorted(
-        ((float(scores[i]), db.slide_ids[i]) for i in range(t)),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    return ranked
+    return np.argsort(-scores, kind="stable"), scores
 
 
 def query_slides(
@@ -206,13 +206,9 @@ def query_slides(
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
     signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
-    kept = kept_slides(candidate_filter, db)
-    slide_of = {slide_id: s for s, slide_id in enumerate(db.slide_ids)}
-    hits = (
-        (slide_id, db.labels[slide_of[slide_id]], score)
-        for score, slide_id in ranked_scores(db, signature)
-        if kept[slide_of[slide_id]]
-    )
+    order, scores = ranked_scores(db, signature)
+    top = order[kept_slides(candidate_filter, db)[order]][:k].tolist()
+    hits = ((db.slide_ids[s], db.labels[s], float(scores[s])) for s in top)
     return ranked_result(hits, k, "hypergraph")
 
 

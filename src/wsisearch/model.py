@@ -220,9 +220,10 @@ def encode_slides(
 ) -> tuple[list[tuple[SlideRecord, Encoding]], list[tuple[str, str]]]:
     """Encode every slide for indexing.
 
-    Returns (slide, encoding) pairs in input order plus the (slide_id,
-    reason) of each slide whose encoding failed; at least one slide must
-    survive.  Slide ids must be distinct, since engines key slides by id.
+    Returns (slide, encoding) pairs in slide_id order (Python string order),
+    the one slide order every engine lists, plus the (slide_id, reason) of
+    each slide whose encoding failed, in input order; at least one slide
+    must survive.  Slide ids must be distinct, since engines key slides by id.
     """
     ids = Counter(slide.slide_id for slide in slides)
     repeated = [slide_id for slide_id, n in ids.items() if n > 1]
@@ -237,6 +238,7 @@ def encode_slides(
             unprocessed.append((slide.slide_id, str(exc)))
     if not kept:
         raise EmptyInputError(f"none of {len(slides)} slides could be indexed")
+    kept.sort(key=lambda item: item[0].slide_id)
     return kept, unprocessed
 
 
@@ -261,6 +263,20 @@ def ranked_result(
     return RetrievalResult(entries=entries, k_requested=k)
 
 
+def ranked_patches(db, rows: np.ndarray, scores: np.ndarray, k: int, kind: str) -> RetrievalResult:
+    """Result of the first k ``rows`` (database rows, best first, read through
+    the ``slide`` and ``coords`` columns) as patch hits; ``scores[i]`` is the
+    score of ``rows[i]``."""
+    rows = rows[:k]
+    hits = (
+        (patch_ref(db.slide_ids[s], x, y), db.labels[s], float(score))
+        for s, (x, y), score in zip(
+            db.slide[rows].tolist(), db.coords[rows].tolist(), scores[:k].tolist()
+        )
+    )
+    return ranked_result(hits, k, kind)
+
+
 def label_entropy(labels: Iterable[str]) -> float:
     """Shannon entropy (natural log) of the empirical label distribution."""
     counts = Counter(labels)
@@ -268,9 +284,6 @@ def label_entropy(labels: Iterable[str]) -> float:
     if total == 0:
         raise EmptyInputError("label entropy is undefined for an empty multiset")
     return -sum((c / total) * math.log(c / total) for c in counts.values())
-
-
-_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def hamming_matrix(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
@@ -284,7 +297,7 @@ def hamming_matrix(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
             f"packed widths differ: {packed_a.shape[1]} vs {packed_b.shape[1]}"
         )
     xored = packed_a[:, None, :] ^ packed_b[None, :, :]
-    return _POPCOUNT8[xored].sum(axis=2, dtype=np.int64)
+    return np.bitwise_count(xored).sum(axis=2, dtype=np.int64)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

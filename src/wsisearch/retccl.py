@@ -7,10 +7,11 @@ best scores are weak (mean of top five under the cross-bag median) are
 dropped, and each surviving bag nominates one slide: the best-scoring hit
 that carries the bag's majority label.
 
-The index is columnar: one unit feature row per indexed patch, in build
-order, with its coords and the rank of its slide in the slide table, which
-lists slides in slide_id order.  A bag is the array of its hit rows plus
-their scores, ranked by one lexsort on (-score, slide rank, row).
+The index is columnar: one unit feature row per indexed patch, with its
+coords and its slide's index in the slide table.  Slides are listed in
+slide_id order and their rows stacked in that order, so a row's index
+orders it by (slide_id, mosaic member).  A bag is the array of its hit rows
+plus their scores, ranked by one stable sort on descending score.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .model import (
     encode_slides,
     kept_slides,
     label_entropy,
-    patch_ref,
+    ranked_patches,
     ranked_result,
     slide_seed,
 )
@@ -73,7 +74,7 @@ class Bag:
     """One query patch with everything the database matched to it."""
 
     ordinal: int
-    hits: np.ndarray  # (n,) int64 database rows, by score descending, slide_id, row
+    hits: np.ndarray  # (n,) int64 database rows, by score descending, then row
     scores: np.ndarray  # (n,) float64 cosine of each hit
     entropy: float  # +inf for an empty bag, so it always filters out
 
@@ -81,15 +82,15 @@ class Bag:
 @dataclass
 class RetcclDatabase:
     """Slides are listed in slide_id order, so a row's ``slide`` is also the
-    rank of its slide_id; rows stay in build order."""
+    rank of its slide_id; rows run in slide order."""
 
     params: RetcclParams
     dim: int
     slide_ids: list[str]
     labels: list[SlideLabels]
     unit_features: np.ndarray  # (N, dim) float64, rows normalized
-    slide: np.ndarray  # (N,) int64, index into slide_ids and labels
-    patch_coords: np.ndarray  # (N, 2) int32, (x, y) per row of unit_features
+    slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
+    coords: np.ndarray  # (N, 2) int32, (x, y) per row of unit_features
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -128,16 +129,14 @@ def build_database(
     unit = np.concatenate([features for _, (_, features) in kept]).astype(np.float64)
     for vec in unit:  # one norm per row, as queries take theirs; axis=1 rounds differently
         vec /= np.linalg.norm(vec)
-    by_id = sorted(range(len(kept)), key=lambda i: kept[i][0].slide_id)
     return RetcclDatabase(
         params=params,
         dim=dim,
-        slide_ids=[kept[i][0].slide_id for i in by_id],
-        labels=[kept[i][0].labels for i in by_id],
+        slide_ids=[slide.slide_id for slide, _ in kept],
+        labels=[slide.labels for slide, _ in kept],
         unit_features=unit,
-        # argsort of by_id is each kept slide's rank
-        slide=np.repeat(np.argsort(by_id), [len(coords) for _, (coords, _) in kept]),
-        patch_coords=np.concatenate([coords for _, (coords, _) in kept]),
+        slide=np.repeat(np.arange(len(kept)), [len(coords) for _, (coords, _) in kept]),
+        coords=np.concatenate([coords for _, (coords, _) in kept]),
         unprocessed=unprocessed,
     )
 
@@ -157,9 +156,9 @@ def _unit_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
     return np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
 
 
-def _ranked(db: RetcclDatabase, scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``rows`` by descending score, ties by slide_id, then by row."""
-    return rows[np.lexsort((rows, db.slide[rows], -scores[rows]))]
+def _ranked(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Ascending ``rows`` by descending score, ties by row, so by slide_id."""
+    return rows[np.argsort(-scores[rows], kind="stable")]
 
 
 def build_bags(
@@ -182,7 +181,7 @@ def build_bags(
         if scores is None:
             bags.append(Bag(i, np.empty(0, dtype=np.int64), np.empty(0), math.inf))
             continue
-        hits = _ranked(db, scores, np.flatnonzero((scores >= db.params.sim_threshold) & mask))
+        hits = _ranked(scores, np.flatnonzero((scores >= db.params.sim_threshold) & mask))
         # subtypes in hit order, the order the entropy sums its terms in
         hit_subtypes = [subtypes[s] for s in db.slide[hits].tolist()]
         entropy = label_entropy(hit_subtypes) if hit_subtypes else math.inf
@@ -250,18 +249,14 @@ def query_patches(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    """Global top-k patches by cosine, unthresholded, ties by (slide, ordinal)."""
+    """Global top-k patches by cosine, unthresholded, ties by (slide_id, row)."""
     check_k(k)
     check_query_dim(db, patch)
     scores = _unit_scores(db, patch.feature)
     if scores is None:
         raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
-    top = _ranked(db, scores, np.flatnonzero(kept_slides(candidate_filter, db)[db.slide]))[:k]
-    hits = (
-        (patch_ref(db.slide_ids[s], *db.patch_coords[j].tolist()), db.labels[s], float(scores[j]))
-        for j, s in zip(top.tolist(), db.slide[top].tolist())
-    )
-    return ranked_result(hits, k, "cosine")
+    top = _ranked(scores, np.flatnonzero(kept_slides(candidate_filter, db)[db.slide]))[:k]
+    return ranked_patches(db, top, scores[top], k, "cosine")
 
 
 def query_patch_set(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:

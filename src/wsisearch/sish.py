@@ -45,7 +45,7 @@ from .model import (
     hamming_matrix,
     kept_slides,
     label_entropy,
-    patch_ref,
+    ranked_patches,
     ranked_result,
 )
 from .mosaic import check_mosaic_params, histogram_mosaic
@@ -87,7 +87,7 @@ class SishProbe(NamedTuple):
 @dataclass
 class SishDatabase:
     """One row per indexed mosaic patch: rows starts[j] up to starts[j + 1]
-    carry keys[j], in (slide, ordinal) order.  Slides are stored in slide_id
+    carry keys[j], in (slide, ordinal) order.  Slides are listed in slide_id
     order, so a row's ``slide`` is also the rank of its slide_id."""
 
     params: SishParams
@@ -103,7 +103,7 @@ class SishDatabase:
     ordinal: np.ndarray  # (N,) int64, position within the slide's mosaic
     coords: np.ndarray  # (N, 2) int32
     codes: np.ndarray  # (N, ceil(L / 8)) uint8 packed barcodes
-    subtype_freq: dict[str, float]
+    freq: np.ndarray  # (T,) float64, database frequency of each slide's subtype
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -180,7 +180,6 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     params = params or SishParams()
     dim = database_dim(slides, min_dim=2)
     kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_rows(slide, params))
-    kept.sort(key=lambda item: item[0].slide_id)
 
     # quantization ranges are a database-wide statistic, frozen at build time
     member_features = [features for _, (_, features) in kept]
@@ -195,7 +194,6 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     sizes = [len(f) for f in member_features]
 
     subtype_counts = Counter(slide.subtype for slide, _ in kept)
-    total = sum(subtype_counts.values())
     return SishDatabase(
         params=params,
         dim=dim,
@@ -210,7 +208,7 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
         ordinal=np.concatenate([np.arange(n) for n in sizes])[order],
         coords=np.concatenate([coords for _, (coords, _) in kept])[order],
         codes=np.concatenate([binarize_barcode(f) for f in member_features])[order],
-        subtype_freq={name: count / total for name, count in subtype_counts.items()},
+        freq=np.array([subtype_counts[slide.subtype] / len(kept) for slide, _ in kept]),
         unprocessed=unprocessed,
     )
 
@@ -319,12 +317,11 @@ def rank_slides(
 
     median_entropy = float(np.median([h for h, _ in surviving]))
     voting = [(1.0 / (1.0 + h), slides) for h, slides in surviving if h <= median_entropy]
-    freq = np.array([db.subtype_freq[subtype] for subtype in subtypes])
     # bincount adds each slide's weights one at a time in hit order, the
     # order a running per-slide sum takes
     votes = np.bincount(
         np.concatenate([slides for _, slides in voting]),
-        np.concatenate([weight / freq[slides] for weight, slides in voting]),
+        np.concatenate([weight / db.freq[slides] for weight, slides in voting]),
         minlength=len(db),
     )
     voted = np.flatnonzero(votes)
@@ -357,12 +354,8 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     (probe,) = _probes(db, patch.feature[None, :])
-    hits = (
-        (patch_ref(db.slide_ids[db.slide[row]], *db.coords[row].tolist()),
-         db.labels[db.slide[row]], float(ham))
-        for row, ham in guided_search(db, probe, kept=kept_slides(candidate_filter, db)).tolist()
-    )
-    return ranked_result(hits, k, "hamming")
+    hits = guided_search(db, probe, kept=kept_slides(candidate_filter, db))
+    return ranked_patches(db, hits[:, 0], hits[:, 1], k, "hamming")
 
 
 def query_patch_set(db: SishDatabase, slide: SlideRecord) -> list[PatchFeature]:

@@ -6,6 +6,9 @@ Slide-to-slide distance is the median over query barcodes of the minimum
 Hamming distance to the target's bag, so one aberrant mosaic patch cannot
 dominate the match.  Patch queries skip the aggregation and rank individual
 barcodes.
+
+Slides are listed in slide_id order and their rows stacked in that order,
+so one stable sort by distance breaks ties by slide_id (then mosaic member).
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .model import (
     encode_slides,
     hamming_matrix,
     kept_slides,
-    patch_ref,
+    ranked_patches,
     ranked_result,
 )
 from .mosaic import Mosaic, check_mosaic_params, histogram_mosaic
@@ -48,8 +51,8 @@ class YottixelParams:
 
 @dataclass
 class YottixelDatabase:
-    """Every indexed slide's mosaic barcodes, stacked: slide i owns rows
-    starts[i] up to starts[i + 1] (or the end) of ``packed`` and ``coords``."""
+    """Every indexed slide's mosaic barcodes, stacked in slide order: row j
+    of ``packed`` and ``coords`` belongs to slide ``slide[j]``."""
 
     params: YottixelParams
     dim: int
@@ -58,7 +61,7 @@ class YottixelDatabase:
     labels: list[SlideLabels]
     packed: np.ndarray  # (N, ceil(L / 8)) uint8, one row per mosaic member
     coords: np.ndarray  # (N, 2) int32, (x, y) of each row's member
-    starts: np.ndarray  # (T,) int64, first row of each slide
+    slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -90,7 +93,7 @@ def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None 
         labels=[slide.labels for slide, _ in bags],
         packed=np.concatenate([packed for _, (packed, _) in bags]),
         coords=np.concatenate([coords for _, (_, coords) in bags]),
-        starts=np.cumsum([0] + [len(packed) for _, (packed, _) in bags[:-1]]),
+        slide=np.repeat(np.arange(len(bags)), [len(packed) for _, (packed, _) in bags]),
         unprocessed=unprocessed,
     )
 
@@ -99,11 +102,6 @@ def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
     """Packed barcodes of a query slide's mosaic under the database parameters."""
     check_query_dim(db, slide)
     return _bag(slide, db.params)[0]
-
-
-def _slide_rank(db: YottixelDatabase) -> np.ndarray:
-    """Rank of each slide_id in Python's string order (numpy's drops trailing NULs)."""
-    return np.argsort(sorted(range(len(db)), key=db.slide_ids.__getitem__))
 
 
 def median_min_hamming(query: np.ndarray, stacked: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -119,13 +117,14 @@ def query_slides(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    """Top-k slides by ascending median-of-minimum Hamming distance."""
+    """Top-k slides by ascending median-of-minimum Hamming distance, ties by slide_id."""
     check_k(k)
     qpacked = prepare_query(db, query) if isinstance(query, SlideRecord) else query
     check_query_rows(qpacked, db.packed.shape[1])
-    scores = median_min_hamming(qpacked, db.packed, db.starts)
+    starts = np.flatnonzero(np.diff(db.slide, prepend=-1))  # every slide has a row
+    scores = median_min_hamming(qpacked, db.packed, starts)
     kept = np.flatnonzero(kept_slides(candidate_filter, db))
-    top = kept[np.lexsort((_slide_rank(db)[kept], scores[kept]))][:k].tolist()
+    top = kept[np.argsort(scores[kept], kind="stable")][:k].tolist()
     hits = ((db.slide_ids[i], db.labels[i], float(scores[i])) for i in top)
     return ranked_result(hits, k, "hamming")
 
@@ -141,14 +140,9 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     dists = hamming_matrix(binarize_barcode(patch.feature[None, :]), db.packed)[0]
-    owner = np.repeat(np.arange(len(db)), np.diff(db.starts, append=len(db.packed)))
-    rows = np.flatnonzero(kept_slides(candidate_filter, db)[owner])
-    top = rows[np.lexsort((rows, _slide_rank(db)[owner[rows]], dists[rows]))][:k]
-    hits = (
-        (patch_ref(db.slide_ids[s], *db.coords[r].tolist()), db.labels[s], float(dists[r]))
-        for r, s in zip(top.tolist(), owner[top].tolist())
-    )
-    return ranked_result(hits, k, "hamming")
+    rows = np.flatnonzero(kept_slides(candidate_filter, db)[db.slide])
+    top = rows[np.argsort(dists[rows], kind="stable")][:k]
+    return ranked_patches(db, top, dists[top], k, "hamming")
 
 
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:

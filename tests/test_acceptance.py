@@ -182,7 +182,8 @@ def test_criterion_04_brute_force_equivalence():
         bags[slide.slide_id] = [(ascent_int(m), m.coord) for m in members]
     # the database stacks those bags in slide order, one row per member
     assert ydb.slide_ids == [slide.slide_id for slide in db_slides]
-    for slide_id, coords in zip(ydb.slide_ids, np.split(ydb.coords, ydb.starts[1:])):
+    slide_coords = (ydb.coords[ydb.slide == s] for s in range(len(ydb)))
+    for slide_id, coords in zip(ydb.slide_ids, slide_coords):
         assert [tuple(c) for c in coords.tolist()] == [coord for _, coord in bags[slide_id]]
 
     for q in queries:
@@ -224,7 +225,7 @@ def test_criterion_04_brute_force_equivalence():
             )
             got = retccl.query_patches(rdb, patch, k=30)
             want_ids = [
-                patch_ref(rdb.slide_ids[rdb.slide[j]], *rdb.patch_coords[j]) for j in order[:30]
+                patch_ref(rdb.slide_ids[rdb.slide[j]], *rdb.coords[j]) for j in order[:30]
             ]
             assert [e.target_id for e in got.entries] == want_ids
             for e, j in zip(got.entries, order):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from wsisearch.errors import UnsupportedOperationError, ValidationError
 from wsisearch.hshr import (
+    HshrDatabase,
     HshrParams,
+    SlideSignature,
     _knn_columns,
     build_database,
     build_hypergraph,
@@ -19,15 +21,23 @@ from wsisearch.hshr import (
     ranked_scores,
     slide_signature,
 )
-from wsisearch.model import binarize_barcode, hamming_matrix, slide_seed
+from wsisearch.model import (
+    CandidateFilter,
+    RetrievalResult,
+    SlideRecord,
+    binarize_barcode,
+    check_k,
+    hamming_matrix,
+    kept_slides,
+    ranked_result,
+    slide_seed,
+)
 from wsisearch.mosaic import build_mosaic_fixed, build_mosaic_percent, histogram_matrix
 
 from util import make_slide, packed
 
 
 def signature_with_hash(slide_id: str, bits: str):
-    from wsisearch.hshr import SlideSignature
-
     return SlideSignature(slide_id=slide_id, slide_hash=packed(bits))
 
 
@@ -191,27 +201,27 @@ class TestScoring:
 
     def test_scores_finite_and_descending(self, corpus):
         slides, db = corpus
-        ranked = ranked_scores(db, prepare_query(db, slides[6]))
-        scores = [s for s, _ in ranked]
-        assert all(np.isfinite(scores))
-        assert scores == sorted(scores, reverse=True)
+        order, scores = ranked_scores(db, prepare_query(db, slides[6]))
+        assert sorted(order.tolist()) == list(range(len(db)))
+        assert np.all(np.isfinite(scores))
+        assert np.all(np.diff(scores[order]) <= 0)
 
     def test_far_query_is_ordered_without_error(self, corpus):
         slides, db = corpus
         bits = np.unpackbits(db.hashes[0], count=db.code_length)
         flipped = "".join("0" if b else "1" for b in bits)
         far = signature_with_hash("far", flipped)
-        ranked = ranked_scores(db, far)
-        assert len(ranked) == len(db)
-        assert all(np.isfinite(s) for s, _ in ranked)
+        order, scores = ranked_scores(db, far)
+        assert len(order) == len(scores) == len(db)
+        assert np.all(np.isfinite(scores))
 
     def test_query_slides_slices_top_k(self, corpus):
         slides, db = corpus
         sig = prepare_query(db, slides[2])
         res = query_slides(db, sig, k=4)
         assert len(res) == 4
-        full = ranked_scores(db, sig)
-        assert res.target_ids() == [sid for _, sid in full[:4]]
+        order, _ = ranked_scores(db, sig)
+        assert res.target_ids() == [db.slide_ids[s] for s in order[:4]]
 
     def test_candidate_filter_respected(self, corpus):
         slides, db = corpus
@@ -236,3 +246,121 @@ class TestPatchRefusal:
         slides, db = corpus
         with pytest.raises(UnsupportedOperationError, match="hshr"):
             query_patch_set(db, slides[0])
+
+
+# Ranking as it stood when ties fell to (score, slide_id) tuples sorted in
+# Python: the code below is that version's, word for word, except that its
+# names carry a legacy prefix and it reads knn_k from the database's params
+# (the graph kept a copy of it).  That version broke neighbour ties by build
+# position, so it is the reference only for slides built in slide_id order.
+
+
+def legacy_ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, str]]:
+    """Scores of every database slide against the query, best first.
+
+    The query becomes vertex/hyperedge T in a copy of the incidence matrix;
+    scoring reads row T of the row-normalized weighted products.  Returns
+    (score, slide_id) sorted descending, ties by slide_id; the caller slices
+    its top-k after any candidate filtering.
+    """
+    t = len(db)
+    ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
+    affinity = 1.0 - ham / float(db.code_length)
+
+    extended = np.zeros((t + 1, t + 1), dtype=np.float64)
+    extended[:t, :t] = db.graph.incidence
+    neighbors = np.argsort(ham, kind="stable")[: min(db.params.knn_k, t)]
+    extended[neighbors, t] = affinity[neighbors]
+    extended[t, t] = 1.0
+
+    q_column = extended[:, t]
+    q_weight = q_column[q_column > 0].mean()
+    weights = np.concatenate([db.graph.edge_weights, [q_weight]])
+
+    adjacency = extended @ np.diag(weights) @ extended.T
+    vertex_sim = adjacency / adjacency.sum(axis=1, keepdims=True)
+    overlap = extended.T @ extended
+    edge_sim = overlap / overlap.sum(axis=1, keepdims=True)
+    scores = db.params.alpha * vertex_sim[t, :t] + db.params.beta * edge_sim[t, :t]
+
+    ranked = sorted(
+        ((float(scores[i]), db.slide_ids[i]) for i in range(t)),
+        key=lambda pair: (-pair[0], pair[1]),
+    )
+    return ranked
+
+
+def legacy_query_slides(
+    db: HshrDatabase,
+    query: SlideRecord | SlideSignature,
+    k: int,
+    candidate_filter: CandidateFilter | None = None,
+) -> RetrievalResult:
+    """Top-k database slides by combined vertex and hyperedge similarity."""
+    check_k(k)
+    signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    kept = kept_slides(candidate_filter, db)
+    slide_of = {slide_id: s for s, slide_id in enumerate(db.slide_ids)}
+    hits = (
+        (slide_id, db.labels[slide_of[slide_id]], score)
+        for score, slide_id in legacy_ranked_scores(db, signature)
+        if kept[slide_of[slide_id]]
+    )
+    return ranked_result(hits, k, "hypergraph")
+
+
+#: dim-5 integer rows: 4-bit hashes, so hash distances tie all the time,
+#: and slides built from the same rows share their hash exactly
+TIE_POOL = np.array(
+    [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [0, 2, 1, 3, 2], [1, 1, 1, 1, 2], [3, 0, 3, 0, 3]],
+    dtype=np.float32,
+)
+TIE_NAMES = ["s3", "s10", "s1", "b", "a2", "a10", "a", "a\x00"]
+
+
+@st.composite
+def tie_corpora(draw):
+    """(slides in a drawn order, query signatures, filter, k, params)."""
+    names = draw(st.permutations(TIE_NAMES))[: draw(st.integers(1, len(TIE_NAMES)))]
+    rows = st.lists(st.integers(0, len(TIE_POOL) - 1), min_size=1, max_size=3)
+    slides = [
+        make_slide(name, TIE_POOL[draw(rows)], site=draw(st.sampled_from(["brain", "lung"])))
+        for name in names
+    ]
+    params = HshrParams(k_fixed=draw(st.integers(1, 3)), knn_k=draw(st.integers(1, 9)))
+    queries = [
+        SlideSignature("q", binarize_barcode(TIE_POOL[i])) for i in draw(st.lists(
+            st.integers(0, len(TIE_POOL) - 1), min_size=1, max_size=3))
+    ]
+    site = draw(st.sampled_from([None, "brain", "lung"]))
+    candidate_filter = None if site is None else (lambda sid, lab: lab.site == site)
+    return slides, queries, candidate_filter, draw(st.integers(1, len(TIE_NAMES) + 1)), params
+
+
+class TestEquivalenceWithSortedTuples:
+    @given(tie_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_any_build_order_ranks_as_sorted_build(self, case):
+        slides, queries, candidate_filter, k, params = case
+        db = build_database(slides, params)
+        by_id = build_database(sorted(slides, key=lambda s: s.slide_id), params)
+        assert db.slide_ids == by_id.slide_ids == sorted(s.slide_id for s in slides)
+        assert db.graph.incidence.tobytes() == by_id.graph.incidence.tobytes()
+        for sig in queries:
+            order, scores = ranked_scores(db, sig)
+            assert [(float(scores[s]), db.slide_ids[s]) for s in order.tolist()] == (
+                legacy_ranked_scores(by_id, sig)
+            )
+            assert query_slides(db, sig, k, candidate_filter) == legacy_query_slides(
+                by_id, sig, k, candidate_filter
+            )
+
+    def test_equal_scores_rank_by_slide_id(self):
+        # identical slides share a hash, and with every slide in every
+        # hyperedge the graph is symmetric, so all four scores tie exactly
+        slides = [make_slide(name, TIE_POOL[:2]) for name in ["d", "c", "a\x00", "a"]]
+        db = build_database(slides, HshrParams(knn_k=10))
+        sig = prepare_query(db, make_slide("q", TIE_POOL[:2]))
+        order, scores = ranked_scores(db, sig)
+        assert len(set(scores.tolist())) == 1
+        assert query_slides(db, sig, k=4).target_ids() == ["a", "a\x00", "c", "d"]

@@ -238,9 +238,12 @@ class TestDatabaseEnvelope:
         # version 1 held '0'/'1' string barcodes; version 2 held per-slide
         # yottixel bags and unused HSHR signature fields; version 3 held
         # SISH's vEB tree and per-patch entries; version 4 held RetCCL's
-        # per-row slide ids and the RetCCL and HSHR label dicts.  Each
-        # changed the engine classes' fields, so such files must not load
-        for version in (1, 2, 3, 4):
+        # per-row slide ids and the RetCCL and HSHR label dicts; version 5
+        # held yottixel's slide starts, RetCCL's patch_coords, SISH's
+        # subtype_freq dict and HSHR's graph-level knn_k, and rows that
+        # followed input order.  Each changed the engine classes' fields,
+        # so such files must not load
+        for version in (1, 2, 3, 4, 5):
             path = tmp_path / f"v{version}.db"
             envelope = {
                 "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None

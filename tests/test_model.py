@@ -16,6 +16,7 @@ from wsisearch.model import (
     PatchFeature,
     SlideRecord,
     binarize_barcode,
+    encode_slides,
     hamming_distance,
     hamming_matrix,
     label_entropy,
@@ -100,6 +101,11 @@ class TestHamming:
             for j in range(7):
                 assert mat[i, j] == int(np.sum(a[i] != b[j]))
 
+    def test_every_byte_pair_counts_its_differing_bits(self):
+        byte = np.arange(256, dtype=np.uint8)[:, None]
+        expected = [[bin(x ^ y).count("1") for y in range(256)] for x in range(256)]
+        assert hamming_matrix(byte, byte).tolist() == expected
+
     def test_pack_requires_2d(self):
         # packing takes one feature vector or a matrix of them, nothing deeper
         with pytest.raises(DimensionError):
@@ -167,6 +173,24 @@ class TestIdentityHelpers:
         assert s.dim == 6
         assert s.features.shape == (4, 6)
         assert s.coords.shape == (4, 2)
+
+
+class TestEncodeSlides:
+    def test_kept_in_slide_id_order_unprocessed_in_input_order(self):
+        # Python string order: a trailing NUL sorts after the bare id
+        names = ["b", "x2", "a\x00", "x1", "a", "\x00"]
+        slides = [make_slide(name, np.arange(6.0)[None, :]) for name in names]
+
+        def encode(slide):
+            if slide.slide_id.startswith("x"):
+                raise ValidationError(f"cannot encode {slide.slide_id}")
+            return slide.slide_id.upper()
+
+        kept, unprocessed = encode_slides(slides, encode)
+        assert [(slide.slide_id, code) for slide, code in kept] == [
+            ("\x00", "\x00"), ("a", "A"), ("a\x00", "A\x00"), ("b", "B")
+        ]
+        assert unprocessed == [("x2", "cannot encode x2"), ("x1", "cannot encode x1")]
 
 
 def slide_of(coords, features, slide_id="s0"):

@@ -56,7 +56,7 @@ def label_db(slide_subtypes: dict[str, str], row_slides: list[str]) -> RetcclDat
         labels=[SlideLabels("brain", slide_subtypes[sid], f"pt-{sid}") for sid in slide_ids],
         unit_features=np.zeros((len(row_slides), 4)),
         slide=np.array([slide_ids.index(sid) for sid in row_slides], dtype=np.int64),
-        patch_coords=np.zeros((len(row_slides), 2), dtype=np.int32),
+        coords=np.zeros((len(row_slides), 2), dtype=np.int32),
     )
 
 
@@ -82,7 +82,7 @@ def axis_db():
 
 
 class TestBuild:
-    def test_slide_table_sorted_and_rows_in_build_order(self):
+    def test_slide_table_and_rows_in_slide_id_order(self):
         rng = np.random.default_rng(5)
         names = ["s3", "s10", "b", "s1"]  # arrival order is not slide_id order
         slides = [
@@ -94,13 +94,12 @@ class TestBuild:
         by_id = {s.slide_id: s for s in slides}
         assert db.labels == [by_id[sid].labels for sid in db.slide_ids]
         assert db.slide.dtype == np.int64
-        assert [hit_slide(db, j) for j in range(db.n_patches)] == [
-            s.slide_id for s in slides for _ in range(len(s.coords))
-        ]
-        rows = np.concatenate([s.features for s in slides]).astype(np.float64)
+        in_order = [by_id[sid] for sid in db.slide_ids]
+        assert np.array_equal(db.slide, np.repeat(np.arange(4), [len(s.coords) for s in in_order]))
+        rows = np.concatenate([s.features for s in in_order]).astype(np.float64)
         for unit, row in zip(db.unit_features, rows):
             assert np.array_equal(unit, row / np.linalg.norm(row))
-        assert np.array_equal(db.patch_coords, np.concatenate([s.coords for s in slides]))
+        assert np.array_equal(db.coords, np.concatenate([s.coords for s in in_order]))
         assert len(db) == 4
 
 
@@ -160,13 +159,13 @@ class TestBuildBags:
 
     def test_cross_slide_tie_goes_to_lower_slide_id(self):
         feats = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        # "b" is indexed first; "a" repeats its features, so cosines tie exactly
+        # "b" arrives first; "a" repeats its features, so cosines tie exactly
         slides = [make_slide("b", feats), make_slide("a", 2.0 * feats)]
         db = build_database(slides, RetcclParams(fraction=1.0, seed=0))
         (only,) = build_bags(db, feats[:1])
         assert only.scores[0] == only.scores[1]
         assert [hit_slide(db, j) for j in only.hits] == ["a", "b"]
-        assert only.hits.tolist() == [2, 0]
+        assert only.hits.tolist() == [0, 2]  # rows run in slide_id order
 
 
 class TestFilterAndOrder:
@@ -293,7 +292,7 @@ def legacy_db(db: RetcclDatabase) -> LegacyDatabase:
         dim=db.dim,
         unit_features=db.unit_features,
         patch_slides=[db.slide_ids[s] for s in db.slide.tolist()],
-        patch_coords=db.patch_coords,
+        patch_coords=db.coords,
         slide_labels=dict(zip(db.slide_ids, db.labels)),
     )
 

@@ -58,7 +58,7 @@ def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "
         ordinal=np.array([r[2] for r in rows], dtype=np.int64),
         coords=np.zeros((len(rows), 2), dtype=np.int32),
         codes=np.stack([packed(code_bits)] * len(rows)),
-        subtype_freq={s: c / len(subtype_of) for s, c in counts.items()},
+        freq=np.array([counts[subtype_of[sid]] / len(subtype_of) for sid in slide_ids]),
     )
 
 

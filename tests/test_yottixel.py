@@ -1,6 +1,7 @@
 """Barcode engine: bag construction and Hamming ranking."""
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -35,6 +36,11 @@ from wsisearch.yottixel import (
 )
 
 from util import gaussian_slides, make_slide, patch_at
+
+
+def slide_starts(db) -> np.ndarray:
+    """First row of each slide; a database's rows run in slide order."""
+    return np.searchsorted(db.slide, np.arange(len(db)))
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +79,9 @@ class TestBuild:
     def test_bags_use_mosaic_subset(self, two_cluster_db):
         slides, db = two_cluster_db
         assert db.packed.shape == (len(db.coords), 3)  # 23 bits per row
-        assert db.starts[0] == 0 and np.all(np.diff(db.starts) > 0)
-        for slide, coords in zip(slides, np.split(db.coords, db.starts[1:])):
+        assert db.slide.dtype == np.int64 and np.all(np.diff(db.slide) >= 0)
+        assert np.array_equal(np.unique(db.slide), np.arange(len(db)))
+        for slide, coords in zip(slides, np.split(db.coords, slide_starts(db)[1:])):
             assert 1 <= len(coords) <= len(slide.coords)
             assert set(map(tuple, coords.tolist())) <= set(map(tuple, slide.coords.tolist()))
 
@@ -82,18 +89,18 @@ class TestBuild:
 class TestMedianMinHamming:
     def test_identical_bags_score_zero(self, two_cluster_db):
         _, db = two_cluster_db
-        bag = np.split(db.packed, db.starts[1:])[0]
-        assert median_min_hamming(bag, db.packed, db.starts)[0] == 0.0
+        bag = np.split(db.packed, slide_starts(db)[1:])[0]
+        assert median_min_hamming(bag, db.packed, slide_starts(db))[0] == 0.0
 
     def test_matches_slow_formula(self, two_cluster_db):
         _, db = two_cluster_db
-        bags = np.split(db.packed, db.starts[1:])
+        bags = np.split(db.packed, slide_starts(db)[1:])
         query = np.concatenate([bags[0][:2], bags[5]])
         expected = [
             float(np.median([min(hamming_distance(q, t) for t in bag) for q in query]))
             for bag in bags
         ]
-        assert median_min_hamming(query, db.packed, db.starts).tolist() == expected
+        assert median_min_hamming(query, db.packed, slide_starts(db)).tolist() == expected
 
     def test_one_kernel_call_per_query(self, two_cluster_db, monkeypatch):
         import wsisearch.yottixel as yottixel
@@ -186,8 +193,30 @@ class TestPatchQuery:
         assert 1 <= len(patches) <= len(slides[0].coords)
 
 
-# Ranking as it stood before it became one lexsort: the code below is that
-# version's, word for word, except that its names carry a legacy prefix.
+# Ranking as it stood before it became one stable sort: the code below is
+# that version's, word for word, except that its names carry a legacy
+# prefix.  It reads per-slide row starts and sorts by slide_id itself;
+# legacy_db derives the starts from a database's ``slide`` column.
+
+
+@dataclass
+class LegacyDatabase:
+    params: YottixelParams
+    dim: int
+    slide_ids: list[str]
+    labels: list[SlideLabels]
+    packed: np.ndarray
+    coords: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.slide_ids)
+
+
+def legacy_db(db: YottixelDatabase) -> LegacyDatabase:
+    return LegacyDatabase(
+        db.params, db.dim, db.slide_ids, db.labels, db.packed, db.coords, slide_starts(db)
+    )
 
 
 def legacy_kept_slides(
@@ -200,7 +229,7 @@ def legacy_kept_slides(
 
 
 def legacy_query_slides(
-    db: YottixelDatabase,
+    db: LegacyDatabase,
     query: SlideRecord | np.ndarray,
     k: int,
     candidate_filter: CandidateFilter | None = None,
@@ -218,7 +247,7 @@ def legacy_query_slides(
 
 
 def legacy_query_patches(
-    db: YottixelDatabase,
+    db: LegacyDatabase,
     patch: PatchFeature,
     k: int,
     candidate_filter: CandidateFilter | None = None,
@@ -250,9 +279,10 @@ TIE_CODES = np.array([[0b00000000], [0b00001111], [0b11110000], [0b00111100]], d
 
 @st.composite
 def tie_databases(draw):
-    """(database, query feature, prepared query rows, filter, k): slides
-    arrive in a drawn order and share codes drawn from TIE_CODES."""
-    names = draw(st.permutations(TIE_NAMES))[: draw(st.integers(1, len(TIE_NAMES)))]
+    """(database, query feature, prepared query rows, filter, k): drawn
+    slides, listed in slide_id order as every build lists them, share codes
+    drawn from TIE_CODES."""
+    names = sorted(draw(st.permutations(TIE_NAMES))[: draw(st.integers(1, len(TIE_NAMES)))])
     sizes = [draw(st.integers(1, 4)) for _ in names]
     codes = draw(st.lists(st.integers(0, 3), min_size=sum(sizes), max_size=sum(sizes)))
     subtypes = [draw(st.sampled_from(["gbm", "lgg"])) for _ in names]
@@ -264,7 +294,7 @@ def tie_databases(draw):
         labels=[SlideLabels("brain", sub, f"pt-{i}") for i, sub in enumerate(subtypes)],
         packed=TIE_CODES[codes],
         coords=np.array([(j, 0) for n in sizes for j in range(n)], dtype=np.int32),
-        starts=np.cumsum([0] + sizes[:-1]),
+        slide=np.repeat(np.arange(len(names)), sizes),
     )
     feature = np.array(draw(st.lists(st.integers(-2, 2), min_size=9, max_size=9)), dtype=np.float32)
     prepared = TIE_CODES[draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))]
@@ -280,24 +310,18 @@ class TestEquivalenceWithSortedRanking:
         db, feature, prepared, candidate_filter, k = case
         patch = PatchFeature(0, 0, feature)
         assert query_patches(db, patch, k, candidate_filter) == legacy_query_patches(
-            db, patch, k, candidate_filter
+            legacy_db(db), patch, k, candidate_filter
         )
         assert query_slides(db, prepared, k, candidate_filter) == legacy_query_slides(
-            db, prepared, k, candidate_filter
+            legacy_db(db), prepared, k, candidate_filter
         )
 
     def test_trailing_nul_ids_keep_python_order(self):
-        db = YottixelDatabase(
-            params=YottixelParams(),
-            dim=9,
-            code_length=8,
-            slide_ids=["a\x00", "a"],
-            labels=[SlideLabels("brain", "gbm", "p0"), SlideLabels("brain", "gbm", "p1")],
-            packed=TIE_CODES[[0, 0]],
-            coords=np.zeros((2, 2), dtype=np.int32),
-            starts=np.array([0, 1]),
-        )
-        res = query_slides(db, TIE_CODES[:1], k=2)
+        # two one-patch slides with one code, arriving out of order
+        feature = np.zeros((1, 9))
+        db = build_database([make_slide("a\x00", feature), make_slide("a", feature)])
+        assert db.slide_ids == ["a", "a\x00"]
+        res = query_slides(db, prepare_query(db, make_slide("q", feature)), k=2)
         assert res.target_ids() == ["a", "a\x00"]
         patch = PatchFeature(0, 0, np.zeros(9, dtype=np.float32))  # barcode of all zeros
         assert [e.target_id for e in query_patches(db, patch, k=2).entries] == ["a:0,0", "a\x00:0,0"]
