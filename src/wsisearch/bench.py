@@ -1,8 +1,9 @@
 """Query-time scaling measurements against synthetic databases.
 
-For each database size T the harness builds a fresh synthetic corpus,
+For each database size T the harness builds a fresh synthetic corpus and
 prepares the query representations up front (mosaics and signatures are
-indexing work, not search work), then times only the query stage.  The
+indexing work, not search work).  It then times only the query stage,
+taking the repetitions round-robin across the sizes.  The
 fitted log-log slope of median query time against T sits next to each
 engine's theoretical exponent so scaling regressions are visible at a
 glance.
@@ -80,20 +81,24 @@ def bench_query(engine: str, spec: BenchSpec | None = None) -> EngineBench:
     mod = ENGINE_MODULES[engine]
     params = make_params(engine, {"seed": spec.seed})
 
-    medians: list[float] = []
+    # every size's database first, then the repetitions round-robin across
+    # sizes, so drift in the host's speed hits every size alike
+    prepared = []
     for size in spec.sizes:
         db_slides, query_slides = _corpus(size, spec)
         db = mod.build_database(db_slides, params)
-        prepared = [mod.prepare_query(db, q) for q in query_slides]
+        queries = [mod.prepare_query(db, q) for q in query_slides]
+        mod.query_slides(db, queries[0], spec.k)  # warm caches before timing
+        prepared.append((db, queries))
 
-        mod.query_slides(db, prepared[0], spec.k)  # warm caches before timing
-        samples: list[float] = []
-        for _ in range(spec.repetitions):
-            for query in prepared:
+    samples: list[list[float]] = [[] for _ in spec.sizes]
+    for _ in range(spec.repetitions):
+        for (db, queries), times in zip(prepared, samples):
+            for query in queries:
                 t0 = time.perf_counter()
                 mod.query_slides(db, query, spec.k)
-                samples.append(time.perf_counter() - t0)
-        medians.append(float(np.median(samples)))
+                times.append(time.perf_counter() - t0)
+    medians = [float(np.median(times)) for times in samples]
 
     slope = float(np.polyfit(np.log(spec.sizes), np.log(medians), 1)[0])
     return EngineBench(

@@ -9,11 +9,14 @@ filter (the CLI does this), which keeps the candidate set identical but
 computes database-wide statistics globally.
 
 Per-query work may run on a thread pool; rows are keyed by query_id and
-sorted before writing so the output is independent of scheduling.
+sorted before writing so the output is independent of scheduling.  Next to
+the rows and summary, a run writes run.json: the slides each database left
+unprocessed, with the reason, and how many queries abstained.
 """
 from __future__ import annotations
 
 import csv
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,9 +158,9 @@ def _query_one(
     task: str,
     k_max: int,
     candidate_filter: CandidateFilter,
-) -> list[QueryRow]:
-    """All rows one query slide produces; unprocessable queries abstain with
-    an all-null row rather than killing the run."""
+) -> list[QueryRow] | None:
+    """All rows one query slide produces, or None when it abstains: an
+    unprocessable query abstains rather than killing the run."""
     mod = ENGINE_MODULES[engine]
     try:
         if task == TASK_PATCH:
@@ -183,22 +186,30 @@ def _query_one(
             )
         ]
     except (UnprocessedSlideError, UnsupportedOperationError):
-        return [_null_row(query, k_max)]
+        return None
 
 
 def _query_all(
-    worker: Callable[[SlideRecord], list[QueryRow]],
+    worker: Callable[[SlideRecord], list[QueryRow] | None],
     queries: Sequence[SlideRecord],
     jobs: int,
-) -> list[QueryRow]:
+    k_max: int,
+) -> tuple[list[QueryRow], int]:
     """Every query's rows, sorted by query_id so the thread schedule never
-    shows in the output."""
+    shows in the output, and the number of queries that abstained (the
+    worker returned None); each of those gets one all-null row."""
     if jobs == 1:
         per_query = [worker(q) for q in queries]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_query = list(pool.map(worker, queries))
-    return sorted((row for rows in per_query for row in rows), key=lambda r: r.query_id)
+    rows = [
+        row
+        for query, query_rows in zip(queries, per_query)
+        for row in (query_rows if query_rows is not None else [_null_row(query, k_max)])
+    ]
+    abstained = sum(query_rows is None for query_rows in per_query)
+    return sorted(rows, key=lambda r: r.query_id), abstained
 
 
 def _patient_filter(query: SlideRecord) -> CandidateFilter:
@@ -214,8 +225,10 @@ def run_experiment(
 ) -> "ExperimentReport":
     """Full run: build database(s), query everything, write rows + summary.
 
-    The subtype task builds one database per site from that site's slides;
-    queries whose site has no database slides abstain with all-null rows.
+    The subtype task builds one database per site from that site's slides,
+    named by the site; queries whose site has no database slides abstain
+    with all-null rows.  The other tasks build one database, named
+    ``all``.
     """
     k_max = config.effective_k
     mod = ENGINE_MODULES[config.engine]
@@ -233,23 +246,28 @@ def run_experiment(
             return databases.get(query.site)
 
     else:
-        database = mod.build_database(db_slides, params)
+        databases = {"all": mod.build_database(db_slides, params)}
 
         def db_for(query: SlideRecord):
-            return database
+            return databases["all"]
 
-    def worker(query: SlideRecord) -> list[QueryRow]:
+    def worker(query: SlideRecord) -> list[QueryRow] | None:
         db = db_for(query)
         if db is None:
-            return [_null_row(query, k_max)]
+            return None
         return _query_one(
             config.engine, db, query, config.task, k_max, _patient_filter(query)
         )
 
-    rows = _query_all(worker, query_slides, config.jobs)
+    rows, abstained = _query_all(worker, query_slides, config.jobs, k_max)
     summary = compute_summary(rows, config.task)
+    unprocessed = [
+        (name, slide_id, reason)
+        for name, db in databases.items()
+        for slide_id, reason in db.unprocessed
+    ]
 
-    rows_path = summary_csv = summary_txt = None
+    rows_path = summary_csv = summary_txt = run_json = None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,6 +285,8 @@ def run_experiment(
                 "queries": str(len(rows)),
             },
         )
+        run_json = out_dir / "run.json"
+        write_run_report(run_json, unprocessed, abstained)
     return ExperimentReport(
         config=config,
         rows=rows,
@@ -274,6 +294,9 @@ def run_experiment(
         rows_path=rows_path,
         summary_csv=summary_csv,
         summary_txt=summary_txt,
+        unprocessed=unprocessed,
+        abstained=abstained,
+        run_json=run_json,
     )
 
 
@@ -304,7 +327,7 @@ def query_rows_against_db(
             keep = patient_ok
         return _query_one(engine, db, query, task, k, keep)
 
-    return _query_all(worker, query_slides, jobs)
+    return _query_all(worker, query_slides, jobs, k)[0]
 
 
 @dataclass
@@ -315,6 +338,9 @@ class ExperimentReport:
     rows_path: Path | None
     summary_csv: Path | None
     summary_txt: Path | None
+    unprocessed: list[tuple[str, str, str]]  # (database, slide_id, reason)
+    abstained: int  # queries answered with an all-null row
+    run_json: Path | None
 
 
 def compute_summary(rows: Sequence[QueryRow], task: str) -> dict[str, float | None]:
@@ -339,6 +365,20 @@ def compute_summary(rows: Sequence[QueryRow], task: str) -> dict[str, float | No
         values = [ap_at_k(row, k, plan.field) for row in rows]
         summary[f"mAP@{k}"] = aggregate_mean(values)
     return summary
+
+
+def write_run_report(
+    path: str | Path, unprocessed: Sequence[tuple[str, str, str]], abstained: int
+) -> None:
+    """run.json: each database's unprocessed slides and the abstained count."""
+    report = {
+        "unprocessed": [
+            {"database": name, "slide_id": slide_id, "reason": reason}
+            for name, slide_id, reason in unprocessed
+        ],
+        "abstained_queries": abstained,
+    }
+    Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
 
 def _row_header(k_max: int) -> list[str]:

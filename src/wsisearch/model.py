@@ -277,13 +277,33 @@ def ranked_patches(db, rows: np.ndarray, scores: np.ndarray, k: int, kind: str) 
     return ranked_result(hits, k, kind)
 
 
-def label_entropy(labels: Iterable[str]) -> float:
-    """Shannon entropy (natural log) of the empirical label distribution."""
-    counts = Counter(labels)
-    total = sum(counts.values())
+def label_entropy(labels: Iterable | np.ndarray) -> float:
+    """Shannon entropy (natural log) of the empirical label distribution.
+
+    Labels are non-negative integer codes (subtype_codes) or any sortable
+    values, which are coded first.  The terms are summed in order of each
+    label's first occurrence, with Python floats, so the result is bit for
+    bit that of summing over a ``Counter`` of the labels.
+    """
+    if not isinstance(labels, np.ndarray):
+        labels = np.array(list(labels))
+    total = len(labels)
     if total == 0:
         raise EmptyInputError("label entropy is undefined for an empty multiset")
-    return -sum((c / total) * math.log(c / total) for c in counts.values())
+    if labels.dtype.kind not in "iu":
+        labels = np.unique(labels, return_inverse=True)[1]
+    counts = np.bincount(labels)
+    first = np.full(len(counts), total)
+    np.minimum.at(first, labels, np.arange(total))
+    present = np.flatnonzero(counts)
+    in_order = counts[present[np.argsort(first[present])]]
+    return -sum((c / total) * math.log(c / total) for c in in_order.tolist())
+
+
+def subtype_codes(labels: Sequence[SlideLabels]) -> np.ndarray:
+    """Per slide, an integer code of its subtype: equal codes, equal subtypes."""
+    codes: dict[str, int] = {}
+    return np.array([codes.setdefault(l.subtype, len(codes)) for l in labels], dtype=np.int64)
 
 
 def hamming_matrix(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:

@@ -4,20 +4,21 @@ Two recipes exist.  The percent recipe clusters patches by an arbitrary
 per-patch feature (the caller chooses raw features or a histogram
 surrogate), then keeps a fixed fraction of each cluster by running a second
 k-means on the spatial coordinates and picking the patch nearest each
-spatial centroid.  The fixed recipe clusters patch features into a fixed
-number of classes and keeps the centroids themselves as synthetic patches.
-A mosaic is columnar like its slide: row i of coords and features is member i.
+spatial centroid; it takes a batch of slides, whose spatial clusterings
+all run in one lockstep pass.  The fixed recipe clusters patch features into
+a fixed number of classes and keeps the centroids themselves as synthetic
+patches.  A mosaic is columnar like its slide: row i of coords and features
+is member i.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, ValidationError
-from .model import SlideRecord, slide_seed
+from .model import Encoding, SlideRecord, encode_slides, slide_seed
 
 PERCENT_OF_CLUSTERS = "percent_of_clusters"
 FIXED_CENTROIDS = "fixed_centroids"
@@ -33,6 +34,11 @@ UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 #: per dimension, more than the absolute error that underflowing products add
 #: to the two distance forms together
 SUBNORMAL_SLACK = 8 * np.finfo(np.float64).smallest_subnormal
+#: (point, center) pairs, or padded distances, the spatial stage of the
+#: percent mosaic forms at once, to bound its temporaries
+PAIR_BLOCK = 16384
+#: sums of integers below this are exact in any order
+EXACT_SUM = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -246,11 +252,6 @@ def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) ->
     return KMeansResult(assignments=assign, centroids=centers)
 
 
-def _nearest_point_index(points: np.ndarray, target: np.ndarray) -> int:
-    # ties resolve to the lowest index via argmin
-    return int(((points - target) ** 2).sum(axis=1).argmin())
-
-
 def _spawn_seeds(seed: int, count: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
@@ -267,67 +268,298 @@ def check_mosaic_params(k_primary: int, fraction: float, bins: int = 1) -> None:
         raise ValidationError(f"histogram_bins must be >= 1, got {bins}")
 
 
+def _sq_distances(px, py, cx, cy) -> np.ndarray:
+    """``((p - c) ** 2).sum()`` of 2-D points, the reference arithmetic: one
+    square per coordinate difference, then one addition."""
+    dx = px - cx
+    dy = py - cy
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _next_centers(
+    d2: np.ndarray,
+    start: np.ndarray,
+    group: np.ndarray,
+    pos: np.ndarray,
+    first: int,
+    last: int,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Position within its group of the next k-means++ center of each group
+    ``first`` up to ``last``, from each group's distances ``d2`` and its
+    uniform draw ``u``: the ``(d2 / total).cumsum()`` search kmeans makes.
+
+    The groups' distances fill one zero-padded row each, longest first, so
+    a row-wise cumsum adds each group's terms in its own order.  The
+    distances are integers, and so is every partial sum of a total below
+    2**53, whatever the order; a larger total is the group's own ``sum()``.
+    """
+    span = slice(start[first], start[last])
+    sizes = start[first + 1 : last + 1] - start[first:last]
+    rows = np.zeros((last - first, sizes[0]))
+    rows[group[span] - first, pos[span]] = d2[span]
+    totals = rows.sum(axis=1)
+    for j in np.flatnonzero(totals >= EXACT_SUM).tolist():
+        totals[j] = d2[start[first + j] : start[first + j + 1]].sum()
+    rows /= totals[:, None]
+    cdf = np.cumsum(rows, axis=1)
+    # padding repeats a row's last sum, which normalizes to 1 > u
+    cdf /= cdf[np.arange(last - first), sizes - 1][:, None]
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
+def _seeding_draws(seed: int, size: int, k: int) -> tuple[int, np.ndarray]:
+    """What kmeans draws to seed k centers among ``size`` distinct points."""
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(size)), rng.random(k - 1)
+
+
+def _seed_centers(
+    px: np.ndarray,
+    py: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    start: np.ndarray,
+    group: np.ndarray,
+    k: np.ndarray,
+    seeds: list[int],
+) -> None:
+    """k-means++ seeding of groups 0 up to len(seeds), whose k > 1, into
+    centers ``cx``, ``cy``, one center per group per step.
+
+    Group g draws what kmeans draws from ``default_rng(seeds[g])``: the
+    first center's index, then one uniform per further center.
+
+    Group g owns points start[g] up to start[g + 1] and centers from
+    (k[:g]).sum() on; groups run longest first, so the groups still drawing
+    at step i are a prefix.
+    """
+    seeded = len(seeds)
+    n = np.diff(start[: seeded + 1])
+    cstart = np.cumsum(k[:seeded]) - k[:seeded]
+    live = int(start[seeded])
+    pos = np.arange(live) - start[group[:live]]
+    firsts, uniforms = zip(*map(_seeding_draws, seeds, n.tolist(), k[:seeded].tolist()))
+    chosen = start[:seeded] + np.array(firsts)
+    uniforms = np.concatenate(uniforms)
+    ustart = cstart - np.arange(seeded)  # k - 1 uniforms per group
+    cx[cstart], cy[cstart] = px[chosen], py[chosen]
+    d2 = _sq_distances(
+        px[:live], py[:live], np.repeat(px[chosen], n), np.repeat(py[chosen], n)
+    )
+    for i in range(1, int(k[0])):
+        drawing = int(np.count_nonzero(k > i))
+        picked = np.empty(drawing, dtype=np.int64)
+        a = 0
+        while a < drawing:
+            b = min(drawing, a + max(1, PAIR_BLOCK // int(n[a])))
+            u = uniforms[ustart[a:b] + i - 1]
+            picked[a:b] = _next_centers(d2, start, group, pos, a, b, u)
+            a = b
+        chosen = start[:drawing] + picked
+        cx[cstart[:drawing] + i], cy[cstart[:drawing] + i] = px[chosen], py[chosen]
+        span = int(start[drawing])
+        near = _sq_distances(
+            px[:span], py[:span], np.repeat(px[chosen], n[:drawing]),
+            np.repeat(py[chosen], n[:drawing]),
+        )
+        np.minimum(d2[:span], near, out=d2[:span])
+
+
+def _nearest_centers(
+    px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+    points: np.ndarray, first_center: np.ndarray, k: np.ndarray,
+) -> np.ndarray:
+    """Per point, the index within its group of the nearest of the group's
+    k centers, the lowest index on ties; a point's group has centers
+    ``first_center`` up to ``first_center + k``, and ``k`` never rises
+    along ``points``.
+
+    Points of one k form a run, whose (point, center) pairs are one
+    (points, k) block; blocks hold at most PAIR_BLOCK pairs.
+    """
+    nearest = np.empty(len(points), dtype=np.int64)
+    bounds = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), len(points)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        width = int(k[a])
+        step = max(1, PAIR_BLOCK // width)
+        for lo in range(a, b, step):
+            hi = min(b, lo + step)
+            p = points[lo:hi]
+            centers = first_center[lo:hi, None] + np.arange(width)
+            d = _sq_distances(px[p, None], py[p, None], cx[centers], cy[centers])
+            nearest[lo:hi] = d.argmin(axis=1)
+    return nearest
+
+
+def _to_means(
+    cx: np.ndarray, cy: np.ndarray, center: np.ndarray, px: np.ndarray, py: np.ndarray
+) -> None:
+    """Move each center that has points to their mean, in place; bincount
+    adds a center's points in their order, as kmeans's mean does."""
+    counts = np.bincount(center, minlength=len(cx))
+    full = np.flatnonzero(counts)
+    cx[full] = np.bincount(center, px, len(cx))[full] / counts[full]
+    cy[full] = np.bincount(center, py, len(cy))[full] / counts[full]
+
+
+def _spatial_picks(
+    points: np.ndarray, sizes: np.ndarray, seeds: Sequence[int], fraction: float
+) -> np.ndarray:
+    """Rows of ``points`` kept by the spatial stage of the percent mosaic.
+
+    ``points`` holds the (x, y) of every group, one group after another and
+    each in slide row order; group g has sizes[g] points, which must be
+    distinct.  For each group the result is what
+    ``kmeans(group, ceil(fraction * size), seeds[g])`` followed by a pick
+    of the member nearest each non-empty cluster's centroid (the lowest row
+    on ties) gives, bit for bit; every group is processed at once, in
+    lockstep.
+
+    - Groups are laid out longest first, so k = ceil(fraction * size) never
+      rises along the layout: the groups still drawing centers, and the
+      groups of one k, are contiguous.
+    - A group of k = 1 is one cluster whatever its seed, centered on its
+      mean.  Each other group draws from its own ``default_rng(seeds[g])``
+      what kmeans draws: the first center's index, then one uniform per
+      further center.  Distinct points keep every k-means++ total
+      positive, so kmeans's duplicate-point redraw never happens.
+    - Distances are formed by kmeans's own operations.  Sums of integer
+      coordinates and distances are exact while below 2**53; the centroid
+      sums also add each cluster's members in row order, as kmeans does,
+      and a larger k-means++ total is summed as kmeans sums it.
+    - A group leaves the Lloyd loop at its assignment fixpoint, or after
+      MAX_LLOYD_ITERATIONS, as kmeans does.
+    """
+    by_size = np.argsort(-sizes, kind="stable")
+    n = sizes[by_size]
+    end = np.cumsum(n)
+    start = np.concatenate(([0], end))
+    group = np.repeat(np.arange(len(n)), n)
+    perm = np.repeat(np.cumsum(sizes)[by_size] - end, n) + np.arange(end[-1])  # layout -> row
+    px, py = points[perm].T.copy()
+    k = np.ceil(fraction * n).astype(np.int64)  # fraction <= 1 keeps k <= size
+    first_center = (np.cumsum(k) - k)[group]
+    cx, cy = np.empty(int(k.sum())), np.empty(int(k.sum()))
+    assign = np.zeros(len(perm), dtype=np.int64)
+
+    seeded = int(np.count_nonzero(k > 1))
+    live = int(start[seeded])  # points of the groups of k > 1
+    if seeded:
+        group_seeds = [seeds[g] for g in by_size[:seeded].tolist()]
+        _seed_centers(px, py, cx, cy, start, group, k, group_seeds)
+        # Lloyd iterations; members holds the points of the groups still moving
+        members = np.arange(live)
+        assign[:live] = -1
+        for _ in range(MAX_LLOYD_ITERATIONS):
+            nearest = _nearest_centers(
+                px, py, cx, cy, members, first_center[members], k[group[members]]
+            )
+            moved = np.zeros(seeded, dtype=bool)
+            moved[group[members[nearest != assign[members]]]] = True
+            keep = moved[group[members]]
+            members = members[keep]
+            if not members.size:
+                break
+            assign[members] = nearest[keep]
+            _to_means(cx, cy, first_center[members] + assign[members], px[members], py[members])
+    # each group of k = 1 is one cluster, centered on its mean
+    _to_means(cx, cy, first_center[live:], px[live:], py[live:])
+
+    # per non-empty cluster, the member nearest its centroid, lowest row on ties
+    center = first_center + assign
+    d = _sq_distances(px, py, cx[center], cy[center])
+    order = np.lexsort((d, center))
+    return perm[order[np.diff(center[order], prepend=-1) != 0]]
+
+
 def build_mosaic_percent(
-    slide: SlideRecord,
-    cluster_features: np.ndarray,
+    slides: Sequence[SlideRecord],
+    cluster_features: Iterable[np.ndarray],
     k_primary: int,
     fraction: float,
-    seed: int,
-) -> Mosaic:
-    """Percent mosaic: feature clustering, then per-cluster spatial selection.
+    seeds: Sequence[int],
+) -> list[Mosaic]:
+    """Percent mosaics of ``slides``: slide i is clustered on the rows of
+    ``cluster_features[i]`` with seed ``seeds[i]``.
 
-    Within each primary cluster a spatial k-means with
+    Per slide, one feature k-means makes the primary clusters.  Within
+    each primary cluster a spatial k-means with
     k = ceil(fraction * cluster size) runs on the (x, y) coordinates and the
-    member nearest each spatial centroid is kept, so every non-empty primary
-    cluster contributes at least one patch.
+    member nearest each spatial centroid is kept, so every non-empty
+    primary cluster contributes at least one patch.  The spatial stage of
+    every slide runs as one batch (``_spatial_picks``), yet each cluster
+    draws from its own seed, so a slide's mosaic does not depend on the
+    other slides in the batch.  ``cluster_features`` may be a generator:
+    each slide's features are read once, before the spatial stage.
     """
-    feats = np.asarray(cluster_features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[:, None]
-    if feats.shape[0] != len(slide.coords):
-        raise DimensionError(
-            f"cluster_features rows ({feats.shape[0]}) must match patch count ({len(slide.coords)})"
-        )
     check_mosaic_params(k_primary, fraction)
+    if not slides:
+        return []
+    rows, sizes, spatial_seeds = [], [], []
+    for slide, features, seed in zip(slides, cluster_features, seeds, strict=True):
+        feats = np.asarray(features, dtype=np.float64)
+        if feats.ndim == 1:
+            feats = feats[:, None]
+        if feats.shape[0] != len(slide.coords):
+            raise DimensionError(
+                f"cluster_features rows ({feats.shape[0]}) must match patch count "
+                f"({len(slide.coords)}) of slide {slide.slide_id!r}"
+            )
+        primary_seed, *cluster_seeds = _spawn_seeds(seed, 1 + k_primary)
+        primary = kmeans(feats, k_primary, primary_seed)
+        # each primary cluster's members in turn, each in slide row order
+        rows.append(np.argsort(primary.assignments, kind="stable"))
+        sizes.append(primary.cluster_sizes())
+        spatial_seeds += cluster_seeds[: primary.effective_k]
 
-    primary_seed, *spatial_seeds = _spawn_seeds(seed, 1 + k_primary)
-    primary = kmeans(feats, k_primary, primary_seed)
-
-    coords = slide.coords.astype(np.float64)
-    selected: list[int] = []
-    for ci in range(primary.effective_k):
-        group = np.flatnonzero(primary.assignments == ci)
-        k_spatial = math.ceil(fraction * group.size)
-        spatial = kmeans(coords[group], k_spatial, spatial_seeds[ci])
-        for sj in range(spatial.effective_k):
-            members = group[spatial.assignments == sj]
-            pick = members[_nearest_point_index(coords[members], spatial.centroids[sj])]
-            selected.append(int(pick))
-
-    selected.sort()
-    return Mosaic(
-        slide_id=slide.slide_id,
-        coords=slide.coords[selected],
-        features=slide.features[selected],
-        method=PERCENT_OF_CLUSTERS,
-    )
+    points = np.concatenate([s.coords[r] for s, r in zip(slides, rows)]).astype(np.float64)
+    picks = _spatial_picks(points, np.concatenate(sizes), spatial_seeds, fraction)
+    slide_of = np.repeat(np.arange(len(slides)), [len(r) for r in rows])[picks]
+    row_of = np.concatenate(rows)[picks]
+    order = np.lexsort((row_of, slide_of))
+    bounds = np.cumsum(np.bincount(slide_of, minlength=len(slides)))[:-1]
+    return [
+        Mosaic(
+            slide_id=slide.slide_id,
+            coords=slide.coords[selected],
+            features=slide.features[selected],
+            method=PERCENT_OF_CLUSTERS,
+        )
+        for slide, selected in zip(slides, np.split(row_of[order], bounds))
+    ]
 
 
-def histogram_mosaic(
-    slide: SlideRecord, k_primary: int, fraction: float, bins: int, seed: int
-) -> Mosaic:
-    """Percent mosaic clustered on the per-patch histogram surrogate.
+def histogram_mosaics(
+    slides: Sequence[SlideRecord], k_primary: int, fraction: float, bins: int, seed: int
+) -> list[Mosaic]:
+    """Percent mosaics clustered on the per-patch histogram surrogate.
 
     ``seed`` is the engine's base seed; each slide draws its own from it, so
     a slide's mosaic does not depend on which other slides are indexed.
     """
     return build_mosaic_percent(
-        slide,
-        histogram_matrix(slide, bins=bins),
+        slides,
+        (histogram_matrix(slide, bins=bins) for slide in slides),
         k_primary=k_primary,
         fraction=fraction,
-        seed=slide_seed(seed, slide.slide_id),
+        seeds=[slide_seed(seed, slide.slide_id) for slide in slides],
     )
+
+
+def encode_mosaics(
+    slides: Sequence[SlideRecord],
+    mosaics: Callable[[Sequence[SlideRecord]], list[Mosaic]],
+    encode: Callable[[Mosaic], Encoding],
+) -> tuple[list[tuple[SlideRecord, Encoding]], list[tuple[str, str]]]:
+    """``encode_slides`` for an engine that indexes percent mosaics: every
+    slide's mosaic comes from one ``mosaics`` call, then ``encode`` turns
+    each mosaic into its slide's encoding."""
+    built = {mosaic.slide_id: mosaic for mosaic in mosaics(slides)}
+    return encode_slides(slides, lambda slide: encode(built[slide.slide_id]))
 
 
 def build_mosaic_fixed(slide: SlideRecord, k_fixed: int, seed: int) -> Mosaic:

@@ -38,14 +38,14 @@ from .model import (
     check_query_dim,
     check_query_rows,
     database_dim,
-    encode_slides,
     kept_slides,
     label_entropy,
     ranked_patches,
     ranked_result,
     slide_seed,
+    subtype_codes,
 )
-from .mosaic import build_mosaic_percent, check_mosaic_params
+from .mosaic import Mosaic, build_mosaic_percent, check_mosaic_params, encode_mosaics
 
 QUALITY_MEDIAN = "median"
 QUALITY_NONE = "none"
@@ -101,23 +101,31 @@ class RetcclDatabase:
         return int(self.unit_features.shape[0])
 
 
-def _mosaic_rows(slide: SlideRecord, params: RetcclParams) -> tuple[np.ndarray, np.ndarray]:
+def _mosaic_rows(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
     """(coords, features) of the percent mosaic clustered on the features
     themselves; zero vectors are dropped because cosine similarity cannot
     see them."""
-    mosaic = build_mosaic_percent(
-        slide,
-        slide.features.astype(np.float64),
-        k_primary=params.k_primary,
-        fraction=params.fraction,
-        seed=slide_seed(params.seed, slide.slide_id),
-    )
     nonzero = np.linalg.norm(mosaic.features, axis=1) > 0.0
     if not nonzero.any():
         raise UnprocessedSlideError(
-            f"slide {slide.slide_id!r}: every mosaic patch is a zero vector"
+            f"slide {mosaic.slide_id!r}: every mosaic patch is a zero vector"
         )
     return mosaic.coords[nonzero], mosaic.features[nonzero]
+
+
+def _mosaics(slides: Sequence[SlideRecord], params: RetcclParams) -> list[Mosaic]:
+    """Percent mosaics clustered on the features themselves."""
+    return build_mosaic_percent(
+        slides,
+        (slide.features for slide in slides),
+        k_primary=params.k_primary,
+        fraction=params.fraction,
+        seeds=[slide_seed(params.seed, slide.slide_id) for slide in slides],
+    )
+
+
+def _query_rows(slide: SlideRecord, params: RetcclParams) -> tuple[np.ndarray, np.ndarray]:
+    return _mosaic_rows(_mosaics([slide], params)[0])
 
 
 def build_database(
@@ -125,7 +133,7 @@ def build_database(
 ) -> RetcclDatabase:
     params = params or RetcclParams()
     dim = database_dim(slides)
-    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_rows(slide, params))
+    kept, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
     unit = np.concatenate([features for _, (_, features) in kept]).astype(np.float64)
     for vec in unit:  # one norm per row, as queries take theirs; axis=1 rounds differently
         vec /= np.linalg.norm(vec)
@@ -144,7 +152,7 @@ def build_database(
 def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> np.ndarray:
     """(m, dim) features of the query slide's non-zero mosaic members."""
     check_query_dim(db, slide)
-    return _mosaic_rows(slide, db.params)[1]
+    return _query_rows(slide, db.params)[1]
 
 
 def _unit_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
@@ -174,7 +182,7 @@ def build_bags(
     """
     check_query_rows(query_features, db.dim)
     mask = kept_slides(candidate_filter, db)[db.slide]
-    subtypes = [labels.subtype for labels in db.labels]
+    codes = subtype_codes(db.labels)
     bags: list[Bag] = []
     for i, row in enumerate(query_features):
         scores = _unit_scores(db, row)
@@ -183,8 +191,7 @@ def build_bags(
             continue
         hits = _ranked(scores, np.flatnonzero((scores >= db.params.sim_threshold) & mask))
         # subtypes in hit order, the order the entropy sums its terms in
-        hit_subtypes = [subtypes[s] for s in db.slide[hits].tolist()]
-        entropy = label_entropy(hit_subtypes) if hit_subtypes else math.inf
+        entropy = label_entropy(codes[db.slide[hits]]) if len(hits) else math.inf
         bags.append(Bag(i, hits, scores[hits], entropy))
     return bags
 
@@ -262,4 +269,4 @@ def query_patches(
 def query_patch_set(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    return as_patches(*_mosaic_rows(slide, db.params))
+    return as_patches(*_query_rows(slide, db.params))

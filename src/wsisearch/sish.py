@@ -41,14 +41,14 @@ from .model import (
     check_k,
     check_query_dim,
     database_dim,
-    encode_slides,
     hamming_matrix,
     kept_slides,
     label_entropy,
     ranked_patches,
     ranked_result,
+    subtype_codes,
 )
-from .mosaic import check_mosaic_params, histogram_mosaic
+from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
 
 #: One unit in the coarsest pooled digit; the guided walk seeds one step of
 #: this size to either side of the query index.
@@ -159,15 +159,22 @@ def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | 
     return int(index[0]) if f.ndim == 1 else index
 
 
-def _mosaic_rows(slide: SlideRecord, params: SishParams) -> tuple[np.ndarray, np.ndarray]:
-    """Mosaic (coords, features) without flat-feature patches (scanner artifacts)."""
-    mosaic = histogram_mosaic(
-        slide, params.k_primary, params.fraction, params.histogram_bins, params.seed
+def _mosaics(slides: Sequence[SlideRecord], params: SishParams) -> list[Mosaic]:
+    return histogram_mosaics(
+        slides, params.k_primary, params.fraction, params.histogram_bins, params.seed
     )
+
+
+def _mosaic_rows(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
+    """Mosaic (coords, features) without flat-feature patches (scanner artifacts)."""
     varied = np.ptp(mosaic.features, axis=1) > 0.0
     if not varied.any():
-        raise UnprocessedSlideError(f"slide {slide.slide_id!r}: every mosaic patch is constant")
+        raise UnprocessedSlideError(f"slide {mosaic.slide_id!r}: every mosaic patch is constant")
     return mosaic.coords[varied], mosaic.features[varied]
+
+
+def _query_rows(slide: SlideRecord, params: SishParams) -> tuple[np.ndarray, np.ndarray]:
+    return _mosaic_rows(_mosaics([slide], params)[0])
 
 
 def _probes(db: SishDatabase, features: np.ndarray) -> list[SishProbe]:
@@ -179,7 +186,7 @@ def _probes(db: SishDatabase, features: np.ndarray) -> list[SishProbe]:
 def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
     params = params or SishParams()
     dim = database_dim(slides, min_dim=2)
-    kept, unprocessed = encode_slides(slides, lambda slide: _mosaic_rows(slide, params))
+    kept, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
 
     # quantization ranges are a database-wide statistic, frozen at build time
     member_features = [features for _, (_, features) in kept]
@@ -216,7 +223,7 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
 def prepare_query(db: SishDatabase, slide: SlideRecord) -> list[SishProbe]:
     """One probe per mosaic patch of a query slide, under the database's frozen ranges."""
     check_query_dim(db, slide)
-    return _probes(db, _mosaic_rows(slide, db.params)[1])
+    return _probes(db, _query_rows(slide, db.params)[1])
 
 
 def _walker_probes(costs: list[int], budget: int) -> list[int]:
@@ -306,12 +313,12 @@ def rank_slides(
     if not patch_results:
         raise EmptyInputError("rank_slides needs at least one query patch")
 
-    subtypes = [labels.subtype for labels in db.labels]
+    codes = subtype_codes(db.labels)
     surviving: list[tuple[float, np.ndarray]] = []
     for results in patch_results:
         if len(results):
             slides = db.slide[results[:, 0]]
-            surviving.append((label_entropy(subtypes[s] for s in slides.tolist()), slides))
+            surviving.append((label_entropy(codes[slides]), slides))
     if not surviving:
         return RetrievalResult(entries=(), k_requested=k)
 
@@ -361,4 +368,4 @@ def query_patches(
 def query_patch_set(db: SishDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    return as_patches(*_mosaic_rows(slide, db.params))
+    return as_patches(*_query_rows(slide, db.params))

@@ -29,13 +29,12 @@ from .model import (
     check_query_dim,
     check_query_rows,
     database_dim,
-    encode_slides,
     hamming_matrix,
     kept_slides,
     ranked_patches,
     ranked_result,
 )
-from .mosaic import Mosaic, check_mosaic_params, histogram_mosaic
+from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,14 @@ class YottixelDatabase:
         return len(self.slide_ids)
 
 
-def _mosaic(slide: SlideRecord, params: YottixelParams) -> Mosaic:
-    return histogram_mosaic(
-        slide, params.k_primary, params.fraction, params.histogram_bins, params.seed
+def _mosaics(slides: Sequence[SlideRecord], params: YottixelParams) -> list[Mosaic]:
+    return histogram_mosaics(
+        slides, params.k_primary, params.fraction, params.histogram_bins, params.seed
     )
 
 
-def _bag(slide: SlideRecord, params: YottixelParams) -> tuple[np.ndarray, np.ndarray]:
-    """(packed barcodes, coords) of the slide's mosaic members."""
-    mosaic = _mosaic(slide, params)
+def _bag(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
+    """(packed barcodes, coords) of the mosaic's members."""
     return binarize_barcode(mosaic.features), mosaic.coords
 
 
@@ -84,7 +82,7 @@ def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None 
     """Index slides; ones whose mosaic fails land in .unprocessed."""
     params = params or YottixelParams()
     dim = database_dim(slides, min_dim=2)
-    bags, unprocessed = encode_slides(slides, lambda slide: _bag(slide, params))
+    bags, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _bag)
     return YottixelDatabase(
         params=params,
         dim=dim,
@@ -101,7 +99,7 @@ def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None 
 def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
     """Packed barcodes of a query slide's mosaic under the database parameters."""
     check_query_dim(db, slide)
-    return _bag(slide, db.params)[0]
+    return _bag(_mosaics([slide], db.params)[0])[0]
 
 
 def median_min_hamming(query: np.ndarray, stacked: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -148,5 +146,5 @@ def query_patches(
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    mosaic = _mosaic(slide, db.params)
+    (mosaic,) = _mosaics([slide], db.params)
     return as_patches(mosaic.coords, mosaic.features)

@@ -1,5 +1,6 @@
 """Orchestration layer: runs, row serialization, summaries."""
 import inspect
+import json
 import typing
 
 import numpy as np
@@ -278,6 +279,36 @@ class TestRunExperiment:
         (row,) = report.rows
         assert all(slot is None for slot in row.slots)
         assert report.summary["mMV@1"] is None
+
+    def test_run_json_names_unprocessed_slides_and_abstained_queries(self, corpus, tmp_path):
+        db, queries = corpus
+        # a zero slide has no vector RetCCL can index or query with, and a
+        # skin query finds no skin database in the subtype task
+        zero = make_slide("zero", np.zeros((12, 32)), site="lung", subtype="luad")
+        orphan = make_slide("orphan", np.ones((12, 32)), site="skin", subtype="scc")
+        cfg = ExperimentConfig(engine="retccl", task=TASK_SUBTYPE)
+        report = run_experiment(cfg, [*db, zero], [*queries[:3], zero, orphan], out_dir=tmp_path)
+        (entry,) = report.unprocessed
+        assert entry[:2] == ("lung", "zero") and "zero vector" in entry[2]
+        assert report.abstained == 2
+        assert json.loads(report.run_json.read_text()) == {
+            "unprocessed": [{"database": "lung", "slide_id": "zero", "reason": entry[2]}],
+            "abstained_queries": 2,
+        }
+        # run.json leaves the rows and summary files as they were
+        write_rows(tmp_path / "again.csv", report.rows, cfg.effective_k)
+        assert report.rows_path.read_bytes() == (tmp_path / "again.csv").read_bytes()
+        context = {"engine": "retccl", "task": TASK_SUBTYPE, "queries": "5"}
+        write_summary(report.summary, tmp_path / "s.csv", tmp_path / "s.txt", context)
+        assert report.summary_txt.read_bytes() == (tmp_path / "s.txt").read_bytes()
+        assert report.summary_csv.read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    def test_run_json_of_a_clean_site_run(self, corpus, tmp_path):
+        db, queries = corpus
+        cfg = ExperimentConfig(engine="sish")
+        report = run_experiment(cfg, db, queries[:2], out_dir=tmp_path)
+        assert report.unprocessed == [] and report.abstained == 0
+        assert json.loads(report.run_json.read_text()) == {"unprocessed": [], "abstained_queries": 0}
 
     def test_patient_self_exclusion(self, corpus):
         db, _ = corpus

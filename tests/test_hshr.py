@@ -91,7 +91,7 @@ class TestSignature:
     def test_percent_mosaic_rejected(self):
         rng = np.random.default_rng(1)
         slide = make_slide("p", rng.normal(size=(12, 8)))
-        mosaic = build_mosaic_percent(slide, histogram_matrix(slide), 3, 0.5, seed=0)
+        (mosaic,) = build_mosaic_percent([slide], [histogram_matrix(slide)], 3, 0.5, seeds=[0])
         with pytest.raises(ValidationError):
             slide_signature(slide, mosaic)
 

@@ -1,6 +1,9 @@
 """Core data model: packed barcodes, distances, identity helpers."""
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,9 +22,11 @@ from wsisearch.model import (
     encode_slides,
     hamming_distance,
     hamming_matrix,
+    SlideLabels,
     label_entropy,
     patch_ref,
     slide_seed,
+    subtype_codes,
 )
 
 from util import make_slide, packed
@@ -149,6 +154,24 @@ class TestLabelEntropy:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             label_entropy([])
+        with pytest.raises(EmptyInputError):
+            label_entropy(np.empty(0, dtype=np.int64))
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=60))
+    def test_codes_match_counter_form_bit_for_bit(self, codes):
+        # few distinct labels, so counts tie often; the Counter form sums its
+        # terms in first-occurrence order, which the code form must keep
+        names = [f"subtype-{c}" for c in codes]
+        counts = Counter(names)
+        total = sum(counts.values())
+        want = -sum((c / total) * math.log(c / total) for c in counts.values())
+        assert label_entropy(np.array(codes)).hex() == want.hex()
+        assert label_entropy(names).hex() == want.hex()
+        assert label_entropy(iter(names)).hex() == want.hex()
+
+    def test_subtype_codes_follow_labels(self):
+        labels = [SlideLabels("brain", sub, "p") for sub in ["gbm", "lgg", "gbm", "oligo"]]
+        assert subtype_codes(labels).tolist() == [0, 1, 0, 2]
 
 
 class TestBarcodeTypes:

@@ -12,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsisearch import mosaic as mosaic_module
-from wsisearch.errors import EmptyInputError, ValidationError
+from wsisearch.errors import DimensionError, EmptyInputError, ValidationError
 from wsisearch.model import SlideRecord
 from wsisearch.mosaic import (
     FIXED_CENTROIDS,
     MAX_LLOYD_ITERATIONS,
     PERCENT_OF_CLUSTERS,
     KMeansResult,
-    _nearest_point_index,
+    Mosaic,
+    _spawn_seeds,
     build_mosaic_fixed,
     build_mosaic_percent,
+    check_mosaic_params,
     histogram_matrix,
     kmeans,
 )
@@ -83,9 +85,10 @@ class TestPercentMosaic:
     def make(self, n=40, fraction=0.15, k_primary=4, seed=3):
         rng = np.random.default_rng(11)
         slide = make_slide("m1", rng.normal(size=(n, 12)))
-        return slide, build_mosaic_percent(
-            slide, histogram_matrix(slide), k_primary=k_primary, fraction=fraction, seed=seed
+        (mosaic,) = build_mosaic_percent(
+            [slide], [histogram_matrix(slide)], k_primary=k_primary, fraction=fraction, seeds=[seed]
         )
+        return slide, mosaic
 
     def test_members_are_real_patches(self):
         slide, mosaic = self.make()
@@ -123,7 +126,7 @@ class TestPercentMosaic:
         rng = np.random.default_rng(0)
         slide = make_slide("m2", rng.normal(size=(10, 4)))
         with pytest.raises(ValidationError):
-            build_mosaic_percent(slide, histogram_matrix(slide), 2, fraction=0.0, seed=0)
+            build_mosaic_percent([slide], [histogram_matrix(slide)], 2, fraction=0.0, seeds=[0])
 
 
 class TestFixedMosaic:
@@ -432,9 +435,13 @@ class TestTieBreaking:
             assert res.assignments[0 if first[0] == 0.0 else 500] == 0
 
     def test_nearest_point_lowest_row_among_ties(self):
-        points = np.array([[3.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
-        assert _nearest_point_index(points, np.array([0.0, 0.0])) == 1
-        assert _nearest_point_index(points[::-1], np.array([0.0, 0.0])) == 0
+        # one spatial cluster centered on its mean (0, 0): rows 1 to 4 all
+        # lie at distance 1, and the lowest row is picked in either order
+        points = np.array(
+            [[2.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0], [-2.0, 0.0]]
+        )
+        for rows in (points, points[::-1]):
+            assert mosaic_module._spatial_picks(rows, np.array([6]), [0], 0.1).tolist() == [1]
 
     def test_grid_tie_picks_lowest_row(self):
         # a 4 x 4 grid clustered into one spatial cluster: the centroid
@@ -448,8 +455,8 @@ class TestTieBreaking:
             magnification="20x", coords=coords,
             features=np.ones((16, 3), dtype=np.float32),
         )
-        mosaic = build_mosaic_percent(
-            slide, np.ones((16, 1)), k_primary=1, fraction=1 / 16, seed=0
+        (mosaic,) = build_mosaic_percent(
+            [slide], [np.ones((16, 1))], k_primary=1, fraction=1 / 16, seeds=[0]
         )
         assert mosaic.coords.tolist() == [list(coords[4])]
         assert coords[4] == (1, 2)
@@ -471,3 +478,205 @@ class TestKMeansScale:
         assert peak <= 2 * pts.nbytes + 8 * 2**20
         want = reference_kmeans(pts, 20, seed=4)
         assert np.array_equal(got.assignments, want.assignments)
+
+
+# The per-group spatial loop that the batched spatial stage replaced, kept
+# word for word as the reference: one kmeans call per primary cluster and one
+# _nearest_point_index call per spatial cluster.
+def _nearest_point_index(points: np.ndarray, target: np.ndarray) -> int:
+    # ties resolve to the lowest index via argmin
+    return int(((points - target) ** 2).sum(axis=1).argmin())
+
+
+def reference_build_mosaic_percent(
+    slide: SlideRecord,
+    cluster_features: np.ndarray,
+    k_primary: int,
+    fraction: float,
+    seed: int,
+) -> Mosaic:
+    """Percent mosaic: feature clustering, then per-cluster spatial selection.
+
+    Within each primary cluster a spatial k-means with
+    k = ceil(fraction * cluster size) runs on the (x, y) coordinates and the
+    member nearest each spatial centroid is kept, so every non-empty primary
+    cluster contributes at least one patch.
+    """
+    feats = np.asarray(cluster_features, dtype=np.float64)
+    if feats.ndim == 1:
+        feats = feats[:, None]
+    if feats.shape[0] != len(slide.coords):
+        raise DimensionError(
+            f"cluster_features rows ({feats.shape[0]}) must match patch count ({len(slide.coords)})"
+        )
+    check_mosaic_params(k_primary, fraction)
+
+    primary_seed, *spatial_seeds = _spawn_seeds(seed, 1 + k_primary)
+    primary = kmeans(feats, k_primary, primary_seed)
+
+    coords = slide.coords.astype(np.float64)
+    selected: list[int] = []
+    for ci in range(primary.effective_k):
+        group = np.flatnonzero(primary.assignments == ci)
+        k_spatial = math.ceil(fraction * group.size)
+        spatial = kmeans(coords[group], k_spatial, spatial_seeds[ci])
+        for sj in range(spatial.effective_k):
+            members = group[spatial.assignments == sj]
+            pick = members[_nearest_point_index(coords[members], spatial.centroids[sj])]
+            selected.append(int(pick))
+
+    selected.sort()
+    return Mosaic(
+        slide_id=slide.slide_id,
+        coords=slide.coords[selected],
+        features=slide.features[selected],
+        method=PERCENT_OF_CLUSTERS,
+    )
+
+
+def _distinct_cells(layout: str, n: int, rng) -> np.ndarray:
+    """n distinct non-negative (x, y) cells: a grid, a line or a scatter,
+    the shapes that put spatial centroids equidistant from members."""
+    if layout == "grid":
+        width = int(rng.integers(1, 31))
+        cells = np.arange(n)
+        return np.stack([cells % width, cells // width], axis=1)
+    if layout == "collinear":
+        step = int(rng.integers(1, 4))
+        return np.stack([np.arange(n) * step, np.full(n, 7)], axis=1)
+    side = int(np.ceil(np.sqrt(2 * n)))
+    cells = rng.choice(side * side, n, replace=False)
+    return np.stack([cells % side, cells // side], axis=1)
+
+
+def _scaled(cells: np.ndarray, scale: str) -> np.ndarray:
+    """Cells as they are, spread to about 2**26 (k-means++ totals about
+    2**53, so some groups sum above the exact-integer range), or spread
+    over all of int32 (distances beyond 2**53, rounded)."""
+    top = int(cells.max()) + 1
+    if scale == "unit":
+        return cells
+    if scale == "bound":
+        return cells * max(1, 2**26 // top)
+    return cells * ((2**32 - 1) // top) - 2**31
+
+
+def _grouped_slide(slide_id, sizes, layout, scale, rng):
+    """A slide whose patches fall in groups of the given sizes, interleaved
+    in row order, plus cluster features that make each group one primary
+    cluster: k-means++ on len(sizes) distinct values seeds every value."""
+    cells = _scaled(_distinct_cells(layout, sum(sizes), rng), scale)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)).astype(np.float64)
+    slide = SlideRecord(
+        slide_id=slide_id, patient_id="pt", site="brain", subtype="gbm",
+        magnification="20x", coords=cells, features=rng.normal(size=(len(cells), 3)),
+    )
+    return slide, labels
+
+
+class TestBatchedPercentMosaic:
+    """The batched spatial stage against the per-group loop it replaced."""
+
+    @given(
+        st.lists(st.lists(st.integers(1, 200), min_size=1, max_size=4), min_size=1, max_size=3),
+        st.sampled_from(["grid", "collinear", "scatter"]),
+        st.sampled_from(["unit", "bound", "int32"]),
+        st.sampled_from([0.001, 0.15, 0.2, 0.5, 1.0]),  # 0.001: k = 1 in every group
+        st.sampled_from([1, 3, 64, mosaic_module.PAIR_BLOCK]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_group_loop(self, batch, layout, scale, fraction, block, seed):
+        rng = np.random.default_rng(seed)
+        groups = len(batch[0])
+        batch = [(sizes * groups)[:groups] for sizes in batch]  # one k_primary per batch
+        slides, features = zip(
+            *(_grouped_slide(f"g{i}", sizes, layout, scale, rng) for i, sizes in enumerate(batch))
+        )
+        seeds = [int(s) for s in rng.integers(0, 2**63 - 1, len(slides))]
+        with patch.object(mosaic_module, "PAIR_BLOCK", block):
+            got = build_mosaic_percent(slides, features, groups, fraction, seeds)
+        for slide, feats, s, mosaic in zip(slides, features, seeds, got):
+            want = reference_build_mosaic_percent(slide, feats, groups, fraction, s)
+            assert mosaic.slide_id == want.slide_id
+            assert mosaic.coords.tobytes() == want.coords.tobytes()
+            assert mosaic.features.tobytes() == want.features.tobytes()
+
+    def test_large_totals_draw_as_kmeans_sums(self):
+        # distances beyond 2**53 are rounded, so their k-means++ total hangs
+        # on the order of summation; a draw at each of kmeans's cdf values
+        # sees a total one ulp off.  The short group rides in a row padded to
+        # the long group's length, whose sum adds its terms in another order.
+        order_mattered = False
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            short = rng.integers(2**60, 2**62, 13).astype(np.float64)
+            d2 = np.concatenate([rng.integers(0, 100, 40).astype(np.float64), short])
+            start = np.array([0, 40, 53])
+            group = np.repeat([0, 1], [40, 13])
+            padded = np.zeros((2, 40))
+            padded[1, :13] = short
+            order_mattered |= bool(padded.sum(axis=1)[1] != short.sum())
+            cdf = (short / short.sum()).cumsum()
+            cdf /= cdf[-1]
+            for u in cdf[:-1]:
+                draws = mosaic_module._next_centers(
+                    d2, start, group, np.arange(53) - start[group], 0, 2, np.array([0.5, u])
+                )
+                assert draws[1] == cdf.searchsorted(u, side="right")
+        assert order_mattered
+
+    def test_slide_alone_equals_slide_in_batch(self):
+        rng = np.random.default_rng(8)
+        slides = [make_slide(f"b{i:02d}", rng.normal(size=(int(rng.integers(5, 150)), 16)))
+                  for i in range(50)]
+        features = [histogram_matrix(slide) for slide in slides]
+        seeds = list(range(50))
+        batch = build_mosaic_percent(slides, features, 9, 0.15, seeds)
+        assert [m.slide_id for m in batch] == [s.slide_id for s in slides]
+        for slide, feats, seed, mosaic in zip(slides, features, seeds, batch):
+            (alone,) = build_mosaic_percent([slide], [feats], 9, 0.15, [seed])
+            assert mosaic.coords.tobytes() == alone.coords.tobytes()
+            assert mosaic.features.tobytes() == alone.features.tobytes()
+
+    def test_kmeans_runs_once_per_slide(self):
+        rng = np.random.default_rng(2)
+        slides = [make_slide(f"c{i}", rng.normal(size=(80, 8))) for i in range(4)]
+        calls = []
+        real = mosaic_module.kmeans
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        with patch.object(mosaic_module, "kmeans", counting):
+            build_mosaic_percent(slides, [histogram_matrix(s) for s in slides], 9, 0.5, [1] * 4)
+        assert calls == [9] * 4  # the primary clustering only
+
+    def test_empty_batch_and_mismatched_lengths(self):
+        assert build_mosaic_percent([], [], 9, 0.15, []) == []
+        slide = make_slide("m", np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            build_mosaic_percent([slide], [np.ones(4), np.ones(4)], 2, 0.5, [0])
+        with pytest.raises(DimensionError):
+            build_mosaic_percent([slide], [np.ones(5)], 2, 0.5, [0])
+
+    def test_peak_memory_no_higher_than_per_group_loop(self):
+        # a 10^4-patch slide: the loop's largest temporary is one group's
+        # (points, k) distance matrix; the batch forms PAIR_BLOCK pairs at once
+        rng = np.random.default_rng(0)
+        slide = make_slide("big", rng.normal(size=(10_000, 16)))
+        hist = histogram_matrix(slide)
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                mosaic = build()
+                return tracemalloc.get_traced_memory()[1], mosaic
+            finally:
+                tracemalloc.stop()
+
+        got_peak, (got,) = peak(lambda: build_mosaic_percent([slide], [hist], 9, 0.15, [3]))
+        want_peak, want = peak(lambda: reference_build_mosaic_percent(slide, hist, 9, 0.15, 3))
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got_peak <= want_peak
