@@ -24,7 +24,7 @@ THEORY_EXPONENT = {
     "yottixel": 1.0,  # linear scan of slide bags
     "sish": 0.0,  # probe count fixed by budget, not by T
     "retccl": 1.0,  # flat scan over all mosaic patches
-    "hshr": 3.0,  # dense incidence products over T vertices
+    "hshr": 1.0,  # Hamming scan, k incidence rows and sorts over T slides
 }
 
 

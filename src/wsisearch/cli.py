@@ -25,6 +25,7 @@ from .experiment import (
     query_rows_against_db,
     read_rows,
     write_rows,
+    write_rows_to,
     write_summary,
 )
 from .metrics import mann_whitney_u
@@ -225,7 +226,7 @@ def _cmd_query(ns: argparse.Namespace) -> int:
     k = ns.k if ns.k is not None else TASK_PLANS[ns.task].k_max
     rows = query_rows_against_db(engine, db, queries, ns.task, k, ns.jobs)
     if ns.out is None:
-        write_rows("/dev/stdout", rows, k)
+        write_rows_to(sys.stdout, rows, k)
     else:
         write_rows(ns.out, rows, k)
         print(f"wrote {len(rows)} rows to {ns.out}")

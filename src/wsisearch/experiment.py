@@ -20,7 +20,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TextIO
 
 from . import hshr, retccl, sish, yottixel
 from .errors import (
@@ -389,22 +389,28 @@ def _row_header(k_max: int) -> list[str]:
 
 
 def write_rows(path: str | Path, rows: Sequence[QueryRow], k_max: int) -> None:
-    """QueryRow CSV; null slots are empty fields, scores print as %.6g."""
+    """QueryRow CSV file, as ``write_rows_to`` lays it out."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_row_header(k_max))
-        for row in rows:
-            if len(row.slots) != k_max:
-                raise ValidationError(
-                    f"row {row.query_id!r} has {len(row.slots)} slots, expected {k_max}"
-                )
-            cells = [row.query_id, row.query_site, row.query_subtype]
-            for slot in row.slots:
-                if slot is None:
-                    cells += ["", "", "", ""]
-                else:
-                    cells += [slot.target_id, slot.site, slot.subtype, f"{slot.score:.6g}"]
-            writer.writerow(cells)
+        write_rows_to(fh, rows, k_max)
+
+
+def write_rows_to(stream: TextIO, rows: Sequence[QueryRow], k_max: int) -> None:
+    """QueryRow CSV onto an open text stream; null slots are empty fields,
+    scores print as %.6g."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(_row_header(k_max))
+    for row in rows:
+        if len(row.slots) != k_max:
+            raise ValidationError(
+                f"row {row.query_id!r} has {len(row.slots)} slots, expected {k_max}"
+            )
+        cells = [row.query_id, row.query_site, row.query_subtype]
+        for slot in row.slots:
+            if slot is None:
+                cells += ["", "", "", ""]
+            else:
+                cells += [slot.target_id, slot.site, slot.subtype, f"{slot.score:.6g}"]
+        writer.writerow(cells)
 
 
 def read_rows(path: str | Path) -> list[QueryRow]:

@@ -5,8 +5,8 @@ weights follow cluster population, and the slide hash is the barcode of the
 attention-weighted mean of the centroid features.  Each database slide
 spans one hyperedge containing its K nearest slides by hash distance; a
 query joins the graph as a fresh vertex and hyperedge, and scores combine
-vertex-level and hyperedge-level similarity read off the weighted incidence
-products.
+vertex-level and hyperedge-level similarity: the query's row of the
+weighted incidence products, in closed form from integer Hamming counts.
 
 Slides are listed in slide_id order, so ties broken by slide index (equal
 hash distances to nearest neighbours, equal scores) go to the lower
@@ -14,6 +14,7 @@ slide_id whatever order the slides arrive in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,6 +57,12 @@ class HshrParams:
             raise ValidationError("k_fixed must be >= 1")
         if self.knn_k < 1:
             raise ValidationError("knn_k must be >= 1")
+        # a NaN weight makes every score NaN, which ranks as a tie
+        for name, weight in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {weight}")
+        if self.alpha == self.beta == 0.0:
+            raise ValidationError("alpha and beta cannot both be 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,21 +74,13 @@ class SlideSignature:
 
 
 @dataclass
-class Hypergraph:
-    """Square incidence: column s is slide s's hyperedge over the vertices."""
-
-    incidence: np.ndarray  # (T, T) float64, entries in [0, 1]
-    edge_weights: np.ndarray  # (T,) mean of positive entries per column
-
-
-@dataclass
 class HshrDatabase:
     params: HshrParams
     dim: int
     code_length: int
     slide_ids: list[str]
     labels: list[SlideLabels]
-    graph: Hypergraph
+    incidence: np.ndarray  # (T, T) int32, entries in units of 1/code_length
     hashes: np.ndarray  # (T, ceil(L / 8)) uint8, row i the hash of slide_ids[i]
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
 
@@ -118,9 +117,10 @@ def _knn_columns(ham: np.ndarray, k: int) -> np.ndarray:
     return order[order != np.arange(t)[:, None]].reshape(t, t - 1)[:, :k]
 
 
-def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> Hypergraph:
-    """Each slide's hyperedge holds its knn_k nearest slides plus itself,
-    entered at affinity 1 - hamming/L.
+def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> np.ndarray:
+    """Square incidence in units of 1/code_length: column s is slide s's
+    hyperedge, holding its knn_k nearest slides at code_length - hamming
+    (affinity 1 - hamming/L) and slide s itself at code_length.
 
     ``hashes`` holds one packed slide hash of ``code_length`` bits per row.
     """
@@ -128,17 +128,12 @@ def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> Hyperg
     if t == 0:
         raise EmptyInputError("cannot build a hypergraph from zero slide hashes")
     ham = hamming_matrix(hashes, hashes)
-    affinity = 1.0 - ham / float(code_length)
-
-    incidence = np.zeros((t, t), dtype=np.float64)
+    incidence = np.zeros((t, t), dtype=np.int32)
     edges = np.arange(t)
     neighbors = _knn_columns(ham, min(knn_k, t - 1))
-    incidence[neighbors, edges[:, None]] = affinity[neighbors, edges[:, None]]
-    incidence[edges, edges] = 1.0
-    weights = np.array(
-        [incidence[:, s][incidence[:, s] > 0].mean() for s in range(t)]
-    )
-    return Hypergraph(incidence=incidence, edge_weights=weights)
+    incidence[neighbors, edges[:, None]] = code_length - ham[neighbors, edges[:, None]]
+    incidence[edges, edges] = code_length
+    return incidence
 
 
 def build_database(
@@ -154,7 +149,7 @@ def build_database(
         code_length=dim - 1,
         slide_ids=[sig.slide_id for _, sig in signed],
         labels=[slide.labels for slide, _ in signed],
-        graph=build_hypergraph(hashes, dim - 1, params.knn_k),
+        incidence=build_hypergraph(hashes, dim - 1, params.knn_k),
         hashes=hashes,
         unprocessed=unprocessed,
     )
@@ -168,32 +163,33 @@ def prepare_query(db: HshrDatabase, slide: SlideRecord) -> SlideSignature:
 def ranked_scores(db: HshrDatabase, query: SlideSignature) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every database slide against the query, best first.
 
-    The query becomes vertex/hyperedge T in a copy of the incidence matrix;
-    scoring reads row T of the row-normalized weighted products.  Returns
-    (order, scores): ``scores[s]`` is slide s's score and ``order`` lists
-    every slide index by descending score, ties by slide_id; the caller
-    slices its top-k after any candidate filtering.
+    The query joins the graph as vertex and hyperedge T and lies only in its
+    own hyperedge, so row T of the vertex product H W Hᵀ is the query's
+    hyperedge weight times its column (the weight cancels in the row
+    normalization) and row T of the hyperedge product Hᵀ H is h_qᵀ H.  In
+    units of 1/L both rows and their sums are integers, and each score is
+    one division of its numerator by the common integer denominator.  With
+    weights that scale integers exactly (the default 1 and 1, or any power
+    of two) the numerators are exact, so equal scores are equal floats and
+    the stable sort leaves them in slide index (slide_id) order.  Returns (order, scores): ``scores[s]`` is slide
+    s's score and ``order`` lists every slide index by descending score;
+    the caller slices its top-k after any candidate filtering.
     """
-    t = len(db)
+    t, length = len(db), db.code_length
     ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
-    affinity = 1.0 - ham / float(db.code_length)
+    near = np.argsort(ham, kind="stable")[: min(db.params.knn_k, t)]
+    q = length - ham[near]
+    rows = db.incidence[near].astype(np.int64)
 
-    extended = np.zeros((t + 1, t + 1), dtype=np.float64)
-    extended[:t, :t] = db.graph.incidence
-    neighbors = np.argsort(ham, kind="stable")[: min(db.params.knn_k, t)]
-    extended[neighbors, t] = affinity[neighbors]
-    extended[t, t] = 1.0
-
-    q_column = extended[:, t]
-    q_weight = q_column[q_column > 0].mean()
-    weights = np.concatenate([db.graph.edge_weights, [q_weight]])
-
-    adjacency = extended @ np.diag(weights) @ extended.T
-    vertex_sim = adjacency / adjacency.sum(axis=1, keepdims=True)
-    overlap = extended.T @ extended
-    edge_sim = overlap / overlap.sum(axis=1, keepdims=True)
-    scores = db.params.alpha * vertex_sim[t, :t] + db.params.beta * edge_sim[t, :t]
-
+    vertex = np.zeros(t, dtype=np.int64)
+    vertex[near] = q
+    vertex_total = q.sum() + length
+    edge = q @ rows
+    edge_total = q @ (rows.sum(axis=1) + q) + length * length
+    numerator = (
+        db.params.alpha * (vertex * edge_total) + db.params.beta * (edge * vertex_total)
+    )
+    scores = numerator / float(vertex_total * edge_total)
     return np.argsort(-scores, kind="stable"), scores
 
 

@@ -82,6 +82,19 @@ class TestHappyPath:
         assert len(rows) == 4
         assert all(len(r.slots) == 10 for r in rows)
 
+    def test_query_without_out_prints_rows(self, corpus_dir, built_db, tmp_path, capsys):
+        args = [
+            "query",
+            "--db", str(built_db),
+            "--manifest", str(corpus_dir / "queries.csv"),
+            "--task", "site",
+        ]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        rows_path = tmp_path / "rows.csv"
+        main(args + ["--out", str(rows_path)])
+        assert printed == rows_path.read_text()
+
     def test_query_k_override(self, corpus_dir, built_db, tmp_path):
         rows_path = tmp_path / "rows.csv"
         main(

@@ -1,6 +1,10 @@
 """Hypergraph engine: signatures, incidence construction, ranked scoring."""
 from __future__ import annotations
 
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,7 @@ from wsisearch.hshr import (
 from wsisearch.model import (
     CandidateFilter,
     RetrievalResult,
-    SlideRecord,
+    SlideLabels,
     binarize_barcode,
     check_k,
     hamming_matrix,
@@ -97,32 +101,35 @@ class TestSignature:
 
 
 class TestHypergraph:
+    # incidence entries are affinities in units of 1/L: L - hamming
+
     def test_single_vertex_self_loop(self):
-        g = build_hypergraph(packed("0101")[None, :], 4, knn_k=10)
-        assert g.incidence.tolist() == [[1.0]]
-        assert g.edge_weights.tolist() == [1.0]
+        H = build_hypergraph(packed("0101")[None, :], 4, knn_k=10)
+        assert H.dtype == np.int32
+        assert H.tolist() == [[4]]
 
     def test_identical_hashes_enter_at_affinity_one(self):
-        g = build_hypergraph(np.stack([packed("0101"), packed("0101")]), 4, knn_k=4)
-        assert g.incidence[0, 1] == 1.0
-        assert g.incidence[1, 0] == 1.0
+        H = build_hypergraph(np.stack([packed("0101"), packed("0101")]), 4, knn_k=4)
+        assert H[0, 1] == 4
+        assert H[1, 0] == 4
 
     def test_affinity_is_one_minus_hamming_over_code_length(self):
         # 10-bit codes: the six pad bits of the second byte must not count
         hashes = np.stack([packed("0000000000"), packed("0000000011")])
-        g = build_hypergraph(hashes, 10, knn_k=1)
-        assert g.incidence[1, 0] == pytest.approx(0.8)
-        assert g.incidence[0, 1] == pytest.approx(0.8)
+        H = build_hypergraph(hashes, 10, knn_k=1)
+        assert H[1, 0] == 8
+        assert H[0, 1] == 8
 
     def test_entries_bounded_and_diagonal_one(self, corpus):
         _, db = corpus
-        H = db.graph.incidence
-        assert np.all(H >= 0.0) and np.all(H <= 1.0)
-        assert np.allclose(np.diag(H), 1.0)
+        H = db.incidence
+        assert H.dtype == np.int32
+        assert np.all(H >= 0) and np.all(H <= db.code_length)
+        assert np.all(np.diagonal(H) == db.code_length)
 
     def test_column_support_is_knn_plus_self(self, corpus):
         _, db = corpus
-        H = db.graph.incidence
+        H = db.incidence
         expected = min(db.params.knn_k, H.shape[0] - 1) + 1
         for s in range(H.shape[1]):
             assert np.count_nonzero(H[:, s]) <= expected
@@ -130,9 +137,9 @@ class TestHypergraph:
     def test_affinity_symmetry(self, corpus):
         # where incidence is mutual the stored affinities must agree
         _, db = corpus
-        H = db.graph.incidence
+        H = db.incidence
         mutual = (H > 0) & (H.T > 0)
-        assert np.allclose(H[mutual], H.T[mutual])
+        assert np.array_equal(H[mutual], H.T[mutual])
 
 
 def loop_knn_columns(ham: np.ndarray, k: int, skip_self: bool) -> list[np.ndarray]:
@@ -182,14 +189,12 @@ class TestKnnColumns:
     def test_incidence_matches_per_column_assignment(self, t, bits, knn_k, seed):
         codes = np.random.default_rng(seed).integers(0, 2, size=(t, bits)).astype(bool)
         hashes = np.packbits(codes, axis=1)
-        graph = build_hypergraph(hashes, bits, knn_k)
         ham = hamming_matrix(hashes, hashes)
-        affinity = 1.0 - ham / float(bits)
-        incidence = np.zeros((t, t))
+        incidence = np.zeros((t, t), dtype=np.int32)
         for s, neighbors in enumerate(loop_knn_columns(ham, min(knn_k, t - 1), skip_self=True)):
-            incidence[neighbors, s] = affinity[neighbors, s]
-            incidence[s, s] = 1.0
-        assert graph.incidence.tobytes() == incidence.tobytes()
+            incidence[neighbors, s] = bits - ham[neighbors, s]
+            incidence[s, s] = bits
+        assert build_hypergraph(hashes, bits, knn_k).tobytes() == incidence.tobytes()
 
 
 class TestScoring:
@@ -250,9 +255,23 @@ class TestPatchRefusal:
 
 # Ranking as it stood when ties fell to (score, slide_id) tuples sorted in
 # Python: the code below is that version's, word for word, except that its
-# names carry a legacy prefix and it reads knn_k from the database's params
-# (the graph kept a copy of it).  That version broke neighbour ties by build
-# position, so it is the reference only for slides built in slide_id order.
+# names carry a legacy prefix, it reads knn_k from the database's params
+# (the graph kept a copy of it), it rebuilds the float incidence and the
+# hyperedge weights from the integer incidence, and legacy_query_slides
+# takes its ranked list as an argument.  That version broke neighbour ties
+# by build position, so it is the reference only for slides built in
+# slide_id order.  Its scores carry floating-point noise from the matrix
+# products, so it is the reference for scores within a relative 1e-12 and
+# for the result assembly, not for the order of near-equal scores.
+
+
+def legacy_graph(db: HshrDatabase) -> tuple[np.ndarray, np.ndarray]:
+    """(float incidence, hyperedge weights) as the graph used to store them."""
+    incidence = db.incidence / float(db.code_length)
+    weights = np.array(
+        [incidence[:, s][incidence[:, s] > 0].mean() for s in range(len(db))]
+    )
+    return incidence, weights
 
 
 def legacy_ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, str]]:
@@ -268,14 +287,15 @@ def legacy_ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[
     affinity = 1.0 - ham / float(db.code_length)
 
     extended = np.zeros((t + 1, t + 1), dtype=np.float64)
-    extended[:t, :t] = db.graph.incidence
+    incidence, edge_weights = legacy_graph(db)
+    extended[:t, :t] = incidence
     neighbors = np.argsort(ham, kind="stable")[: min(db.params.knn_k, t)]
     extended[neighbors, t] = affinity[neighbors]
     extended[t, t] = 1.0
 
     q_column = extended[:, t]
     q_weight = q_column[q_column > 0].mean()
-    weights = np.concatenate([db.graph.edge_weights, [q_weight]])
+    weights = np.concatenate([edge_weights, [q_weight]])
 
     adjacency = extended @ np.diag(weights) @ extended.T
     vertex_sim = adjacency / adjacency.sum(axis=1, keepdims=True)
@@ -292,18 +312,17 @@ def legacy_ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[
 
 def legacy_query_slides(
     db: HshrDatabase,
-    query: SlideRecord | SlideSignature,
+    ranked: list[tuple[float, str]],
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
-    signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
     kept = kept_slides(candidate_filter, db)
     slide_of = {slide_id: s for s, slide_id in enumerate(db.slide_ids)}
     hits = (
         (slide_id, db.labels[slide_of[slide_id]], score)
-        for score, slide_id in legacy_ranked_scores(db, signature)
+        for score, slide_id in ranked
         if kept[slide_of[slide_id]]
     )
     return ranked_result(hits, k, "hypergraph")
@@ -345,14 +364,20 @@ class TestEquivalenceWithSortedTuples:
         db = build_database(slides, params)
         by_id = build_database(sorted(slides, key=lambda s: s.slide_id), params)
         assert db.slide_ids == by_id.slide_ids == sorted(s.slide_id for s in slides)
-        assert db.graph.incidence.tobytes() == by_id.graph.incidence.tobytes()
+        assert db.incidence.tobytes() == by_id.incidence.tobytes()
         for sig in queries:
             order, scores = ranked_scores(db, sig)
-            assert [(float(scores[s]), db.slide_ids[s]) for s in order.tolist()] == (
-                legacy_ranked_scores(by_id, sig)
+            by_id_order, by_id_scores = ranked_scores(by_id, sig)
+            assert order.tolist() == by_id_order.tolist()
+            assert scores.tobytes() == by_id_scores.tobytes()
+            legacy = {slide_id: score for score, slide_id in legacy_ranked_scores(by_id, sig)}
+            assert scores.tolist() == pytest.approx(
+                [legacy[slide_id] for slide_id in db.slide_ids], rel=1e-12
             )
+            ranked = [(float(scores[s]), db.slide_ids[s]) for s in order.tolist()]
+            assert ranked == sorted(ranked, key=lambda pair: (-pair[0], pair[1]))
             assert query_slides(db, sig, k, candidate_filter) == legacy_query_slides(
-                by_id, sig, k, candidate_filter
+                by_id, ranked, k, candidate_filter
             )
 
     def test_equal_scores_rank_by_slide_id(self):
@@ -364,3 +389,117 @@ class TestEquivalenceWithSortedTuples:
         order, scores = ranked_scores(db, sig)
         assert len(set(scores.tolist())) == 1
         assert query_slides(db, sig, k=4).target_ids() == ["a", "a\x00", "c", "d"]
+
+
+def fraction_scores(
+    ham_db: np.ndarray, ham_q: np.ndarray, length: int, knn_k: int, alpha: float, beta: float
+) -> list[Fraction]:
+    """HSHR scores from the definition, in exact arithmetic: the query as
+    vertex and hyperedge T of the full incidence matrix, hyperedge weights
+    the mean of each column's positive entries, and row T of the
+    row-normalized products H W Hᵀ and Hᵀ H."""
+    t = len(ham_q)
+    H = [[Fraction(0)] * (t + 1) for _ in range(t + 1)]
+    for s, neighbors in enumerate(loop_knn_columns(ham_db, min(knn_k, t - 1), skip_self=True)):
+        for v in neighbors.tolist():
+            H[v][s] = Fraction(length - int(ham_db[v, s]), length)
+        H[s][s] = Fraction(1)
+    for v in np.lexsort((np.arange(t), ham_q))[: min(knn_k, t)].tolist():
+        H[v][t] = Fraction(length - int(ham_q[v]), length)
+    H[t][t] = Fraction(1)
+    weights = []
+    for e in range(t + 1):
+        positive = [H[v][e] for v in range(t + 1) if H[v][e] > 0]
+        weights.append(sum(positive) / len(positive))
+    adjacency = [sum(H[t][e] * weights[e] * H[v][e] for e in range(t + 1)) for v in range(t + 1)]
+    overlap = [sum(H[v][t] * H[v][e] for v in range(t + 1)) for e in range(t + 1)]
+    return [
+        Fraction(alpha) * adjacency[s] / sum(adjacency)
+        + Fraction(beta) * overlap[s] / sum(overlap)
+        for s in range(t)
+    ]
+
+
+def coded_database(hashes: np.ndarray, code_length: int, params: HshrParams) -> HshrDatabase:
+    """A database over given slide hashes, without mosaics or signatures."""
+    t = len(hashes)
+    return HshrDatabase(
+        params=params,
+        dim=code_length + 1,
+        code_length=code_length,
+        slide_ids=[f"s{i:04d}" for i in range(t)],
+        labels=[SlideLabels("brain", "gbm", f"pt{i}") for i in range(t)],
+        incidence=build_hypergraph(hashes, code_length, params.knn_k),
+        hashes=hashes,
+    )
+
+
+#: (alpha, beta) pairs whose products with integers below 2**50 are exact
+EXACT_WEIGHTS = [(a, b) for a in (0.0, 0.5, 1.0, 2.0) for b in (0.0, 0.5, 1.0, 2.0) if a or b]
+
+
+class TestExactScores:
+    @given(
+        st.integers(1, 13),
+        st.integers(1, 8),
+        st.integers(1, 14),
+        st.sampled_from(EXACT_WEIGHTS),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_order_and_ties_match_fraction_oracle(self, t, bits, knn_k, weights, seed):
+        # few short codes: hash distances and scores tie all the time
+        alpha, beta = weights
+        codes = np.random.default_rng(seed).integers(0, 2, size=(t + 1, bits)).astype(bool)
+        hashes = np.packbits(codes, axis=1)
+        db = coded_database(hashes[:t], bits, HshrParams(knn_k=knn_k, alpha=alpha, beta=beta))
+        order, scores = ranked_scores(db, SlideSignature("q", hashes[t]))
+
+        exact = fraction_scores(
+            hamming_matrix(hashes[:t], hashes[:t]),
+            hamming_matrix(hashes[t:], hashes[:t])[0],
+            bits, knn_k, alpha, beta,
+        )
+        assert order.tolist() == sorted(range(t), key=lambda s: (-exact[s], s))
+        for a in range(t):
+            assert math.isclose(scores[a], float(exact[a]), rel_tol=1e-15, abs_tol=1e-300)
+            for b in range(a):
+                assert (scores[a] == scores[b]) == (exact[a] == exact[b])
+
+    def test_memory_is_linear_in_slides(self):
+        # T = 2,000: the (T+1)² float products peaked at ~150 MiB; the
+        # query row needs the query's k incidence rows and nothing square
+        rng = np.random.default_rng(3)
+        hashes = np.packbits(rng.integers(0, 2, size=(2001, 63)).astype(bool), axis=1)
+        db = coded_database(hashes[:2000], 63, HshrParams())
+        query = SlideSignature("q", hashes[2000])
+        tracemalloc.start()
+        try:
+            order, scores = ranked_scores(db, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert sorted(order.tolist()) == list(range(2000))
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (math.nan, 1.0),
+            (1.0, math.nan),
+            (math.inf, 1.0),
+            (1.0, -math.inf),
+            (-0.5, 1.0),
+            (1.0, -1e-9),
+            (0.0, 0.0),
+        ],
+    )
+    def test_bad_weights_rejected(self, alpha, beta):
+        with pytest.raises(ValidationError):
+            HshrParams(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (0.3, 2.5)])
+    def test_good_weights_accepted(self, alpha, beta):
+        assert HshrParams(alpha=alpha, beta=beta).alpha == alpha

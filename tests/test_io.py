@@ -241,9 +241,10 @@ class TestDatabaseEnvelope:
         # per-row slide ids and the RetCCL and HSHR label dicts; version 5
         # held yottixel's slide starts, RetCCL's patch_coords, SISH's
         # subtype_freq dict and HSHR's graph-level knn_k, and rows that
-        # followed input order.  Each changed the engine classes' fields,
-        # so such files must not load
-        for version in (1, 2, 3, 4, 5):
+        # followed input order; version 6 held HSHR's float incidence and
+        # hyperedge weights.  Each changed the engine classes' fields, so
+        # such files must not load
+        for version in (1, 2, 3, 4, 5, 6):
             path = tmp_path / f"v{version}.db"
             envelope = {
                 "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None
