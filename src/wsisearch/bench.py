@@ -2,8 +2,12 @@
 
 For each database size T the harness builds a fresh synthetic corpus and
 prepares the query representations up front (mosaics and signatures are
-indexing work, not search work).  It then times only the query stage,
-taking the repetitions round-robin across the sizes.  The
+indexing work, not search work).  It then times only the query stage: each
+sample is one call timed right after an untimed call of the same query, so
+every size is timed with its own data in cache, and the samples go
+round-robin across the sizes, one query at a time, for at least
+MIN_TIMING_SECONDS, so a change in the host's speed hits every size alike
+and the small sizes' medians rest on many samples.  The
 fitted log-log slope of median query time against T sits next to each
 engine's theoretical exponent so scaling regressions are visible at a
 glance.
@@ -26,6 +30,9 @@ THEORY_EXPONENT = {
     "retccl": 1.0,  # flat scan over all mosaic patches
     "hshr": 1.0,  # Hamming scan, k incidence rows and sorts over T slides
 }
+#: least wall time the timed rounds of one engine take; repetitions past
+#: ``BenchSpec.repetitions`` continue until it is reached
+MIN_TIMING_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -81,22 +88,23 @@ def bench_query(engine: str, spec: BenchSpec | None = None) -> EngineBench:
     mod = ENGINE_MODULES[engine]
     params = make_params(engine, {"seed": spec.seed})
 
-    # every size's database first, then the repetitions round-robin across
-    # sizes, so drift in the host's speed hits every size alike
+    # every size's database first, then the timed rounds
     prepared = []
     for size in spec.sizes:
         db_slides, query_slides = _corpus(size, spec)
         db = mod.build_database(db_slides, params)
-        queries = [mod.prepare_query(db, q) for q in query_slides]
-        mod.query_slides(db, queries[0], spec.k)  # warm caches before timing
-        prepared.append((db, queries))
+        prepared.append((db, [mod.prepare_query(db, q) for q in query_slides]))
 
     samples: list[list[float]] = [[] for _ in spec.sizes]
-    for _ in range(spec.repetitions):
-        for (db, queries), times in zip(prepared, samples):
-            for query in queries:
+    start = time.perf_counter()
+    rounds = 0
+    while rounds < spec.repetitions or time.perf_counter() - start < MIN_TIMING_SECONDS:
+        rounds += 1
+        for i in range(spec.queries):
+            for (db, queries), times in zip(prepared, samples):
+                mod.query_slides(db, queries[i], spec.k)  # warm caches
                 t0 = time.perf_counter()
-                mod.query_slides(db, query, spec.k)
+                mod.query_slides(db, queries[i], spec.k)
                 times.append(time.perf_counter() - t0)
     medians = [float(np.median(times)) for times in samples]
 

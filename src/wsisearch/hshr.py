@@ -34,6 +34,7 @@ from .model import (
     binarize_barcode,
     check_k,
     check_query_dim,
+    check_query_rows,
     database_dim,
     encode_slides,
     hamming_matrix,
@@ -202,6 +203,7 @@ def query_slides(
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
     signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    check_query_rows(signature.slide_hash[None, :], db.hashes.shape[1])
     order, scores = ranked_scores(db, signature)
     top = order[kept_slides(candidate_filter, db)[order]][:k].tolist()
     hits = ((db.slide_ids[s], db.labels[s], float(scores[s])) for s in top)

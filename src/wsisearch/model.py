@@ -206,13 +206,15 @@ def check_query_dim(db, query: SlideRecord | PatchFeature) -> None:
 
 
 def check_query_rows(rows: np.ndarray, width: int) -> None:
-    """A prepared slide query must be a non-empty (m, width) matrix."""
+    """A prepared slide query must be a non-empty, finite (m, width) matrix."""
     if rows.ndim != 2:
         raise DimensionError(f"prepared query must be (m, {width}), got shape {rows.shape}")
     if len(rows) == 0:
         raise EmptyInputError("query mosaic has no patches")
     if rows.shape[1] != width:
         raise DimensionError(f"prepared query width {rows.shape[1]} != database width {width}")
+    if not np.isfinite(rows).all():
+        raise ValidationError("prepared query holds non-finite values")
 
 
 def encode_slides(

@@ -11,7 +11,10 @@ The index is columnar: one unit feature row per indexed patch, with its
 coords and its slide's index in the slide table.  Slides are listed in
 slide_id order and their rows stacked in that order, so a row's index
 orders it by (slide_id, mosaic member).  A bag is the array of its hit rows
-plus their scores, ranked by one stable sort on descending score.
+by descending score plus the scores of its top hits.  A pair's score is
+``clip((u * v).sum(), -1, 1)`` of its unit vectors; one GEMM estimates a
+whole query's, and a score is computed directly only where the estimate's
+error bound leaves a threshold or order decision in doubt.
 """
 from __future__ import annotations
 
@@ -46,9 +49,12 @@ from .model import (
     subtype_codes,
 )
 from .mosaic import Mosaic, build_mosaic_percent, check_mosaic_params, encode_mosaics
+from .mosaic import SUBNORMAL_SLACK, UNIT_ROUNDOFF
 
 QUALITY_MEDIAN = "median"
 QUALITY_NONE = "none"
+#: hits per bag whose scores the quality rule and the vote read
+TOP_HITS = 5
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class Bag:
 
     ordinal: int
     hits: np.ndarray  # (n,) int64 database rows, by score descending, then row
-    scores: np.ndarray  # (n,) float64 cosine of each hit
+    scores: np.ndarray  # (min(n, TOP_HITS),) float64 reference score of the top hits
     entropy: float  # +inf for an empty bag, so it always filters out
 
 
@@ -155,18 +161,52 @@ def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> np.ndarray:
     return _query_rows(slide, db.params)[1]
 
 
-def _unit_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
-    """Cosine of every database row against a feature; None for a zero vector."""
-    vec = feature.astype(np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return None
-    return np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
+def _estimates(db: RetcclDatabase, features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, est, err): each (m, dim) query row in float64 over its own
+    norm, as database rows are (zero rows stay zero), its (m, N) scores from
+    one GEMM, and per row a bound on their distance from the reference.
+    Any order of summing a d-term dot product lies within γ_d |u||v| of the
+    exact value (γ_d = du / (1 - du), u the unit roundoff), so the GEMM and
+    the reference differ by at most 2 γ_d |u||v| plus what underflowing
+    products add.  Database rows are unit to within (d + 4)u; the bound
+    doubles all that, which covers rounding in the comparisons against it.
+    """
+    units = features.astype(np.float64)
+    norms = np.array([np.linalg.norm(vec) for vec in units])
+    np.divide(units, norms[:, None], out=units, where=norms[:, None] > 0.0)
+    est = units @ db.unit_features.T
+    np.clip(est, -1.0, 1.0, out=est)
+    d = units.shape[1]
+    err = 4 * (d + 2) * UNIT_ROUNDOFF * np.sqrt((units * units).sum(axis=1)) + d * SUBNORMAL_SLACK
+    return units, est, err
 
 
-def _ranked(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Ascending ``rows`` by descending score, ties by row, so by slide_id."""
-    return rows[np.argsort(-scores[rows], kind="stable")]
+def _reference(db: RetcclDatabase, rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Score of each database row in ``rows`` against a unit query row:
+    ``clip((u * v).sum(), -1, 1)``, set by the pair's two vectors alone."""
+    return np.clip((db.unit_features[rows] * unit).sum(axis=1), -1.0, 1.0)
+
+
+def _ranked(
+    db: RetcclDatabase, unit: np.ndarray, est: np.ndarray, err: float, rows: np.ndarray, limit: int
+) -> np.ndarray:
+    """Ascending ``rows`` by descending reference score, ties by row (so by
+    slide_id); past the first ``limit``, rows may be missing.  Rows more
+    than twice the bound below the limit-th estimate cannot reach the top.
+    Neighbours in the estimate ranking further apart than that are in
+    reference order, and runs of closer ones are re-sorted by reference."""
+    scores = est[rows]
+    if limit < len(rows):
+        near = ~(scores < np.partition(scores, len(rows) - limit)[len(rows) - limit] - 2 * err)
+        rows, scores = rows[near], scores[near]
+    order = np.argsort(-scores, kind="stable")
+    ranked, key = rows[order], scores[order]
+    apart = key[:-1] - key[1:] > 2 * err
+    if not apart.all():
+        doubt = np.append(~apart, False) | np.insert(~apart, 0, False)
+        key[doubt] = _reference(db, ranked[doubt], unit)
+        ranked = ranked[np.lexsort((ranked, -key, np.concatenate(([0], np.cumsum(apart)))))]
+    return ranked
 
 
 def build_bags(
@@ -174,25 +214,27 @@ def build_bags(
     query_features: np.ndarray,
     candidate_filter: CandidateFilter | None = None,
 ) -> list[Bag]:
-    """One bag per row of the (m, dim) query features: all candidates at
-    cosine >= the threshold.
-
-    A zero-vector query row yields an empty bag (entropy +inf) rather than
-    an error, mirroring how zero vectors are invisible to the index.
-    """
+    """One bag per row of the (m, dim) query features: all candidates whose
+    reference score reaches the threshold.  One GEMM scores the query; the
+    reference is computed only near the threshold, near ties and for the
+    reported top scores.  A zero-vector query row scores 0 everywhere, so
+    it yields an empty bag (entropy +inf), as zero vectors are invisible to
+    the index."""
     check_query_rows(query_features, db.dim)
     mask = kept_slides(candidate_filter, db)[db.slide]
     codes = subtype_codes(db.labels)
-    bags: list[Bag] = []
-    for i, row in enumerate(query_features):
-        scores = _unit_scores(db, row)
-        if scores is None:
-            bags.append(Bag(i, np.empty(0, dtype=np.int64), np.empty(0), math.inf))
-            continue
-        hits = _ranked(scores, np.flatnonzero((scores >= db.params.sim_threshold) & mask))
+    threshold = db.params.sim_threshold
+    units, est, err = _estimates(db, query_features)
+    bags = []
+    for i, (unit, scores, bound) in enumerate(zip(units, est, err)):
+        rows = np.flatnonzero(~(scores + bound < threshold) & mask)
+        drop = ~(scores[rows] - bound >= threshold)  # in doubt until the reference decides
+        if drop.any():
+            drop[drop] = _reference(db, rows[drop], unit) < threshold
+        hits = _ranked(db, unit, scores, bound, rows[~drop], len(rows))
         # subtypes in hit order, the order the entropy sums its terms in
         entropy = label_entropy(codes[db.slide[hits]]) if len(hits) else math.inf
-        bags.append(Bag(i, hits, scores[hits], entropy))
+        bags.append(Bag(i, hits, _reference(db, hits[:TOP_HITS], unit), entropy))
     return bags
 
 
@@ -206,7 +248,7 @@ def filter_and_order_bags(bags: Sequence[Bag], quality_rule: str = QUALITY_MEDIA
     if not nonempty:
         return []
     if quality_rule == QUALITY_MEDIAN:
-        means = [float(np.mean(b.scores[:5])) for b in nonempty]
+        means = [float(np.mean(b.scores[:TOP_HITS])) for b in nonempty]
         cutoff = float(np.median(means))
         nonempty = [b for b, m in zip(nonempty, means) if m >= cutoff]
     elif quality_rule != QUALITY_NONE:
@@ -223,7 +265,7 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
     for bag in bags:
         if len(nominees) == k:
             break
-        top = db.slide[bag.hits[:5]].tolist()
+        top = db.slide[bag.hits[:TOP_HITS]].tolist()
         counts = Counter(db.labels[s].subtype for s in top)
         best = max(counts.values())
         # hits are score-descending, so the first hit whose label is tied
@@ -256,14 +298,15 @@ def query_patches(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    """Global top-k patches by cosine, unthresholded, ties by (slide_id, row)."""
+    """Global top-k patches by reference score, unthresholded, ties by (slide_id, row)."""
     check_k(k)
     check_query_dim(db, patch)
-    scores = _unit_scores(db, patch.feature)
-    if scores is None:
+    if not patch.feature.any():
         raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
-    top = _ranked(scores, np.flatnonzero(kept_slides(candidate_filter, db)[db.slide]))[:k]
-    return ranked_patches(db, top, scores[top], k, "cosine")
+    (unit,), est, err = _estimates(db, patch.feature[None, :])
+    rows = np.flatnonzero(kept_slides(candidate_filter, db)[db.slide])
+    top = _ranked(db, unit, est[0], err[0], rows, k)[:k]
+    return ranked_patches(db, top, _reference(db, top, unit), k, "cosine")
 
 
 def query_patch_set(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:

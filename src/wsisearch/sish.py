@@ -40,6 +40,7 @@ from .model import (
     binarize_barcode,
     check_k,
     check_query_dim,
+    check_query_rows,
     database_dim,
     hamming_matrix,
     kept_slides,
@@ -347,6 +348,8 @@ def query_slides(
     probes = prepare_query(db, query) if isinstance(query, SlideRecord) else list(query)
     if not probes:
         raise EmptyInputError("query has no mosaic patches")
+    for probe in probes:
+        check_query_rows(probe.code[None, :], db.codes.shape[1])
     kept = kept_slides(candidate_filter, db)
     return rank_slides([guided_search(db, probe, kept=kept) for probe in probes], db, k)
 

@@ -198,6 +198,15 @@ class TestKnnColumns:
 
 
 class TestScoring:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prepared_query_rejected(self, corpus, bad):
+        slides, db = corpus
+        signature = prepare_query(db, slides[0])
+        slide_hash = signature.slide_hash.astype(np.float64)
+        slide_hash[0] = bad
+        with pytest.raises(ValidationError):
+            query_slides(db, SlideSignature(signature.slide_id, slide_hash), k=3)
+
     def test_self_retrieval_twin_first(self, corpus):
         slides, db = corpus
         twin = make_slide("twin", slides[3].features, site=slides[3].site, patient_id="someone-else")

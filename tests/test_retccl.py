@@ -1,6 +1,7 @@
 """Cosine-bag engine: bag construction, quality filtering, bag voting."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from wsisearch.errors import (
     UndefinedSimilarityError,
     ValidationError,
 )
+from wsisearch import retccl
 from wsisearch.model import (
     CandidateFilter,
     PatchFeature,
@@ -24,13 +26,17 @@ from wsisearch.model import (
     SlideLabels,
     check_k,
     check_query_dim,
+    kept_slides,
     label_entropy,
     patch_ref,
+    ranked_patches,
     ranked_result,
+    subtype_codes,
 )
 from wsisearch.retccl import (
     QUALITY_MEDIAN,
     QUALITY_NONE,
+    TOP_HITS,
     Bag,
     RetcclDatabase,
     RetcclParams,
@@ -42,7 +48,22 @@ from wsisearch.retccl import (
     vote_slides,
 )
 
+from wsisearch.synth import SyntheticSpec, generate
+
 from util import make_slide
+
+
+def reference_scores(db: RetcclDatabase, feature) -> np.ndarray:
+    """The reference score of every database row against one query row,
+    one pair at a time: ``clip((u * v).sum(), -1, 1)`` of the unit vectors."""
+    vec = np.asarray(feature, dtype=np.float64)
+    unit = vec / np.linalg.norm(vec)
+    return np.array([np.clip((u * unit).sum(), -1.0, 1.0) for u in db.unit_features])
+
+
+def reference_order(scores: np.ndarray, rows) -> list[int]:
+    """``rows`` by descending score, ties by row."""
+    return sorted((int(j) for j in rows), key=lambda j: (-scores[j], j))
 
 
 def label_db(slide_subtypes: dict[str, str], row_slides: list[str]) -> RetcclDatabase:
@@ -141,9 +162,11 @@ class TestBuildBags:
         slides, db = axis_db
         for b in build_bags(db, slides[3].features):
             assert b.hits.dtype == np.int64 and b.scores.dtype == np.float64
-            vec = slides[3].features[b.ordinal].astype(np.float64)
-            expected = np.clip(db.unit_features @ (vec / np.linalg.norm(vec)), -1.0, 1.0)
-            assert np.array_equal(b.scores, expected[b.hits])
+            expected = reference_scores(db, slides[3].features[b.ordinal])
+            assert b.hits.tolist() == reference_order(
+                expected, np.flatnonzero(expected >= db.params.sim_threshold)
+            )
+            assert np.array_equal(b.scores, expected[b.hits[:TOP_HITS]])
 
     def test_empty_query_rejected(self, axis_db):
         _, db = axis_db
@@ -272,8 +295,9 @@ class TestQueries:
 
 # The engine as it stood before bags became row arrays: the code below is
 # that version's, word for word, except that its names carry a legacy
-# prefix.  It reads per-row slide ids and a label dict, which legacy_db
-# derives from a database's columns.
+# prefix and that it scores with the reference formula (reference_scores).
+# It reads per-row slide ids and a label dict, which legacy_db derives from
+# a database's columns.
 
 
 @dataclass
@@ -350,7 +374,7 @@ def legacy_build_bags(
         if norm == 0.0:
             bags.append(LegacyBag(ordinal=i, hits=(), entropy=math.inf))
             continue
-        scores = np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
+        scores = reference_scores(db, vec)
         picked = np.flatnonzero((scores >= db.params.sim_threshold) & mask)
         hits = [
             LegacyHit(
@@ -427,7 +451,7 @@ def legacy_query_patches(
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
-    scores = np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
+    scores = reference_scores(db, vec)
     mask = legacy_candidate_mask(db, candidate_filter)
 
     order = sorted(
@@ -507,10 +531,10 @@ class TestEquivalenceWithHitObjects:
         assert len(new_bags) == len(old_bags)
         for new, old in zip(new_bags, old_bags):
             assert new.ordinal == old.ordinal
-            assert [
-                (hit_slide(db, j), j, score)
-                for j, score in zip(new.hits.tolist(), new.scores.tolist())
-            ] == [(h.slide_id, h.ordinal, h.score) for h in old.hits]
+            assert [(hit_slide(db, j), j) for j in new.hits.tolist()] == [
+                (h.slide_id, h.ordinal) for h in old.hits
+            ]
+            assert new.scores.tolist() == [h.score for h in old.hits[:TOP_HITS]]
             assert new.entropy.hex() == old.entropy.hex()
         for rule in (QUALITY_MEDIAN, QUALITY_NONE):
             new_order = filter_and_order_bags(new_bags, rule)
@@ -529,3 +553,222 @@ class TestEquivalenceWithHitObjects:
             assert query_patches(db, patch, k, candidate_filter) == legacy_query_patches(
                 old_db, patch, k, candidate_filter
             )
+
+
+# The engine's scoring before one GEMM scored a whole query: one GEMV per
+# query row, as that version's build_bags and query_patches did it.
+
+
+def gemv_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
+    vec = feature.astype(np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        return None
+    return np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
+
+
+def gemv_build_bags(
+    db: RetcclDatabase, query_features: np.ndarray, candidate_filter: CandidateFilter | None = None
+) -> list[Bag]:
+    mask = kept_slides(candidate_filter, db)[db.slide]
+    codes = subtype_codes(db.labels)
+    bags: list[Bag] = []
+    for i, row in enumerate(query_features):
+        scores = gemv_scores(db, row)
+        if scores is None:
+            bags.append(Bag(i, np.empty(0, dtype=np.int64), np.empty(0), math.inf))
+            continue
+        rows = np.flatnonzero((scores >= db.params.sim_threshold) & mask)
+        hits = rows[np.argsort(-scores[rows], kind="stable")]
+        entropy = label_entropy(codes[db.slide[hits]]) if len(hits) else math.inf
+        bags.append(Bag(i, hits, scores[hits], entropy))
+    return bags
+
+
+def gemv_query_patches(
+    db: RetcclDatabase, patch: PatchFeature, k: int, candidate_filter: CandidateFilter | None = None
+) -> RetrievalResult:
+    scores = gemv_scores(db, patch.feature)
+    rows = np.flatnonzero(kept_slides(candidate_filter, db)[db.slide])
+    top = rows[np.argsort(-scores[rows], kind="stable")][:k]
+    return ranked_patches(db, top, scores[top], k, "cosine")
+
+
+def reference_patches(db, patch, k, candidate_filter=None) -> RetrievalResult:
+    scores = reference_scores(db, patch.feature)
+    top = np.array(
+        reference_order(scores, np.flatnonzero(kept_slides(candidate_filter, db)[db.slide]))[:k],
+        dtype=np.int64,
+    )
+    return ranked_patches(db, top, scores[top], k, "cosine")
+
+
+class TestAgainstPerRowGemv:
+    @given(tie_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_same_hits_and_entropies_reference_scores(self, corpus):
+        db, query, candidate_filter, k = corpus
+        new_bags = build_bags(db, query, candidate_filter)
+        old_bags = gemv_build_bags(db, query, candidate_filter)
+        for new, old, row in zip(new_bags, old_bags, query, strict=True):
+            assert new.hits.tolist() == old.hits.tolist()
+            assert new.entropy.hex() == old.entropy.hex()
+            top = new.hits[:TOP_HITS]
+            expected = reference_scores(db, row)[top] if row.any() else []
+            assert new.scores.tolist() == list(expected)
+        for row in query[query.any(axis=1)]:
+            patch = PatchFeature(0, 0, row)
+            new = query_patches(db, patch, k, candidate_filter)
+            assert new.target_ids() == gemv_query_patches(db, patch, k, candidate_filter).target_ids()
+            assert new == reference_patches(db, patch, k, candidate_filter)
+
+
+@pytest.fixture
+def recomputed(monkeypatch):
+    """Every row the engine scores with the reference formula, per call."""
+    calls: list[list[int]] = []
+    reference = retccl._reference
+
+    def spy(db, rows, unit):
+        calls.append(np.asarray(rows).tolist())
+        return reference(db, rows, unit)
+
+    monkeypatch.setattr(retccl, "_reference", spy)
+    return calls
+
+
+def near_tie_db() -> tuple[RetcclDatabase, np.ndarray]:
+    """200 unit rows, four slides of 50, that differ from one vector in the
+    last bits, plus a query row whose reference scores against them differ
+    by a few ulps: far closer than any GEMM estimate can tell apart."""
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=64)
+    rows = base + 3e-14 * np.abs(base) * rng.normal(size=(200, 64))
+    for vec in rows:
+        vec /= np.linalg.norm(vec)
+    slide_ids = ["s0", "s1", "s2", "s3"]
+    db = RetcclDatabase(
+        params=RetcclParams(sim_threshold=0.5),
+        dim=64,
+        slide_ids=slide_ids,
+        labels=[SlideLabels("brain", ("gbm", "lgg")[i % 2], f"pt-{i}") for i in range(4)],
+        unit_features=rows,
+        slide=np.repeat(np.arange(4), 50),
+        coords=np.stack([np.arange(200) % 50, np.zeros(200, dtype=int)], axis=1).astype(np.int32),
+    )
+    return db, base + 0.4 * rng.normal(size=64)
+
+
+class TestCertifiedRechecks:
+    def test_near_tied_hits_follow_the_reference(self, recomputed):
+        db, query = near_tie_db()
+        scores = reference_scores(db, query)
+        assert len(np.unique(scores)) > 10  # distinct scores, a few ulps apart
+        (bag,) = build_bags(db, query[None, :])
+        assert bag.hits.tolist() == reference_order(scores, range(200))
+        assert np.array_equal(bag.scores, scores[bag.hits[:TOP_HITS]])
+        assert set(sum(recomputed, [])) == set(range(200))
+        for k in (1, 7, 60):
+            patch = PatchFeature(0, 0, query)
+            assert query_patches(db, patch, k) == reference_patches(db, patch, k)
+
+    def test_threshold_equal_to_an_attained_score(self, recomputed):
+        db, query = near_tie_db()
+        scores = reference_scores(db, query)
+        threshold = float(np.sort(scores)[100])  # half the rows reach it exactly or above
+        db = dataclasses.replace(db, params=RetcclParams(sim_threshold=threshold))
+        (bag,) = build_bags(db, query[None, :])
+        expected = reference_order(scores, np.flatnonzero(scores >= threshold))
+        assert bag.hits.tolist() == expected
+        assert len(expected) >= 100 and scores[expected[-1]] == threshold
+        assert set(recomputed[0]) == set(range(200))  # every row sat within the bound
+
+    def test_duplicated_slides_tie_exactly_lower_slide_id_first(self, recomputed):
+        rng = np.random.default_rng(21)
+        feats = rng.normal(size=(10, 48)).astype(np.float32)
+        slides = [
+            make_slide("copy-b", feats),
+            make_slide("copy-a", feats, subtype="lgg"),
+            make_slide("other", rng.normal(size=(10, 48))),
+        ]
+        db = build_database(slides, RetcclParams(sim_threshold=0.3, fraction=1.0, seed=0))
+        n = len(feats)
+        query = feats[:4] + 0.3 * rng.normal(size=(4, 48)).astype(np.float32)
+        for bag, row in zip(build_bags(db, query), query):
+            scores = reference_scores(db, row)
+            hits = bag.hits.tolist()
+            assert hits == reference_order(scores, np.flatnonzero(scores >= 0.3))
+            copies = [j for j in hits if j < 2 * n]
+            # each copy-a row (rows 0..n-1) ties with its copy-b twin and comes first
+            assert copies[0::2] == [j - n for j in copies[1::2]] and max(copies[0::2]) < n
+            assert np.array_equal(bag.scores, scores[bag.hits[:TOP_HITS]])
+        tied = {j for call in recomputed for j in call}
+        assert tied >= {j for bag in build_bags(db, query) for j in bag.hits.tolist() if j < 2 * n}
+        for k in (1, 3):  # the cut falls inside a tie
+            patch = PatchFeature(0, 0, query[0])
+            result = query_patches(db, patch, k)
+            assert result == reference_patches(db, patch, k)
+            assert result.entries[0].target_id.startswith("copy-a:")
+
+
+class TestPositionIndependence:
+    """A pair's score, and with it every bag, is the same wherever the two
+    rows sit: adding a slide that sorts first shifts every database row."""
+
+    def test_extra_slide_changes_no_other_hit_or_score(self):
+        spec = SyntheticSpec(
+            n_sites=2,
+            subtypes_per_site=2,
+            slides_per_subtype=6,
+            patches_per_slide=40,
+            dim=256,
+            sigma=0.5,
+            queries_per_subtype=2,
+            seed=3,
+        )
+        db_slides, queries = generate(spec)
+        extra = make_slide("0-extra", queries[0].features, subtype=queries[0].subtype)
+        params = RetcclParams(fraction=0.5, seed=4)
+        base = build_database(db_slides, params)
+        grown = build_database([*db_slides, extra], params)
+        assert grown.slide_ids[0] == "0-extra" and grown.n_patches > base.n_patches
+
+        def keyed(db, rows, scores=np.empty(0)):
+            """(slide_id, mosaic member, score or None) per row, leaving out
+            the extra slide's rows."""
+            first = np.searchsorted(db.slide, db.slide)
+            out = []
+            for j, score in zip(rows.tolist(), [*scores.tolist(), *[None] * len(rows)]):
+                sid = db.slide_ids[db.slide[j]]
+                if sid != "0-extra":
+                    out.append((sid, j - int(first[j]), score))
+            return out
+
+        checked = 0
+        for query in queries:
+            features = retccl.prepare_query(base, query)
+            for small, big in zip(build_bags(base, features), build_bags(grown, features)):
+                kept = keyed(grown, big.hits, big.scores)
+                assert [h[:2] for h in kept] == [h[:2] for h in keyed(base, small.hits)]
+                top = keyed(base, small.hits[:TOP_HITS], small.scores)
+                scored = [h for h in kept if h[2] is not None]
+                assert scored == top[: len(scored)]
+                checked += len(scored)
+            for patch in retccl.query_patch_set(base, query):
+                small = query_patches(base, patch, 10)
+                big = [e for e in query_patches(grown, patch, 10).entries
+                       if not e.target_id.startswith("0-extra:")]
+                assert big == list(small.entries[: len(big)])
+        assert checked > 100
+
+
+class TestNonFiniteQuery:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prepared_query_rejected(self, axis_db, bad):
+        slides, db = axis_db
+        features = slides[0].features.astype(np.float64)
+        features[1, 2] = bad
+        with pytest.raises(ValidationError):
+            build_bags(db, features)
+        with pytest.raises(ValidationError):
+            query_slides(db, features, k=2)

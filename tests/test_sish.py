@@ -364,6 +364,14 @@ def corpus_db():
 
 
 class TestEndToEnd:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prepared_query_rejected(self, corpus_db, bad):
+        slides, db = corpus_db
+        probes = prepare_query(db, slides[0])
+        code = probes[-1].code.astype(np.float64)
+        code[0] = bad
+        with pytest.raises(ValidationError):
+            query_slides(db, [*probes[:-1], SishProbe(probes[-1].index, code)], k=3)
 
     def test_build_freezes_ranges(self, corpus_db):
         slides, db = corpus_db

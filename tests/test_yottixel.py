@@ -115,6 +115,14 @@ class TestMedianMinHamming:
 
 
 class TestSlideQuery:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prepared_query_rejected(self, two_cluster_db, bad):
+        slides, db = two_cluster_db
+        codes = prepare_query(db, slides[0]).astype(np.float64)
+        codes[0, 0] = bad
+        with pytest.raises(ValidationError):
+            query_slides(db, codes, k=3)
+
     def test_self_query_ranks_self_first(self, two_cluster_db):
         slides, db = two_cluster_db
         res = query_slides(db, slides[0], k=3)
