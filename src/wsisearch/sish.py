@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -109,6 +110,19 @@ class SishDatabase:
 
     def __len__(self) -> int:
         return len(self.slide_ids)
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """(N,) int64 position of each row in (slide, ordinal) order: rows
+        before its slide's, plus its ordinal.  Derived from ``slide`` and
+        ``ordinal`` on first use and never saved."""
+        sizes = np.bincount(self.slide, minlength=len(self))
+        return (np.cumsum(sizes) - sizes)[self.slide] + self.ordinal
+
+    def __getstate__(self) -> dict:
+        """Pickled state without ``rank``, so a saved file does not depend on
+        whether a query ran before the save."""
+        return {name: value for name, value in self.__dict__.items() if name != "rank"}
 
 
 def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | np.ndarray:
@@ -287,19 +301,28 @@ def guided_search(
     Results are one (n, 2) int64 array of (row, hamming) pairs: the rows of
     kept slides (``kept`` is a per-slide mask, None keeps all) within
     db.params.hamming_threshold, ascending by distance, then slide_id, then
-    ordinal; n may be 0.
+    ordinal; n may be 0.  One argsort of ``ham * N + rank`` over the N rows
+    gives that order: ``rank`` is below N and ham at most code_length, so
+    keys are distinct and below (code_length + 1) * N <= 9 * codes.nbytes,
+    inside int64 for any codes array under 10**18 bytes.
     """
     budget = db.params.probe_budget if probe_budget is None else probe_budget
     if budget < 1:
         raise ValidationError("probe_budget must be >= 1")
-    ranges = visited_ranges(db.keys, query.index, db.params.seed_offset, budget)
-    rows = np.unique(np.concatenate([np.arange(db.starts[a], db.starts[b]) for a, b in ranges]))
+    # the seeds' walkers overlap: merged ranges give each row once, in row order
+    merged: list[list[int]] = []
+    for a, b in sorted(visited_ranges(db.keys, query.index, db.params.seed_offset, budget)):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    rows = np.concatenate([np.arange(db.starts[a], db.starts[b]) for a, b in merged])
     if kept is not None:
         rows = rows[kept[db.slide[rows]]]
     hams = hamming_matrix(query.code[None, :], db.codes[rows])[0]
     near = hams <= db.params.hamming_threshold
     rows, hams = rows[near], hams[near]
-    order = np.lexsort((db.ordinal[rows], db.slide[rows], hams))
+    order = np.argsort(hams * len(db.slide) + db.rank[rows])
     return np.stack((rows[order], hams[order]), axis=1)
 
 
@@ -348,8 +371,10 @@ def query_slides(
     probes = prepare_query(db, query) if isinstance(query, SlideRecord) else list(query)
     if not probes:
         raise EmptyInputError("query has no mosaic patches")
-    for probe in probes:
-        check_query_rows(probe.code[None, :], db.codes.shape[1])
+    shapes = {np.shape(probe.code) for probe in probes}
+    if len(shapes) > 1:
+        raise DimensionError(f"prepared query codes differ in shape: {sorted(shapes)}")
+    check_query_rows(np.stack([probe.code for probe in probes]), db.codes.shape[1])
     kept = kept_slides(candidate_filter, db)
     return rank_slides([guided_search(db, probe, kept=kept) for probe in probes], db, k)
 

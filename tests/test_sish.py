@@ -1,6 +1,8 @@
 """Integer-index engine: encoding, guided key walk, weighted ranking."""
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,47 @@ def tree_guided_search(db: SishDatabase, query: SishProbe, probe_budget=None, ca
     return results
 
 
+def sort_guided_search(db: SishDatabase, query: SishProbe, probe_budget=None, kept=None):
+    """Guided search as it ran with a sorted union of the visited rows and a
+    3-key lexsort: the reference for the merged ranges and one order key."""
+    budget = db.params.probe_budget if probe_budget is None else probe_budget
+    ranges = visited_ranges(db.keys, query.index, db.params.seed_offset, budget)
+    rows = np.unique(np.concatenate([np.arange(db.starts[a], db.starts[b]) for a, b in ranges]))
+    if kept is not None:
+        rows = rows[kept[db.slide[rows]]]
+    hams = hamming_matrix(query.code[None, :], db.codes[rows])[0]
+    near = hams <= db.params.hamming_threshold
+    rows, hams = rows[near], hams[near]
+    order = np.lexsort((db.ordinal[rows], db.slide[rows], hams))
+    return np.stack((rows[order], hams[order]), axis=1)
+
+
+def column_db(index, slide, codes, code_length: int, params: SishParams) -> SishDatabase:
+    """Database from per-row keys, slides and packed codes, listed in
+    (slide, row) order so that each row's ordinal is its place in its slide."""
+    index, slide = np.asarray(index, dtype=np.int64), np.asarray(slide, dtype=np.int64)
+    ordinal = np.concatenate([np.arange(n) for n in np.bincount(slide)])
+    order = np.lexsort((ordinal, slide, index))
+    keys, first = np.unique(index[order], return_index=True)
+    n_slides = int(slide.max()) + 1
+    return SishDatabase(
+        params=params,
+        dim=code_length + 1,
+        code_length=code_length,
+        lo=np.zeros(code_length + 1),
+        hi=np.ones(code_length + 1),
+        slide_ids=[f"s{i:03d}" for i in range(n_slides)],
+        labels=[SlideLabels("brain", "x", f"pt-{i}") for i in range(n_slides)],
+        keys=keys,
+        starts=np.append(first, len(order)),
+        slide=slide[order],
+        ordinal=ordinal[order],
+        coords=np.zeros((len(order), 2), dtype=np.int32),
+        codes=np.asarray(codes, dtype=np.uint8)[order],
+        freq=np.ones(n_slides),
+    )
+
+
 class TestIndexEncode:
     def test_all_min_is_zero(self):
         assert index_encode(np.zeros(6), np.zeros(6), np.ones(6)) == 0
@@ -278,7 +321,85 @@ def walks(draw):
     return keys, index, offset, budget
 
 
+@st.composite
+def searches(draw):
+    """(database, probe, budget, kept) where few keys carry many rows, a few
+    distinct codes make Hamming ties within and across slides, and a small
+    seed offset makes the three seeds' walkers overlap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    n_keys = draw(st.integers(1, 12))
+    span = draw(st.integers(n_keys, 300))
+    base = draw(st.sampled_from([0, INDEX_MAX - span, 2**40]))
+    key_set = base + np.sort(rng.choice(span + 1, n_keys, replace=False))
+    code_length = draw(st.integers(1, 20))
+    palette = rng.integers(0, 2, (draw(st.integers(1, 4)), code_length)).astype(bool)
+    n = sum(sizes)
+    # skewed draws, so the first keys and codes carry most rows
+    index = key_set[np.minimum(rng.geometric(0.4, n) - 1, n_keys - 1)]
+    codes = np.packbits(palette[np.minimum(rng.geometric(0.5, n) - 1, len(palette) - 1)], axis=1)
+    params = SishParams(
+        hamming_threshold=draw(st.integers(0, code_length)),
+        seed_offset=draw(st.one_of(st.integers(1, span), st.just(COARSE_DIGIT_UNIT))),
+    )
+    db = column_db(index, np.repeat(np.arange(len(sizes)), sizes), codes, code_length, params)
+    query_index = draw(st.one_of(
+        st.sampled_from(key_set.tolist()), st.integers(max(base - span, 0), base + 2 * span)
+    ))
+    query_bits = draw(st.one_of(
+        st.sampled_from(range(len(palette))).map(lambda i: palette[i]),
+        st.lists(st.booleans(), min_size=code_length, max_size=code_length).map(np.array),
+    ))
+    budget = draw(st.one_of(st.integers(1, 40), st.integers(1, 20_000)))
+    kept = draw(st.sampled_from([None, "none", "some"]))
+    if kept == "none":
+        kept = np.zeros(len(db), dtype=bool)
+    elif kept == "some":
+        kept = rng.random(len(db)) < 0.5
+    return db, SishProbe(query_index, np.packbits(query_bits)), budget, kept
+
+
 class TestArrayWalk:
+    @given(searches())
+    @settings(max_examples=300, deadline=None)
+    def test_guided_search_equals_sort_search(self, search):
+        db, query, budget, kept = search
+        assert np.array_equal(np.argsort(db.rank), np.lexsort((db.ordinal, db.slide)))
+        got = guided_search(db, query, budget, kept=kept)
+        want = sort_guided_search(db, query, budget, kept=kept)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        if kept is not None and not kept.any():
+            assert got.shape == (0, 2)
+
+    def test_order_key_at_largest_distance_and_many_rows_per_slide(self):
+        # one slide holds nearly every row, so ranks and ordinals run near N,
+        # and most rows sit at the largest distance, code_length
+        code_length = 255
+        sizes = [3, 60_000, 3]
+        slide = np.repeat(np.arange(3), sizes)
+        rng = np.random.default_rng(11)
+        bits = np.zeros((len(slide), code_length), dtype=bool)
+        bits[rng.random(len(slide)) < 0.1, 0] = True  # distance code_length - 1
+        params = SishParams(hamming_threshold=code_length, seed_offset=1)
+        db = column_db(rng.integers(0, 4, len(slide)), slide, np.packbits(bits, axis=1),
+                       code_length, params)
+        query = SishProbe(1, np.packbits(np.ones(code_length, dtype=bool)))
+        got = guided_search(db, query)
+        assert len(got) == len(slide)
+        assert set(got[:, 1].tolist()) == {code_length - 1, code_length}
+        assert np.array_equal(got, sort_guided_search(db, query))
+        top = code_length * len(slide) + db.rank.max()
+        assert top < (code_length + 1) * len(slide) <= 9 * db.codes.nbytes
+
+    def test_rank_is_derived_never_saved(self, corpus_db):
+        _, db = corpus_db
+        before = pickle.dumps(db)
+        assert np.array_equal(np.argsort(db.rank), np.lexsort((db.ordinal, db.slide)))
+        assert pickle.dumps(db) == before
+        assert np.array_equal(pickle.loads(before).rank, db.rank)
+
     @given(walks())
     @settings(max_examples=300, deadline=None)
     def test_visits_the_keys_the_tree_walk_visits(self, walk):
@@ -372,6 +493,17 @@ class TestEndToEnd:
         code[0] = bad
         with pytest.raises(ValidationError):
             query_slides(db, [*probes[:-1], SishProbe(probes[-1].index, code)], k=3)
+
+    @pytest.mark.parametrize("where", ["middle", "every"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_width_code_rejected(self, corpus_db, where, extra):
+        slides, db = corpus_db
+        probes = prepare_query(db, slides[0])
+        bad = range(len(probes)) if where == "every" else [len(probes) // 2]
+        for i in bad:
+            probes[i] = SishProbe(probes[i].index, np.zeros(db.codes.shape[1] + extra, np.uint8))
+        with pytest.raises(DimensionError):
+            query_slides(db, probes, k=3)
 
     def test_build_freezes_ranges(self, corpus_db):
         slides, db = corpus_db
