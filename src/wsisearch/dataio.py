@@ -188,7 +188,7 @@ def load_slides(manifest: Manifest) -> list[SlideRecord]:
 
 
 _DB_FORMAT = "wsisearch-db"
-_DB_VERSION = 7
+_DB_VERSION = 8
 
 
 def save_database(path: str | Path, engine: str, database) -> None:

@@ -1,8 +1,7 @@
 """Hypergraph retrieval over per-slide hash signatures.  Slide-level only.
 
-A slide's signature is built from its fixed-centroid mosaic: attention
-weights follow cluster population, and the slide hash is the barcode of the
-attention-weighted mean of the centroid features.  Each database slide
+A slide's hash is the barcode of its mean feature, which population
+attention over a fixed-centroid mosaic equals.  Each database slide
 spans one hyperedge containing its K nearest slides by hash distance; a
 query joins the graph as a fresh vertex and hyperedge, and scores combine
 vertex-level and hyperedge-level similarity: the query's row of the
@@ -40,22 +39,22 @@ from .model import (
     hamming_matrix,
     kept_slides,
     ranked_result,
-    slide_seed,
 )
-from .mosaic import FIXED_CENTROIDS, Mosaic, build_mosaic_fixed
+
+#: hyperedges whose Hamming rows build_hypergraph forms at once, to bound temporaries
+HYPERGRAPH_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class HshrParams:
-    k_fixed: int = 20
+    """HSHR draws nothing at random: ``seed`` has no effect, kept for the shared --seed."""
+
     knn_k: int = 10
     alpha: float = 1.0
     beta: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.k_fixed < 1:
-            raise ValidationError("k_fixed must be >= 1")
         if self.knn_k < 1:
             raise ValidationError("knn_k must be >= 1")
         # a NaN weight makes every score NaN, which ranks as a tie
@@ -89,33 +88,27 @@ class HshrDatabase:
         return len(self.slide_ids)
 
 
-def slide_signature(slide: SlideRecord, mosaic: Mosaic) -> SlideSignature:
-    """Reference signature encoder over a fixed-centroid mosaic."""
-    if mosaic.method != FIXED_CENTROIDS or mosaic.cluster_sizes is None:
-        raise ValidationError("slide_signature needs a fixed-centroid mosaic")
-    if mosaic.slide_id != slide.slide_id:
-        raise ValidationError(
-            f"mosaic belongs to {mosaic.slide_id!r}, not {slide.slide_id!r}"
-        )
-    sizes = np.asarray(mosaic.cluster_sizes, dtype=np.float64)
-    attention = sizes / sizes.sum()
-    weighted_mean = attention @ mosaic.features.astype(np.float64)
-    return SlideSignature(slide_id=slide.slide_id, slide_hash=binarize_barcode(weighted_mean))
+def slide_signature(slide: SlideRecord) -> SlideSignature:
+    """The barcode of the slide's float64 mean feature, which population
+    attention over a fixed-centroid mosaic, sum_j (n_j / N) c_j, equals since
+    each centroid c_j is the mean of its n_j members.  Exact ties between
+    components read 0.  Sums float32 features in float64 without a copy."""
+    mean = slide.features.mean(axis=0, dtype=np.float64)
+    return SlideSignature(slide_id=slide.slide_id, slide_hash=binarize_barcode(mean))
 
 
-def _signature_of(slide: SlideRecord, params: HshrParams) -> SlideSignature:
-    mosaic = build_mosaic_fixed(
-        slide, k_fixed=params.k_fixed, seed=slide_seed(params.seed, slide.slide_id)
-    )
-    return slide_signature(slide, mosaic)
-
-
-def _knn_columns(ham: np.ndarray, k: int) -> np.ndarray:
-    """Row s: the k nearest other indices to s by column s of a square
-    pairwise Hamming matrix (ascending distance, index as tie-break)."""
-    t = ham.shape[0]
-    order = np.argsort(ham, axis=0, kind="stable").T
-    return order[order != np.arange(t)[:, None]].reshape(t, t - 1)[:, :k]
+def _knn_columns(ham: np.ndarray, k: int, first: int) -> np.ndarray:
+    """Row j: the k nearest indices other than first + j by row j of a (b, T)
+    block of Hamming distances (k clamps to T - 1).  The key ham * T + index
+    is unique within a row, so a partition and a sort of k keys give the
+    stable (distance, index) order."""
+    b, t = ham.shape
+    k = min(k, t - 1)
+    key = ham * t + np.arange(t)
+    key[np.arange(b), first + np.arange(b)] = np.iinfo(np.int64).max
+    near = np.argpartition(key, k - 1, axis=1)[:, :k]
+    by_key = np.argsort(np.take_along_axis(key, near, axis=1), axis=1)
+    return np.take_along_axis(near, by_key, axis=1)
 
 
 def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> np.ndarray:
@@ -124,16 +117,19 @@ def build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> np.nda
     (affinity 1 - hamming/L) and slide s itself at code_length.
 
     ``hashes`` holds one packed slide hash of ``code_length`` bits per row.
+    Hyperedges come HYPERGRAPH_BLOCK at a time from their rows of the
+    symmetric Hamming matrix, so no (T, T) distance matrix is formed.
     """
     t = hashes.shape[0]
     if t == 0:
         raise EmptyInputError("cannot build a hypergraph from zero slide hashes")
-    ham = hamming_matrix(hashes, hashes)
     incidence = np.zeros((t, t), dtype=np.int32)
-    edges = np.arange(t)
-    neighbors = _knn_columns(ham, min(knn_k, t - 1))
-    incidence[neighbors, edges[:, None]] = code_length - ham[neighbors, edges[:, None]]
-    incidence[edges, edges] = code_length
+    for first in range(0, t, HYPERGRAPH_BLOCK):
+        ham = hamming_matrix(hashes[first : first + HYPERGRAPH_BLOCK], hashes)
+        edges = np.arange(first, first + len(ham))[:, None]
+        neighbors = _knn_columns(ham, knn_k, first)
+        incidence[neighbors, edges] = code_length - np.take_along_axis(ham, neighbors, axis=1)
+    np.fill_diagonal(incidence, code_length)
     return incidence
 
 
@@ -142,7 +138,7 @@ def build_database(
 ) -> HshrDatabase:
     params = params or HshrParams()
     dim = database_dim(slides, min_dim=2)
-    signed, unprocessed = encode_slides(slides, lambda slide: _signature_of(slide, params))
+    signed, unprocessed = encode_slides(slides, slide_signature)
     hashes = np.stack([sig.slide_hash for _, sig in signed])
     return HshrDatabase(
         params=params,
@@ -158,7 +154,7 @@ def build_database(
 
 def prepare_query(db: HshrDatabase, slide: SlideRecord) -> SlideSignature:
     check_query_dim(db, slide)
-    return _signature_of(slide, db.params)
+    return slide_signature(slide)
 
 
 def ranked_scores(db: HshrDatabase, query: SlideSignature) -> tuple[np.ndarray, np.ndarray]:

@@ -567,7 +567,10 @@ def build_mosaic_fixed(slide: SlideRecord, k_fixed: int, seed: int) -> Mosaic:
 
     Members are synthetic patches: the float32 centroid vectors, each at the
     coordinate of its nearest real patch; k clamps to the patch count and
-    degenerate slides collapse to fewer centroids.
+    degenerate slides collapse to fewer centroids.  No engine calls it: HSHR
+    hashes the slide's mean feature, which population attention over this
+    mosaic equals.  perfbench's tracer binds it by name, and HSHR's tests use
+    it as the oracle of that hash.
     """
     feats = slide.features.astype(np.float64)
     result = kmeans(feats, min(k_fixed, feats.shape[0]), seed)

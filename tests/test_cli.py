@@ -66,6 +66,27 @@ class TestHappyPath:
         engine, _ = load_database(db2)
         assert engine == "yottixel"
 
+    def test_hshr_build_ignores_seed(self, corpus_dir, tmp_path):
+        # hshr hashes each slide's mean feature and draws nothing at random
+        built = []
+        for seed in ("0", "3"):
+            db_path = tmp_path / f"hshr-{seed}.db"
+            rc = main(
+                [
+                    "build-db",
+                    "--engine", "hshr",
+                    "--manifest", str(corpus_dir / "manifest.csv"),
+                    "--db", str(db_path),
+                    "--seed", seed,
+                ]
+            )
+            assert rc == 0
+            engine, db = load_database(db_path)
+            assert engine == "hshr" and db.params.seed == int(seed)
+            built.append(db)
+        assert built[0].hashes.tobytes() == built[1].hashes.tobytes()
+        assert built[0].incidence.tobytes() == built[1].incidence.tobytes()
+
     def test_query_writes_rows(self, corpus_dir, built_db, tmp_path):
         rows_path = tmp_path / "rows.csv"
         rc = main(

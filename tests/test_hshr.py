@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsisearch import hshr, mosaic
 from wsisearch.errors import UnsupportedOperationError, ValidationError
 from wsisearch.hshr import (
     HshrDatabase,
@@ -34,9 +35,11 @@ from wsisearch.model import (
     hamming_matrix,
     kept_slides,
     ranked_result,
+    SlideRecord,
     slide_seed,
 )
-from wsisearch.mosaic import build_mosaic_fixed, build_mosaic_percent, histogram_matrix
+from wsisearch.mosaic import build_mosaic_fixed
+from wsisearch.synth import SyntheticSpec, generate
 
 from util import make_slide, packed
 
@@ -59,29 +62,54 @@ def corpus():
     return slides, build_database(slides, HshrParams(seed=5))
 
 
+def mosaic_signature(slide: SlideRecord, k_fixed: int, seed: int) -> SlideSignature:
+    """The signature as HSHR first computed it: the barcode of population
+    attention over a k-means fixed-centroid mosaic, sizes / N @ centroids,
+    with the centroids rounded to float32.  The reference for
+    ``slide_signature`` wherever no two neighbouring mean components lie
+    within that rounding of each other."""
+    fixed = build_mosaic_fixed(slide, k_fixed=k_fixed, seed=seed)
+    sizes = np.asarray(fixed.cluster_sizes, dtype=np.float64)
+    attention = sizes / sizes.sum()
+    weighted_mean = attention @ fixed.features.astype(np.float64)
+    return SlideSignature(slide_id=slide.slide_id, slide_hash=binarize_barcode(weighted_mean))
+
+
+@st.composite
+def integer_slides(draw):
+    """(slide, its integer feature matrix): small counts, so column sums
+    are exact and neighbouring components tie all the time."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(2, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).integers(0, draw(st.integers(1, 6)), size=(n, dim))
+    return make_slide(draw(st.text(min_size=1, max_size=4)), values), values
+
+
 class TestSignature:
-    def test_identical_patches_collapse_to_one_centroid(self):
+    def test_identical_patches_hash_as_one_patch(self):
         slide = make_slide("flat", np.tile(np.arange(6.0), (10, 1)))
-        mosaic = build_mosaic_fixed(slide, k_fixed=20, seed=0)
-        assert len(mosaic) == 1
-        assert mosaic.cluster_sizes == (10,)
-        assert mosaic.features.tolist() == [list(range(6))]
-        sig = slide_signature(slide, mosaic)
+        sig = slide_signature(slide)
+        assert sig.slide_id == "flat"
         assert np.array_equal(sig.slide_hash, binarize_barcode(np.arange(6.0)))
 
-    def test_slide_hash_is_barcode_of_weighted_centroid_mean(self, corpus):
+    def test_slide_hash_is_barcode_of_mean_feature(self, corpus):
         slides, db = corpus
         for i, slide in enumerate(slides):
-            mosaic = build_mosaic_fixed(slide, db.params.k_fixed, slide_seed(5, slide.slide_id))
-            sizes = np.array(mosaic.cluster_sizes, dtype=np.float64)
-            assert sizes.sum() == len(slide.features)
-            weighted = (sizes[:, None] * mosaic.features.astype(np.float64)).sum(axis=0)
-            mean = weighted / sizes.sum()
-            # a weighted sum, not the engine's attention-vector product: the
-            # two round differently, but on this corpus no successive
-            # difference of the mean is near enough to zero to flip a bit
+            mean = slide.features.mean(axis=0, dtype=np.float64)
+            # summed in float64 without a float64 copy, bit for bit the copy's mean
+            assert mean.tobytes() == slide.features.astype(np.float64).mean(axis=0).tobytes()
             assert np.array_equal(db.hashes[i], binarize_barcode(mean))
-            assert np.array_equal(slide_signature(slide, mosaic).slide_hash, db.hashes[i])
+            assert np.array_equal(slide_signature(slide).slide_hash, db.hashes[i])
+
+    @pytest.mark.parametrize("n, dim", [(1, 2), (9000, 16), (3, 20000)])
+    def test_mean_without_copy_matches_float64_copy(self, n, dim):
+        # 9,000 rows exceed numpy's 8,192-element cast buffer
+        feats = np.random.default_rng(n).normal(scale=300.0, size=(n, dim)).astype(np.float32)
+        assert (
+            feats.mean(axis=0, dtype=np.float64).tobytes()
+            == feats.astype(np.float64).mean(axis=0).tobytes()
+        )
 
     def test_duplicate_slides_share_signature(self, corpus):
         slides, db = corpus
@@ -92,12 +120,45 @@ class TestSignature:
         assert sig.slide_id == db.slide_ids[0]
         assert np.array_equal(db.hashes[0], sig.slide_hash)
 
-    def test_percent_mosaic_rejected(self):
-        rng = np.random.default_rng(1)
-        slide = make_slide("p", rng.normal(size=(12, 8)))
-        (mosaic,) = build_mosaic_percent([slide], [histogram_matrix(slide)], 3, 0.5, seeds=[0])
-        with pytest.raises(ValidationError):
-            slide_signature(slide, mosaic)
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_matches_fixed_mosaic_attention(self, seed, dim):
+        # k_fixed 20 and per-slide seeds: the mosaic HSHR used to build
+        db_slides, query_slides = generate(
+            SyntheticSpec(n_sites=2, slides_per_subtype=4, dim=dim, seed=seed)
+        )
+        expected = {
+            slide.slide_id: mosaic_signature(slide, 20, slide_seed(seed, slide.slide_id)).slide_hash
+            for slide in db_slides + query_slides
+        }
+        db = build_database(db_slides, HshrParams(seed=seed))
+        assert db.hashes.tobytes() == np.stack([expected[s] for s in db.slide_ids]).tobytes()
+        for slide in query_slides:
+            assert np.array_equal(prepare_query(db, slide).slide_hash, expected[slide.slide_id])
+
+    @given(integer_slides(), st.integers(0, 2**32 - 1), st.integers(-(2**31), 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_slide_hash_is_exact_ascent_of_column_sums(self, case, order_seed, seed):
+        slide, values = case
+        expected = np.packbits(np.diff(values.sum(axis=0)) > 0)
+        assert np.array_equal(slide_signature(slide).slide_hash, expected)
+        # patch order, slide id and engine seed do not enter the hash
+        shuffled = make_slide(
+            "other", values[np.random.default_rng(order_seed).permutation(len(values))]
+        )
+        db = build_database([slide], HshrParams(seed=seed))
+        assert np.array_equal(db.hashes[0], expected)
+        assert np.array_equal(prepare_query(db, shuffled).slide_hash, expected)
+
+    def test_no_kmeans_in_build_or_query(self, corpus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("HSHR must not cluster")
+
+        monkeypatch.setattr(mosaic, "kmeans", refuse)
+        slides, db = corpus
+        rebuilt = build_database(slides, db.params)
+        assert rebuilt.hashes.tobytes() == db.hashes.tobytes()
+        assert np.array_equal(prepare_query(rebuilt, slides[4]).slide_hash, db.hashes[4])
 
 
 class TestHypergraph:
@@ -156,6 +217,21 @@ def loop_knn_columns(ham: np.ndarray, k: int, skip_self: bool) -> list[np.ndarra
     return columns
 
 
+def dense_build_hypergraph(hashes: np.ndarray, code_length: int, knn_k: int) -> np.ndarray:
+    """``build_hypergraph`` as it was before the blocked build: one (T, T)
+    Hamming matrix and a stable argsort of every column.  The reference for
+    the blocked build's incidence, bit for bit."""
+    t = hashes.shape[0]
+    ham = hamming_matrix(hashes, hashes)
+    incidence = np.zeros((t, t), dtype=np.int32)
+    edges = np.arange(t)
+    order = np.argsort(ham, axis=0, kind="stable").T
+    neighbors = order[order != edges[:, None]].reshape(t, t - 1)[:, : min(knn_k, t - 1)]
+    incidence[neighbors, edges[:, None]] = code_length - ham[neighbors, edges[:, None]]
+    incidence[edges, edges] = code_length
+    return incidence
+
+
 @st.composite
 def hamming_matrices(draw):
     """Square Hamming matrices with heavy ties: pairwise distances of a few
@@ -174,10 +250,14 @@ class TestKnnColumns:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_column_loop(self, ham, k):
         t = ham.shape[0]
-        got = _knn_columns(ham, k)
+        got = _knn_columns(ham.T, k, 0)
         expected = loop_knn_columns(ham, k, skip_self=True)
         assert got.shape == (t, min(k, t - 1))
         assert [row.tolist() for row in got] == [col.tolist() for col in expected]
+        # a column block: column j is slide first + j
+        first = t // 2
+        block = _knn_columns(ham.T[first:], k, first)
+        assert [row.tolist() for row in block] == [col.tolist() for col in expected[first:]]
         # the query's neighbor order in ranked_scores: one stable argsort
         for s in range(t):
             assert np.array_equal(
@@ -195,6 +275,46 @@ class TestKnnColumns:
             incidence[neighbors, s] = bits - ham[neighbors, s]
             incidence[s, s] = bits
         assert build_hypergraph(hashes, bits, knn_k).tobytes() == incidence.tobytes()
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 9),
+        st.integers(1, 45),
+        st.integers(1, 17),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocked_build_matches_dense_build(self, t, bits, knn_k, block, seed):
+        codes = np.random.default_rng(seed).integers(0, 2, size=(t, bits)).astype(bool)
+        hashes = np.packbits(codes, axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hshr, "HYPERGRAPH_BLOCK", block)
+            got = build_hypergraph(hashes, bits, knn_k)
+        assert got.tobytes() == dense_build_hypergraph(hashes, bits, knn_k).tobytes()
+
+    @pytest.mark.parametrize("bits", [5, 255])
+    def test_blocked_build_matches_dense_build_across_blocks(self, bits):
+        # 300 slides span five blocks; 5-bit hashes tie almost everywhere
+        t = 300
+        rng = np.random.default_rng(bits)
+        hashes = np.packbits(rng.integers(0, 2, size=(t, bits)).astype(bool), axis=1)
+        for knn_k in (1, 10, t - 1, t + 5):
+            expected = dense_build_hypergraph(hashes, bits, knn_k)
+            assert build_hypergraph(hashes, bits, knn_k).tobytes() == expected.tobytes()
+
+    def test_build_memory_is_bounded_by_blocks(self):
+        # T = 2,000: the dense (T, T, bytes) xor block peaked at 274.7 MiB;
+        # the (T, T) int32 incidence itself is 15.3 MiB
+        rng = np.random.default_rng(5)
+        hashes = np.packbits(rng.integers(0, 2, size=(2000, 255)).astype(bool), axis=1)
+        tracemalloc.start()
+        try:
+            incidence = build_hypergraph(hashes, 255, knn_k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert np.all(np.count_nonzero(incidence, axis=0) == 11)
 
 
 class TestScoring:
@@ -355,7 +475,7 @@ def tie_corpora(draw):
         make_slide(name, TIE_POOL[draw(rows)], site=draw(st.sampled_from(["brain", "lung"])))
         for name in names
     ]
-    params = HshrParams(k_fixed=draw(st.integers(1, 3)), knn_k=draw(st.integers(1, 9)))
+    params = HshrParams(knn_k=draw(st.integers(1, 9)))
     queries = [
         SlideSignature("q", binarize_barcode(TIE_POOL[i])) for i in draw(st.lists(
             st.integers(0, len(TIE_POOL) - 1), min_size=1, max_size=3))

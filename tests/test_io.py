@@ -242,9 +242,11 @@ class TestDatabaseEnvelope:
         # held yottixel's slide starts, RetCCL's patch_coords, SISH's
         # subtype_freq dict and HSHR's graph-level knn_k, and rows that
         # followed input order; version 6 held HSHR's float incidence and
-        # hyperedge weights.  Each changed the engine classes' fields, so
-        # such files must not load
-        for version in (1, 2, 3, 4, 5, 6):
+        # hyperedge weights; version 7 held HSHR hashes of a fixed-centroid
+        # mosaic, which differ from the mean's hash at near-ties.  Each
+        # changed the engine classes' fields or stored values, so such files
+        # must not load
+        for version in (1, 2, 3, 4, 5, 6, 7):
             path = tmp_path / f"v{version}.db"
             envelope = {
                 "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None
