@@ -4,18 +4,29 @@ Two recipes exist.  The percent recipe clusters patches by an arbitrary
 per-patch feature (the caller chooses raw features or a histogram
 surrogate), then keeps a fixed fraction of each cluster by running a second
 k-means on the spatial coordinates and picking the patch nearest each
-spatial centroid; it takes a batch of slides, whose spatial clusterings
-all run in one lockstep pass.  The fixed recipe clusters patch features into
-a fixed number of classes and keeps the centroids themselves as synthetic
-patches.  A mosaic is columnar like its slide: row i of coords and features
-is member i.
+spatial centroid.  The fixed recipe clusters patch features into a fixed
+number of classes and keeps the centroids themselves as synthetic patches.
+A mosaic is columnar like its slide: row i of coords and features is member
+i.
+
+Every clustering runs through one exact k-means over ragged groups of
+points that share d (_cluster_groups): a batch of percent mosaics, a
+query's one-slide batch included, makes two calls, one for every slide's
+primaries and one for every spatial group; kmeans is the one-group call.
+Each group's result is bit for bit the reference loop's on that group
+alone: distances are the direct ``((x - c) ** 2).sum()``, each k-means++
+total is the group's own ``sum()`` (a sum padded to another group's length
+rounds differently on floats), and each centroid sums its rows in the order
+``mean(axis=0)`` does.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyInputError, ValidationError
 from .model import Encoding, SlideRecord, encode_slides, slide_seed
@@ -29,16 +40,18 @@ HISTOGRAM_BLOCK = 65536
 #: formula costs less than the GEMM and its certificate
 GEMM_MIN_DIFFERENCES = 4096
 #: differences the direct formula forms at once, to bound its temporaries
-DIRECT_BLOCK = 16384
+DIRECT_BLOCK = 65536
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 #: per dimension, more than the absolute error that underflowing products add
 #: to the two distance forms together
 SUBNORMAL_SLACK = 8 * np.finfo(np.float64).smallest_subnormal
-#: (point, center) pairs, or padded distances, the spatial stage of the
-#: percent mosaic forms at once, to bound its temporaries
-PAIR_BLOCK = 16384
-#: sums of integers below this are exact in any order
-EXACT_SUM = 2.0**53
+#: columns from which a gather and a sum per cluster cost less than np.add.at
+#: over every element (about 0.1 us a row and 1 ns an element against 3 ns)
+WIDE_ROWS = 64
+#: (point, center) pairs a GEMM block, or cells of padded k-means++ cdfs,
+#: formed at once, to bound their temporaries; a group of this many pairs
+#: clusters alone
+PAIR_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -75,16 +88,31 @@ class Mosaic:
         return int(self.features.shape[0])
 
 
-def _direct_sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``((x - c) ** 2).sum()`` for every (point, center) pair, the reference
-    arithmetic, over blocks of points of about DIRECT_BLOCK differences."""
-    step = max(1, DIRECT_BLOCK // centers.size)
-    return np.concatenate(
-        [
-            ((points[start : start + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            for start in range(0, points.shape[0], step)
-        ]
-    )
+def _sq_distances(
+    points: np.ndarray, centers: np.ndarray, first: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, k) ``((x - c) ** 2).sum()`` of each point and each of its k
+    centers, the reference arithmetic, over blocks of points of about
+    DIRECT_BLOCK differences.  ``centers`` is (k, d), every point's, or
+    (r, k, d) sets of k, of which point i takes set first[i]."""
+    k, d = centers.shape[-2:]
+    step = max(1, DIRECT_BLOCK // (k * d))
+    if len(points) > step:
+        return np.concatenate([
+            _sq_distances(
+                points[lo : lo + step], centers, None if first is None else first[lo : lo + step]
+            )
+            for lo in range(0, len(points), step)
+        ])
+    if d >= 8:
+        own = centers if first is None else centers[first]
+        return ((points[:, None, :] - own) ** 2).sum(axis=-1)
+    out = 0.0  # numpy's sum adds fewer than 8 terms in turn from 0, as this loop does, but slower
+    for j in range(d):
+        sq = points[:, j, None] - (centers[..., j] if first is None else centers[..., j][first])
+        sq *= sq
+        out += sq
+    return out
 
 
 def _gemm_sq_distances(
@@ -113,25 +141,35 @@ def _gemm_sq_distances(
 
 
 def _nearest(
-    points: np.ndarray, centers: np.ndarray, points_sq: np.ndarray | None = None
+    points: np.ndarray,
+    centers: np.ndarray,
+    first: np.ndarray | None = None,
+    points_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row index into ``centers`` of the center nearest each point.
+    """Position among its k centers (laid out as for _sq_distances) of the
+    center nearest each point: the argmin of the direct
+    ``((x - c) ** 2).sum()``, the lowest position among ties.
 
-    The result is the argmin of the direct ``((x - c) ** 2).sum()``, the
-    lowest center index among ties.  Inputs of fewer than
-    GEMM_MIN_DIFFERENCES differences take the direct formula outright.
-    Larger ones take the (n, k) GEMM estimate: a point whose two smallest
-    estimates lie further apart than twice the estimate's error bound has
-    the same argmin under the direct formula, and the other points (ties,
-    near-ties, non-finite values) are recomputed with it.  ``points_sq``
-    holds the points' squared norms when the caller reuses them.  Memory is
-    O(n k) plus a copy of the rows recomputed.
+    Shared centers with GEMM_MIN_DIFFERENCES differences or more take the
+    GEMM estimate, over blocks of about PAIR_BLOCK pairs: a point whose two
+    smallest estimates lie further apart than twice the estimate's error
+    bound has the same argmin under the direct formula, and the other points
+    (ties, near-ties, non-finite values) are recomputed with it.  Everything
+    else takes the direct formula outright.  ``points_sq`` holds the points'
+    squared norms when the caller reuses them.
     """
     n, d = points.shape
-    if n * centers.shape[0] * d < GEMM_MIN_DIFFERENCES:
-        return _direct_sq_distances(points, centers).argmin(axis=1)
+    k = centers.shape[-2]
+    if first is not None or n * k * d < GEMM_MIN_DIFFERENCES:
+        return _sq_distances(points, centers, first).argmin(axis=1)
     if points_sq is None:
         points_sq = np.einsum("ij,ij->i", points, points)
+    step = max(1, PAIR_BLOCK // k)
+    if n > step:
+        return np.concatenate([
+            _nearest(points[lo : lo + step], centers, None, points_sq[lo : lo + step])
+            for lo in range(0, n, step)
+        ])
     d2, err = _gemm_sq_distances(points, centers, points_sq)
     rows = np.arange(n)
     best = d2.argmin(axis=1)
@@ -139,67 +177,238 @@ def _nearest(
     d2[rows, best] = np.inf
     doubt = np.flatnonzero(~(d2.min(axis=1) - first > 2 * err))
     if doubt.size:
-        best[doubt] = _direct_sq_distances(points[doubt], centers).argmin(axis=1)
+        best[doubt] = _sq_distances(points[doubt], centers).argmin(axis=1)
     return best
 
 
-def _lower_to_center(
-    d2: np.ndarray, points: np.ndarray, points_sq: np.ndarray, center: np.ndarray
-) -> None:
-    """Lower ``d2`` in place to each point's direct distance to ``center``
-    where that is smaller, taking the direct formula only for the points
-    whose GEMM estimate cannot rule it out."""
-    n, d = points.shape
-    center = center[None, :]
-    if n * d < GEMM_MIN_DIFFERENCES:
-        np.minimum(d2, _direct_sq_distances(points, center)[:, 0], out=d2)
-        return
-    est, err = _gemm_sq_distances(points, center, points_sq)
-    maybe = np.flatnonzero(~(est[:, 0] - err > d2))
-    d2[maybe] = np.minimum(d2[maybe], _direct_sq_distances(points[maybe], center)[:, 0])
+def _draws(dist: np.ndarray, sizes: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Row of ``dist`` of each group's next k-means++ center.
 
-
-def _plus_plus_seeding(
-    points: np.ndarray, points_sq: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = _direct_sq_distances(points, centers[:1])[:, 0]
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining mass at distance zero: duplicate points
-            idx = int(rng.integers(n))
-        else:
-            # the draw rng.choice(n, p=d2 / total) makes, without its checks
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        centers[i] = points[idx]
-        _lower_to_center(d2, points, points_sq, centers[i])
-    return centers
-
-
-def _move_centers(centers: np.ndarray, points: np.ndarray, assign: np.ndarray) -> None:
-    """Move each non-empty cluster's center to its points' mean, in place;
-    empty clusters keep their previous position (kmeans drops them).
-
-    A stable sort by cluster makes each cluster one block of rows in their
-    original order, and the block's ``add.reduce`` over its size is the
-    arithmetic of ``points[assign == j].mean(axis=0)``, bit for bit.
+    Group g holds the next sizes[g] entries of ``dist``, its points'
+    distances to their nearest center, and draws from rngs[g] what the
+    reference's ``rng.choice(n, p=d2 / total)`` draws, or an index when the
+    distances total zero (every point on a center, as duplicate rows can
+    leave them).  Each total is the group's own ``sum()``, as the
+    reference's.  The cdfs of several groups are the row-wise cumsum of
+    their weights zero-padded to the longest group, about PAIR_BLOCK cells
+    at a time, which adds each group's terms in its own order.
     """
-    grouped = points[np.argsort(assign, kind="stable")]
-    start = 0
-    for j, end in enumerate(np.bincount(assign, minlength=len(centers)).cumsum().tolist()):
-        if end > start:
-            centers[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
-        start = end
+    if len(rngs) == 1:  # one group: its cdf as the reference forms it
+        (rng,), total = rngs, dist.sum()
+        if total <= 0.0:
+            return np.array([rng.integers(len(dist))])
+        cdf = (dist / total).cumsum()
+        cdf /= cdf[-1]
+        return np.array([cdf.searchsorted(rng.random(), side="right")])
+    start = np.cumsum(sizes) - sizes
+    spans = list(zip(start.tolist(), sizes.tolist()))
+    totals = np.array([dist[lo : lo + n].sum() for lo, n in spans])
+    flat = totals <= 0.0
+    draws = np.array([
+        rng.integers(n) if f else rng.random() for rng, (_, n), f in zip(rngs, spans, flat.tolist())
+    ])
+    owner = np.repeat(np.arange(len(spans)), sizes)
+    weights = dist / np.where(flat, 1.0, totals)[owner]
+    pos = np.arange(len(dist)) - start[owner]
+    width = int(sizes.max())
+    found = np.empty(len(spans), dtype=np.int64)
+    step = max(1, PAIR_BLOCK // width)
+    for a in range(0, len(spans), step):
+        b = min(a + step, len(spans))
+        rows = slice(start[a], start[b - 1] + sizes[b - 1])
+        cdf = np.zeros((b - a, width))
+        cdf[owner[rows] - a, pos[rows]] = weights[rows]
+        cdf = np.cumsum(cdf, axis=1)
+        cdf /= np.where(flat[a:b], 1.0, cdf[np.arange(b - a), sizes[a:b] - 1])[:, None]
+        found[a:b] = np.count_nonzero(cdf <= draws[a:b, None], axis=1)
+    return start + np.where(flat, draws, found).astype(np.int64)
+
+
+def _plus_plus_centers(
+    points: np.ndarray,
+    points_sq: np.ndarray | None,
+    sizes: np.ndarray,
+    ks: np.ndarray,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """k-means++ centers of groups laid out in turn in ``points``: group g
+    holds sizes[g] rows and gets ks[g] centers, rows first_center[g] onward
+    of the returned (sum(ks), d) array, first_center = cumsum(ks) - ks.
+
+    ks never rises, so the groups still drawing at each step are a prefix,
+    and one distance pass per step serves them all.  Group g draws from
+    ``default_rng(seeds[g])`` (see _draws); a group of k = 1 draws nothing,
+    as its one cluster is its mean whatever the seed (see _lloyd).  A lone
+    group of GEMM_MIN_DIFFERENCES differences or more (``points_sq`` holds
+    its squared norms) takes the direct formula only for the points whose
+    GEMM estimate cannot rule out a distance below their current one.
+    """
+    start, kmax = np.cumsum(sizes) - sizes, int(ks[0])
+    centers = np.empty((len(sizes), kmax, points.shape[1]))  # group g's first ks[g] rows serve
+    if kmax == 1:
+        return centers[:, 0]
+    # at step i the groups of k > max(i, 1) draw: a prefix of the groups and of the rows
+    drawing = np.searchsorted(-ks, -np.maximum(np.arange(kmax), 1), side="left").tolist()
+    bounds = [*start.tolist(), len(points)]
+    rows = [bounds[g] for g in drawing]
+    rngs = [np.random.default_rng(seed) for seed in seeds[: drawing[0]]]
+    single = len(sizes) == 1
+    base = None if single else kmax * np.repeat(np.arange(len(sizes)), sizes)  # group's center 0
+    for i, (g, m) in enumerate(zip(drawing, rows)):
+        if i:
+            chosen = _draws(dist[:m], sizes[:g], rngs[:g])
+        else:
+            firsts = [rng.integers(n) for rng, n in zip(rngs, sizes.tolist())]
+            chosen = start[:g] + np.array(firsts, dtype=np.int64)
+        centers[:g, i] = points[chosen]
+        if single:
+            own, at = centers[0, i : i + 1], None
+        else:
+            own, at = centers.reshape(-1, 1, points.shape[1]), base[:m] + i
+        if not i:
+            dist = _sq_distances(points[:m], own, at)[:, 0]
+        elif single and points_sq is not None and points.size >= GEMM_MIN_DIFFERENCES:
+            est, err = _gemm_sq_distances(points, own, points_sq)
+            maybe = np.flatnonzero(~(est[:, 0] - err > dist))
+            dist[maybe] = np.minimum(dist[maybe], _sq_distances(points[maybe], own)[:, 0])
+        else:
+            np.minimum(dist[:m], _sq_distances(points[:m], own, at)[:, 0], out=dist[:m])
+    if ks[-1] < kmax:  # drop the rows past each group's k
+        return centers[np.arange(kmax) < ks[:, None]]
+    return centers.reshape(-1, points.shape[1])
+
+
+def _mean_centers(centers: np.ndarray, points: np.ndarray, labels: np.ndarray) -> None:
+    """Move each center that has points to their mean, in place; empty
+    clusters keep their previous position (kmeans drops them).
+
+    Each mean is its cluster's ``mean(axis=0)``.  Over two or more columns
+    that adds the rows one after another from 0.0, as ``np.add.at`` over the
+    rows in order does, a block at a time and without copying them.  Over
+    one column numpy sums pairwise, and from WIDE_ROWS columns on gathering
+    rows costs less than ``np.add.at``: then each cluster's rows are summed
+    on their own, as the mean sums them.
+    """
+    k, d = centers.shape
+    counts = np.bincount(labels, minlength=k)
+    full = np.flatnonzero(counts)
+    if 1 < d < WIDE_ROWS:
+        sums = np.zeros(k * d)
+        step = max(1, DIRECT_BLOCK // d)
+        for lo in range(0, len(points), step):
+            cells = labels[lo : lo + step, None] * d + np.arange(d)
+            np.add.at(sums, cells.ravel(), points[lo : lo + step].ravel())
+        sums = sums.reshape(k, d)[full]
+    else:  # rows in cluster order, gathered a DIRECT_BLOCK of whole clusters at a time
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(counts)[full].tolist()
+        sums, top = np.empty((len(full), d)), 0
+        for i, (end, size) in enumerate(zip(ends, counts[full].tolist())):
+            if end > top:
+                base = end - size
+                top = max(end, ends[bisect_right(ends, base + DIRECT_BLOCK // d) - 1])
+                rows = points[order[base:top]]
+            np.add.reduce(rows[end - size - base : end - base], axis=0, out=sums[i])
+    centers[full] = sums / counts[full, None]
+
+
+def _lloyd(
+    points: np.ndarray,
+    points_sq: np.ndarray | None,
+    sizes: np.ndarray,
+    ks: np.ndarray,
+    centers: np.ndarray,
+) -> np.ndarray:
+    """Lloyd iterations of the groups _plus_plus_centers seeded, moving
+    ``centers`` in place; returns each point's cluster as a row of
+    ``centers``.  A group leaves at its assignment fixpoint, or after
+    MAX_LLOYD_ITERATIONS, as the reference's loop does; a group of k = 1,
+    which the reference's first step puts whole in one cluster, takes its
+    mean at once."""
+    first, d = np.cumsum(ks) - ks, points.shape[1]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    assign = first[owner]
+    m = int(sizes[ks > 1].sum())  # rows of the groups of k > 1, a prefix
+    if m < len(points):
+        _mean_centers(centers, points[m:], assign[m:])
+    if not m:
+        return assign
+    assign[:m] = -1
+    single = len(sizes) == 1
+    live = slice(None) if single else np.arange(m)  # rows of the groups still moving
+    # per k, the windows of k consecutive centers: a group's from its first on
+    windows = {} if single else {
+        k: sliding_window_view(centers, (k, d))[:, 0] for k in set(ks.tolist())
+    }
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        x = points[live]
+        if single:
+            new = _nearest(x, centers, None, points_sq)
+        else:  # ks[owner[live]] never rises: one block of points per k
+            base = first[owner[live]]
+            width = ks[owner[live]]
+            cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
+            new = base + np.concatenate([
+                _nearest(x[a:b], windows[width[a]], base[a:b]) for a, b in zip(cuts, cuts[1:])
+            ])
+        moved = new != assign[live]
+        if not moved.any():
+            break
+        if not single:
+            moving = np.zeros(len(sizes), dtype=bool)
+            moving[owner[live[moved]]] = True
+            keep = moving[owner[live]]
+            live, x, new = live[keep], x[keep], new[keep]
+        assign[live] = new
+        _mean_centers(centers, x, new)
+    return assign
+
+
+def _cluster_groups(
+    groups: Sequence[np.ndarray], ks: Sequence[int], seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means of every group at once: group g, an (n, d) array of points (d
+    shared by all), into ks[g] clusters, 1 <= ks[g] <= n, seeded from
+    seeds[g].  Each group's result is ``reference_kmeans(group, k, seed)``'s
+    before empty clusters are dropped, bit for bit, whatever the other
+    groups (see kmeans).
+
+    Groups run in order of k, largest first: each large one alone, through
+    the GEMM, and all others in one lockstep pass.  Returns each point's
+    cluster, groups in turn, as a row of the returned centers, where group
+    g's ks[g] centers follow those of groups 0 to g - 1.
+    """
+    sizes, ks = np.array([len(points) for points in groups]), np.asarray(ks, dtype=np.int64)
+    d = groups[0].shape[1]
+    order = np.argsort(-ks, kind="stable")
+    # a group runs alone, through the GEMM, where that beats the direct
+    # formula in the lockstep pass: a row of 8 or more columns and
+    # GEMM_MIN_DIFFERENCES differences, or PAIR_BLOCK pairs whatever the row
+    pairs = sizes[order] * ks[order]
+    alone = (pairs >= PAIR_BLOCK) | ((d >= 8) & (pairs * d >= GEMM_MIN_DIFFERENCES))
+    batches = [[g] for g in order[alone].tolist()] + ([order[~alone]] if not alone.all() else [])
+    first_row, first_center = np.cumsum(sizes) - sizes, np.cumsum(ks) - ks
+    assign, centers = np.empty(sizes.sum(), dtype=np.int64), np.empty((ks.sum(), d))
+    for batch in batches:
+        n, k = sizes[batch], ks[batch]
+        if len(batch) == 1:
+            points = np.ascontiguousarray(groups[batch[0]], dtype=np.float64)
+            points_sq = np.einsum("ij,ij->i", points, points)
+        else:
+            points = np.concatenate([groups[g] for g in batch], dtype=np.float64)
+            points_sq = None
+        batch_centers = _plus_plus_centers(points, points_sq, n, k, [seeds[g] for g in batch])
+        # a group's rows and centers, from the batch's layout to the callers'
+        shift = first_center[batch] - (np.cumsum(k) - k)
+        rows = np.repeat(first_row[batch] - (np.cumsum(n) - n), n) + np.arange(len(points))
+        assign[rows] = _lloyd(points, points_sq, n, k, batch_centers) + np.repeat(shift, n)
+        centers[np.repeat(shift, k) + np.arange(len(batch_centers))] = batch_centers
+    return assign, centers
 
 
 def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) -> KMeansResult:
-    """Deterministic Lloyd k-means with k-means++ seeding.
+    """Deterministic Lloyd k-means with k-means++ seeding: the one-group
+    call of _cluster_groups.
 
     Iterates to an assignment fixpoint or MAX_LLOYD_ITERATIONS.  k larger
     than the point count is clamped; clusters that end up empty are dropped
@@ -211,45 +420,20 @@ def kmeans(points: Sequence[Sequence[float]] | np.ndarray, k: int, seed: int) ->
     _nearest), every k-means++ draw weighs the points by that formula's
     distances, and every centroid is its cluster's ``mean(axis=0)``, so
     assignments and centroids are bit for bit those of the Lloyd loop that
-    forms every difference.  Memory is O(n k + n d): no (n, k, d) tensor
-    is formed.
+    forms every difference.  Memory is O(n d) plus bounded blocks: no
+    (n, k, d) tensor is formed.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    # C order: the k == 1 mean must add whole rows in turn, as a mean over
-    # a cluster's copied rows does
-    pts = np.ascontiguousarray(pts)
     if pts.shape[0] == 0:
         raise EmptyInputError("k-means needs at least one point")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     k = min(k, pts.shape[0])
-    if k == 1:
-        # one cluster holds every point whatever the seed: no draw, one mean
-        return KMeansResult(
-            assignments=np.zeros(pts.shape[0], dtype=np.int64),
-            centroids=pts.mean(axis=0)[None, :],
-        )
-
-    rng = np.random.default_rng(seed)
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
-    centers = _plus_plus_seeding(pts, pts_sq, k, rng)
-    assign = np.full(pts.shape[0], -1, dtype=np.int64)
-    for _ in range(MAX_LLOYD_ITERATIONS):
-        new_assign = _nearest(pts, centers, pts_sq)
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        _move_centers(centers, pts, assign)
-
-    counts = np.bincount(assign, minlength=k)
-    keep = np.flatnonzero(counts > 0)
-    remap = np.full(k, -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    assign = remap[assign]
-    centers = centers[keep]
-    return KMeansResult(assignments=assign, centroids=centers)
+    assign, centers = _cluster_groups([pts], [k], [seed])
+    full = np.bincount(assign, minlength=k) > 0
+    return KMeansResult(assignments=(np.cumsum(full) - 1)[assign], centroids=centers[full])
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
@@ -268,214 +452,6 @@ def check_mosaic_params(k_primary: int, fraction: float, bins: int = 1) -> None:
         raise ValidationError(f"histogram_bins must be >= 1, got {bins}")
 
 
-def _sq_distances(px, py, cx, cy) -> np.ndarray:
-    """``((p - c) ** 2).sum()`` of 2-D points, the reference arithmetic: one
-    square per coordinate difference, then one addition."""
-    dx = px - cx
-    dy = py - cy
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
-
-
-def _next_centers(
-    d2: np.ndarray,
-    start: np.ndarray,
-    group: np.ndarray,
-    pos: np.ndarray,
-    first: int,
-    last: int,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Position within its group of the next k-means++ center of each group
-    ``first`` up to ``last``, from each group's distances ``d2`` and its
-    uniform draw ``u``: the ``(d2 / total).cumsum()`` search kmeans makes.
-
-    The groups' distances fill one zero-padded row each, longest first, so
-    a row-wise cumsum adds each group's terms in its own order.  The
-    distances are integers, and so is every partial sum of a total below
-    2**53, whatever the order; a larger total is the group's own ``sum()``.
-    """
-    span = slice(start[first], start[last])
-    sizes = start[first + 1 : last + 1] - start[first:last]
-    rows = np.zeros((last - first, sizes[0]))
-    rows[group[span] - first, pos[span]] = d2[span]
-    totals = rows.sum(axis=1)
-    for j in np.flatnonzero(totals >= EXACT_SUM).tolist():
-        totals[j] = d2[start[first + j] : start[first + j + 1]].sum()
-    rows /= totals[:, None]
-    cdf = np.cumsum(rows, axis=1)
-    # padding repeats a row's last sum, which normalizes to 1 > u
-    cdf /= cdf[np.arange(last - first), sizes - 1][:, None]
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
-
-
-def _seeding_draws(seed: int, size: int, k: int) -> tuple[int, np.ndarray]:
-    """What kmeans draws to seed k centers among ``size`` distinct points."""
-    rng = np.random.default_rng(seed)
-    return int(rng.integers(size)), rng.random(k - 1)
-
-
-def _seed_centers(
-    px: np.ndarray,
-    py: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    start: np.ndarray,
-    group: np.ndarray,
-    k: np.ndarray,
-    seeds: list[int],
-) -> None:
-    """k-means++ seeding of groups 0 up to len(seeds), whose k > 1, into
-    centers ``cx``, ``cy``, one center per group per step.
-
-    Group g draws what kmeans draws from ``default_rng(seeds[g])``: the
-    first center's index, then one uniform per further center.
-
-    Group g owns points start[g] up to start[g + 1] and centers from
-    (k[:g]).sum() on; groups run longest first, so the groups still drawing
-    at step i are a prefix.
-    """
-    seeded = len(seeds)
-    n = np.diff(start[: seeded + 1])
-    cstart = np.cumsum(k[:seeded]) - k[:seeded]
-    live = int(start[seeded])
-    pos = np.arange(live) - start[group[:live]]
-    firsts, uniforms = zip(*map(_seeding_draws, seeds, n.tolist(), k[:seeded].tolist()))
-    chosen = start[:seeded] + np.array(firsts)
-    uniforms = np.concatenate(uniforms)
-    ustart = cstart - np.arange(seeded)  # k - 1 uniforms per group
-    cx[cstart], cy[cstart] = px[chosen], py[chosen]
-    d2 = _sq_distances(
-        px[:live], py[:live], np.repeat(px[chosen], n), np.repeat(py[chosen], n)
-    )
-    for i in range(1, int(k[0])):
-        drawing = int(np.count_nonzero(k > i))
-        picked = np.empty(drawing, dtype=np.int64)
-        a = 0
-        while a < drawing:
-            b = min(drawing, a + max(1, PAIR_BLOCK // int(n[a])))
-            u = uniforms[ustart[a:b] + i - 1]
-            picked[a:b] = _next_centers(d2, start, group, pos, a, b, u)
-            a = b
-        chosen = start[:drawing] + picked
-        cx[cstart[:drawing] + i], cy[cstart[:drawing] + i] = px[chosen], py[chosen]
-        span = int(start[drawing])
-        near = _sq_distances(
-            px[:span], py[:span], np.repeat(px[chosen], n[:drawing]),
-            np.repeat(py[chosen], n[:drawing]),
-        )
-        np.minimum(d2[:span], near, out=d2[:span])
-
-
-def _nearest_centers(
-    px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-    points: np.ndarray, first_center: np.ndarray, k: np.ndarray,
-) -> np.ndarray:
-    """Per point, the index within its group of the nearest of the group's
-    k centers, the lowest index on ties; a point's group has centers
-    ``first_center`` up to ``first_center + k``, and ``k`` never rises
-    along ``points``.
-
-    Points of one k form a run, whose (point, center) pairs are one
-    (points, k) block; blocks hold at most PAIR_BLOCK pairs.
-    """
-    nearest = np.empty(len(points), dtype=np.int64)
-    bounds = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), len(points)]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        width = int(k[a])
-        step = max(1, PAIR_BLOCK // width)
-        for lo in range(a, b, step):
-            hi = min(b, lo + step)
-            p = points[lo:hi]
-            centers = first_center[lo:hi, None] + np.arange(width)
-            d = _sq_distances(px[p, None], py[p, None], cx[centers], cy[centers])
-            nearest[lo:hi] = d.argmin(axis=1)
-    return nearest
-
-
-def _to_means(
-    cx: np.ndarray, cy: np.ndarray, center: np.ndarray, px: np.ndarray, py: np.ndarray
-) -> None:
-    """Move each center that has points to their mean, in place; bincount
-    adds a center's points in their order, as kmeans's mean does."""
-    counts = np.bincount(center, minlength=len(cx))
-    full = np.flatnonzero(counts)
-    cx[full] = np.bincount(center, px, len(cx))[full] / counts[full]
-    cy[full] = np.bincount(center, py, len(cy))[full] / counts[full]
-
-
-def _spatial_picks(
-    points: np.ndarray, sizes: np.ndarray, seeds: Sequence[int], fraction: float
-) -> np.ndarray:
-    """Rows of ``points`` kept by the spatial stage of the percent mosaic.
-
-    ``points`` holds the (x, y) of every group, one group after another and
-    each in slide row order; group g has sizes[g] points, which must be
-    distinct.  For each group the result is what
-    ``kmeans(group, ceil(fraction * size), seeds[g])`` followed by a pick
-    of the member nearest each non-empty cluster's centroid (the lowest row
-    on ties) gives, bit for bit; every group is processed at once, in
-    lockstep.
-
-    - Groups are laid out longest first, so k = ceil(fraction * size) never
-      rises along the layout: the groups still drawing centers, and the
-      groups of one k, are contiguous.
-    - A group of k = 1 is one cluster whatever its seed, centered on its
-      mean.  Each other group draws from its own ``default_rng(seeds[g])``
-      what kmeans draws: the first center's index, then one uniform per
-      further center.  Distinct points keep every k-means++ total
-      positive, so kmeans's duplicate-point redraw never happens.
-    - Distances are formed by kmeans's own operations.  Sums of integer
-      coordinates and distances are exact while below 2**53; the centroid
-      sums also add each cluster's members in row order, as kmeans does,
-      and a larger k-means++ total is summed as kmeans sums it.
-    - A group leaves the Lloyd loop at its assignment fixpoint, or after
-      MAX_LLOYD_ITERATIONS, as kmeans does.
-    """
-    by_size = np.argsort(-sizes, kind="stable")
-    n = sizes[by_size]
-    end = np.cumsum(n)
-    start = np.concatenate(([0], end))
-    group = np.repeat(np.arange(len(n)), n)
-    perm = np.repeat(np.cumsum(sizes)[by_size] - end, n) + np.arange(end[-1])  # layout -> row
-    px, py = points[perm].T.copy()
-    k = np.ceil(fraction * n).astype(np.int64)  # fraction <= 1 keeps k <= size
-    first_center = (np.cumsum(k) - k)[group]
-    cx, cy = np.empty(int(k.sum())), np.empty(int(k.sum()))
-    assign = np.zeros(len(perm), dtype=np.int64)
-
-    seeded = int(np.count_nonzero(k > 1))
-    live = int(start[seeded])  # points of the groups of k > 1
-    if seeded:
-        group_seeds = [seeds[g] for g in by_size[:seeded].tolist()]
-        _seed_centers(px, py, cx, cy, start, group, k, group_seeds)
-        # Lloyd iterations; members holds the points of the groups still moving
-        members = np.arange(live)
-        assign[:live] = -1
-        for _ in range(MAX_LLOYD_ITERATIONS):
-            nearest = _nearest_centers(
-                px, py, cx, cy, members, first_center[members], k[group[members]]
-            )
-            moved = np.zeros(seeded, dtype=bool)
-            moved[group[members[nearest != assign[members]]]] = True
-            keep = moved[group[members]]
-            members = members[keep]
-            if not members.size:
-                break
-            assign[members] = nearest[keep]
-            _to_means(cx, cy, first_center[members] + assign[members], px[members], py[members])
-    # each group of k = 1 is one cluster, centered on its mean
-    _to_means(cx, cy, first_center[live:], px[live:], py[live:])
-
-    # per non-empty cluster, the member nearest its centroid, lowest row on ties
-    center = first_center + assign
-    d = _sq_distances(px, py, cx[center], cy[center])
-    order = np.lexsort((d, center))
-    return perm[order[np.diff(center[order], prepend=-1) != 0]]
-
-
 def build_mosaic_percent(
     slides: Sequence[SlideRecord],
     cluster_features: Iterable[np.ndarray],
@@ -486,22 +462,22 @@ def build_mosaic_percent(
     """Percent mosaics of ``slides``: slide i is clustered on the rows of
     ``cluster_features[i]`` with seed ``seeds[i]``.
 
-    Per slide, one feature k-means makes the primary clusters.  Within
-    each primary cluster a spatial k-means with
-    k = ceil(fraction * cluster size) runs on the (x, y) coordinates and the
-    member nearest each spatial centroid is kept, so every non-empty
-    primary cluster contributes at least one patch.  The spatial stage of
-    every slide runs as one batch (``_spatial_picks``), yet each cluster
-    draws from its own seed, so a slide's mosaic does not depend on the
-    other slides in the batch.  ``cluster_features`` may be a generator:
-    each slide's features are read once, before the spatial stage.
+    A feature k-means per slide makes the primary clusters.  Within each
+    primary cluster a spatial k-means with k = ceil(fraction * cluster size)
+    runs on the (x, y) coordinates and the member nearest each spatial
+    centroid is kept (the lowest row on ties), so every non-empty primary
+    cluster contributes at least one patch.  Two ``_cluster_groups`` calls
+    do all of it: one for every slide's primaries, one for every spatial
+    group.  Each group draws from its own seed, so a slide's mosaic does not
+    depend on the other slides in the batch.  ``cluster_features`` may be a
+    generator: each slide's features are read once.
     """
     check_mosaic_params(k_primary, fraction)
     if not slides:
         return []
-    rows, sizes, spatial_seeds = [], [], []
-    for slide, features, seed in zip(slides, cluster_features, seeds, strict=True):
-        feats = np.asarray(features, dtype=np.float64)
+    features, primary_seeds, cluster_seeds = [], [], []
+    for slide, feats, seed in zip(slides, cluster_features, seeds, strict=True):
+        feats = np.asarray(feats)
         if feats.ndim == 1:
             feats = feats[:, None]
         if feats.shape[0] != len(slide.coords):
@@ -509,27 +485,42 @@ def build_mosaic_percent(
                 f"cluster_features rows ({feats.shape[0]}) must match patch count "
                 f"({len(slide.coords)}) of slide {slide.slide_id!r}"
             )
-        primary_seed, *cluster_seeds = _spawn_seeds(seed, 1 + k_primary)
-        primary = kmeans(feats, k_primary, primary_seed)
-        # each primary cluster's members in turn, each in slide row order
-        rows.append(np.argsort(primary.assignments, kind="stable"))
-        sizes.append(primary.cluster_sizes())
-        spatial_seeds += cluster_seeds[: primary.effective_k]
+        primary_seed, *spatial = _spawn_seeds(seed, 1 + k_primary)
+        features.append(feats)
+        primary_seeds.append(primary_seed)
+        cluster_seeds.append(spatial)
+    patches = np.array([len(slide.coords) for slide in slides])
+    k = np.minimum(k_primary, patches)
+    primary, _ = _cluster_groups(features, k, primary_seeds)
 
-    points = np.concatenate([s.coords[r] for s, r in zip(slides, rows)]).astype(np.float64)
-    picks = _spatial_picks(points, np.concatenate(sizes), spatial_seeds, fraction)
-    slide_of = np.repeat(np.arange(len(slides)), [len(r) for r in rows])[picks]
-    row_of = np.concatenate(rows)[picks]
-    order = np.lexsort((row_of, slide_of))
-    bounds = np.cumsum(np.bincount(slide_of, minlength=len(slides)))[:-1]
+    # every slide's non-empty primary clusters in turn, each in slide row order
+    rows = np.argsort(primary, kind="stable")
+    sizes = np.bincount(primary, minlength=int(k.sum()))
+    kept_k = np.add.reduceat(sizes > 0, np.cumsum(k) - k).tolist()
+    spatial_seeds = [seed for own, n in zip(cluster_seeds, kept_k) for seed in own[:n]]
+    sizes = sizes[sizes > 0]
+    points = np.concatenate([slide.coords for slide in slides])[rows].astype(np.float64)
+    ends = np.cumsum(sizes).tolist()
+    spatial, centers = _cluster_groups(
+        [points[end - size : end] for end, size in zip(ends, sizes.tolist())],
+        np.ceil(fraction * sizes).astype(np.int64),  # fraction <= 1 keeps k <= size
+        spatial_seeds,
+    )
+
+    # per non-empty spatial cluster, the member nearest its centroid, lowest row on ties
+    order = np.lexsort((((points - centers[spatial]) ** 2).sum(axis=1), spatial))
+    kept = np.sort(rows[order[np.diff(spatial[order], prepend=-1) != 0]])
+    first_row = np.cumsum(patches) - patches
     return [
         Mosaic(
             slide_id=slide.slide_id,
-            coords=slide.coords[selected],
-            features=slide.features[selected],
+            coords=slide.coords[selected - first],
+            features=slide.features[selected - first],
             method=PERCENT_OF_CLUSTERS,
         )
-        for slide, selected in zip(slides, np.split(row_of[order], bounds))
+        for slide, selected, first in zip(
+            slides, np.split(kept, np.searchsorted(kept, first_row[1:])), first_row
+        )
     ]
 
 

@@ -286,6 +286,7 @@ def query_slides(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
+    check_k(k)
     features = prepare_query(db, query) if isinstance(query, SlideRecord) else query
     bags = build_bags(db, features, candidate_filter)
     ordered = filter_and_order_bags(bags, db.params.quality_rule)

@@ -290,13 +290,10 @@ def visited_ranges(
 
 
 def guided_search(
-    db: SishDatabase,
-    query: SishProbe,
-    probe_budget: int | None = None,
-    kept: np.ndarray | None = None,
+    db: SishDatabase, query: SishProbe, kept: np.ndarray | None = None
 ) -> np.ndarray:
-    """Walk the keys outward from the query index (``visited_ranges``), keep
-    near-in-Hamming hits.
+    """Walk the keys outward from the query index (``visited_ranges``) for
+    db.params.probe_budget probes, keep near-in-Hamming hits.
 
     Results are one (n, 2) int64 array of (row, hamming) pairs: the rows of
     kept slides (``kept`` is a per-slide mask, None keeps all) within
@@ -306,12 +303,10 @@ def guided_search(
     keys are distinct and below (code_length + 1) * N <= 9 * codes.nbytes,
     inside int64 for any codes array under 10**18 bytes.
     """
-    budget = db.params.probe_budget if probe_budget is None else probe_budget
-    if budget < 1:
-        raise ValidationError("probe_budget must be >= 1")
     # the seeds' walkers overlap: merged ranges give each row once, in row order
     merged: list[list[int]] = []
-    for a, b in sorted(visited_ranges(db.keys, query.index, db.params.seed_offset, budget)):
+    ranges = visited_ranges(db.keys, query.index, db.params.seed_offset, db.params.probe_budget)
+    for a, b in sorted(ranges):
         if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
         else:
@@ -368,6 +363,7 @@ def query_slides(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
+    check_k(k)
     probes = prepare_query(db, query) if isinstance(query, SlideRecord) else list(query)
     if not probes:
         raise EmptyInputError("query has no mosaic patches")

@@ -352,13 +352,25 @@ class TestKMeansEquivalence:
     @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_seeding_draws_what_rng_choice_draws(self, kind, data_seed, seed):
+        # alone, and beside two other groups seeded in one lockstep pass
         pts, k = _kmeans_input(kind, np.random.default_rng(data_seed))
-        k = min(k, len(pts))
+        k = max(2, min(k, len(pts)))
+        if len(pts) < k:
+            pts = np.concatenate([pts, pts + 1.0])
+        want = reference_plus_plus_seeding(pts, k, np.random.default_rng(seed))
         pts_sq = np.einsum("ij,ij->i", pts, pts)
         with _kernel_sizes(force_gemm=True):
-            got = mosaic_module._plus_plus_seeding(pts, pts_sq, k, np.random.default_rng(seed))
-        want = reference_plus_plus_seeding(pts, k, np.random.default_rng(seed))
-        assert got.tobytes() == want.tobytes()
+            alone = mosaic_module._plus_plus_centers(
+                pts, pts_sq, np.array([len(pts)]), np.array([k]), [seed]
+            )
+        assert alone.tobytes() == want.tobytes()
+        together = mosaic_module._plus_plus_centers(
+            np.concatenate([pts, pts[::-1], pts]), None, np.array([len(pts)] * 3),
+            np.array([k, k, 1]), [seed, seed + 1, seed],
+        )
+        other = reference_plus_plus_seeding(pts[::-1], k, np.random.default_rng(seed + 1))
+        assert together[:k].tobytes() == want.tobytes()
+        assert together[k : 2 * k].tobytes() == other.tobytes()
 
     @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -392,6 +404,12 @@ class TestKMeansEquivalence:
         want = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         with _kernel_sizes(force_gemm=True):
             assert np.array_equal(mosaic_module._nearest(pts, centers), want)
+        # each point against its own set of centers: this one or a shifted copy
+        sets = np.stack([centers, centers + 1.0])
+        owner = np.arange(len(pts)) % 2
+        shifted = ((pts[:, None, :] - sets[1][None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        got = mosaic_module._nearest(pts, sets, owner)
+        assert np.array_equal(got, np.where(owner == 1, shifted, want))
 
     def test_nearest_non_finite_rows_take_direct_formula(self):
         pts = np.random.default_rng(3).normal(size=(200, 32))
@@ -437,11 +455,14 @@ class TestTieBreaking:
     def test_nearest_point_lowest_row_among_ties(self):
         # one spatial cluster centered on its mean (0, 0): rows 1 to 4 all
         # lie at distance 1, and the lowest row is picked in either order
-        points = np.array(
-            [[2.0, 0.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 1.0], [-2.0, 0.0]]
-        )
-        for rows in (points, points[::-1]):
-            assert mosaic_module._spatial_picks(rows, np.array([6]), [0], 0.1).tolist() == [1]
+        points = [(2, 0), (1, 0), (0, -1), (-1, 0), (0, 1), (-2, 0)]
+        for coords in (points, points[::-1]):
+            slide = SlideRecord(
+                slide_id="ties", patient_id="pt", site="brain", subtype="gbm",
+                magnification="20x", coords=coords, features=np.ones((6, 3), dtype=np.float32),
+            )
+            (mosaic,) = build_mosaic_percent([slide], [np.ones(6)], 1, 0.1, [0])
+            assert mosaic.coords.tolist() == [list(coords[1])]
 
     def test_grid_tie_picks_lowest_row(self):
         # a 4 x 4 grid clustered into one spatial cluster: the centroid
@@ -462,6 +483,73 @@ class TestTieBreaking:
         assert coords[4] == (1, 2)
 
 
+@st.composite
+def ragged_batches(draw):
+    """Groups of float points sharing d, mixing k values, k = 1 groups,
+    one-point groups and groups of a few repeated rows, where k above the
+    distinct rows forces the zero-total index draw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 16, 256]))
+    groups, ks = [], []
+    kinds = draw(st.lists(st.sampled_from(["normal", "repeats", "one"]), min_size=1, max_size=7))
+    for kind in kinds:
+        n = 1 if kind == "one" else int(rng.integers(2, 60))
+        if kind == "repeats":
+            base = rng.normal(size=(int(rng.integers(1, 4)), d))
+            pts = base[rng.integers(0, len(base), n)]
+        else:
+            pts = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0)
+        groups.append(pts)
+        ks.append(int(rng.integers(1, min(n, 8) + 1)))
+    seeds = [int(s) for s in rng.integers(0, 2**63 - 1, len(groups))]
+    return groups, ks, seeds
+
+
+#: size thresholds that send each group of 8 or more columns alone through
+#: the GEMM (and the direct formula through one-point blocks), every group
+#: through the direct formula in the lockstep pass, most groups alone
+#: through the direct formula with short padded-cdf blocks, and each
+#: centroid sum down either path
+SOLVER_MODES = {
+    "gemm": dict(GEMM_MIN_DIFFERENCES=0, DIRECT_BLOCK=1),
+    "direct": dict(GEMM_MIN_DIFFERENCES=2**62),
+    "direct, short runs": dict(GEMM_MIN_DIFFERENCES=2**62, PAIR_BLOCK=64),
+    "gemm, per-cluster sums": dict(GEMM_MIN_DIFFERENCES=0, WIDE_ROWS=2),
+    "direct, add.at sums": dict(GEMM_MIN_DIFFERENCES=2**62, WIDE_ROWS=2**62),
+}
+
+
+class TestClusterGroups:
+    """Every group of one solver call against reference_kmeans on that group
+    alone."""
+
+    @given(ragged_batches(), st.sampled_from(sorted(SOLVER_MODES)))
+    @settings(max_examples=120, deadline=None)
+    def test_each_group_matches_reference(self, batch, mode):
+        groups, ks, seeds = batch
+        with patch.multiple(mosaic_module, **SOLVER_MODES[mode]):
+            assign, centers = mosaic_module._cluster_groups(groups, ks, seeds)
+        first_row, first_center = 0, 0
+        for pts, k, seed in zip(groups, ks, seeds):
+            own = assign[first_row : first_row + len(pts)] - first_center
+            full = np.bincount(own, minlength=k) > 0
+            want = reference_kmeans(pts, k, seed)
+            assert ((np.cumsum(full) - 1)[own]).tobytes() == want.assignments.tobytes()
+            got_centers = centers[first_center : first_center + k][full]
+            assert got_centers.tobytes() == want.centroids.tobytes()
+            first_row, first_center = first_row + len(pts), first_center + k
+        assert first_row == len(assign) and first_center == len(centers)
+
+    def test_zero_total_draws_an_index(self):
+        # two distinct rows and k = 4: the third and fourth draws see every
+        # point on a center and take rng.integers, not rng.random
+        pts = np.array([[0.5, 1.5]] * 5 + [[2.25, -1.0]] * 5)
+        for seed in range(5):
+            got = mosaic_module._plus_plus_centers(pts, None, np.array([10]), np.array([4]), [seed])
+            want = reference_plus_plus_seeding(pts, 4, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+
 class TestKMeansScale:
     def test_memory_is_linear_in_points_at_real_feature_size(self):
         # n = 3000, d = 1024, k = 20: the (n, k, d) broadcast peaked at
@@ -480,9 +568,10 @@ class TestKMeansScale:
         assert np.array_equal(got.assignments, want.assignments)
 
 
-# The per-group spatial loop that the batched spatial stage replaced, kept
-# word for word as the reference: one kmeans call per primary cluster and one
-# _nearest_point_index call per spatial cluster.
+# The per-slide, per-group loop that the batched percent mosaic replaced, kept
+# as the reference with reference_kmeans in place of kmeans: one k-means per
+# slide, one per primary cluster and one _nearest_point_index call per spatial
+# cluster.
 def _nearest_point_index(points: np.ndarray, target: np.ndarray) -> int:
     # ties resolve to the lowest index via argmin
     return int(((points - target) ** 2).sum(axis=1).argmin())
@@ -512,14 +601,14 @@ def reference_build_mosaic_percent(
     check_mosaic_params(k_primary, fraction)
 
     primary_seed, *spatial_seeds = _spawn_seeds(seed, 1 + k_primary)
-    primary = kmeans(feats, k_primary, primary_seed)
+    primary = reference_kmeans(feats, k_primary, primary_seed)
 
     coords = slide.coords.astype(np.float64)
     selected: list[int] = []
     for ci in range(primary.effective_k):
         group = np.flatnonzero(primary.assignments == ci)
         k_spatial = math.ceil(fraction * group.size)
-        spatial = kmeans(coords[group], k_spatial, spatial_seeds[ci])
+        spatial = reference_kmeans(coords[group], k_spatial, spatial_seeds[ci])
         for sj in range(spatial.effective_k):
             members = group[spatial.assignments == sj]
             pick = members[_nearest_point_index(coords[members], spatial.centroids[sj])]
@@ -603,27 +692,25 @@ class TestBatchedPercentMosaic:
             assert mosaic.features.tobytes() == want.features.tobytes()
 
     def test_large_totals_draw_as_kmeans_sums(self):
-        # distances beyond 2**53 are rounded, so their k-means++ total hangs
-        # on the order of summation; a draw at each of kmeans's cdf values
-        # sees a total one ulp off.  The short group rides in a row padded to
-        # the long group's length, whose sum adds its terms in another order.
+        # distances beyond 2**53 are rounded, so a k-means++ total hangs on
+        # the order of summation: a group's sum differs from the sum of its
+        # distances zero-padded to a longer group's length.  Seeded in one
+        # pass with a longer group, the short group still draws what
+        # reference_plus_plus_seeding draws from it alone.
         order_mattered = False
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            short = rng.integers(2**60, 2**62, 13).astype(np.float64)
-            d2 = np.concatenate([rng.integers(0, 100, 40).astype(np.float64), short])
-            start = np.array([0, 40, 53])
-            group = np.repeat([0, 1], [40, 13])
-            padded = np.zeros((2, 40))
-            padded[1, :13] = short
-            order_mattered |= bool(padded.sum(axis=1)[1] != short.sum())
-            cdf = (short / short.sum()).cumsum()
-            cdf /= cdf[-1]
-            for u in cdf[:-1]:
-                draws = mosaic_module._next_centers(
-                    d2, start, group, np.arange(53) - start[group], 0, 2, np.array([0.5, u])
-                )
-                assert draws[1] == cdf.searchsorted(u, side="right")
+            short = rng.integers(2**30, 2**31, (13, 1)).astype(np.float64) * [1.0, -1.0]
+            long = rng.integers(0, 10, (40, 2)).astype(np.float64)
+            d2 = ((short - short[0]) ** 2).sum(axis=1)
+            order_mattered |= bool(np.pad(d2, (0, 27))[None].sum(axis=1)[0] != d2.sum())
+            got = mosaic_module._plus_plus_centers(
+                np.concatenate([long, short]), None, np.array([40, 13]), np.array([5, 5]),
+                [seed, seed + 7],
+            )
+            for centers, pts, s in ((got[:5], long, seed), (got[5:], short, seed + 7)):
+                want = reference_plus_plus_seeding(pts, 5, np.random.default_rng(s))
+                assert centers.tobytes() == want.tobytes()
         assert order_mattered
 
     def test_slide_alone_equals_slide_in_batch(self):
@@ -639,19 +726,26 @@ class TestBatchedPercentMosaic:
             assert mosaic.coords.tobytes() == alone.coords.tobytes()
             assert mosaic.features.tobytes() == alone.features.tobytes()
 
-    def test_kmeans_runs_once_per_slide(self):
+    def test_no_per_slide_kmeans_call(self):
+        # one solver call clusters every slide's primaries, one every
+        # spatial group; kmeans itself is never called
         rng = np.random.default_rng(2)
         slides = [make_slide(f"c{i}", rng.normal(size=(80, 8))) for i in range(4)]
         calls = []
-        real = mosaic_module.kmeans
+        real = mosaic_module._cluster_groups
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counting(groups, ks, seeds):
+            calls.append(len(groups))
+            return real(groups, ks, seeds)
 
-        with patch.object(mosaic_module, "kmeans", counting):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kmeans called per slide")
+
+        with patch.object(mosaic_module, "_cluster_groups", counting), \
+                patch.object(mosaic_module, "kmeans", refuse):
             build_mosaic_percent(slides, [histogram_matrix(s) for s in slides], 9, 0.5, [1] * 4)
-        assert calls == [9] * 4  # the primary clustering only
+        assert len(calls) == 2
+        assert calls[0] == 4  # the four slides' primaries
 
     def test_empty_batch_and_mismatched_lengths(self):
         assert build_mosaic_percent([], [], 9, 0.15, []) == []

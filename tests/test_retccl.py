@@ -287,6 +287,16 @@ class TestQueries:
         )
         assert all(e.target_subtype == "lgg" for e in res.entries)
 
+    def test_k_checked_before_any_bag(self, axis_db, monkeypatch):
+        slides, db = axis_db
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_bags ran before k was checked")
+
+        monkeypatch.setattr(retccl, "build_bags", refuse)
+        with pytest.raises(ValidationError):
+            query_slides(db, slides[0], k=0)
+
     def test_dim_mismatch_rejected(self, axis_db):
         _, db = axis_db
         with pytest.raises(DimensionError):

@@ -1,6 +1,7 @@
 """Integer-index engine: encoding, guided key walk, weighted ranking."""
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsisearch import sish
 from wsisearch.errors import DegenerateFeatureError, DimensionError, EmptyInputError, ValidationError
 from wsisearch.model import SlideLabels, hamming_matrix
 from wsisearch.sish import (
@@ -129,10 +131,10 @@ def tree_walk(tree: VebTree, m: int, c: int, budget: int) -> list[int]:
     return hit_indices
 
 
-def tree_guided_search(db: SishDatabase, query: SishProbe, probe_budget=None, candidate_filter=None):
+def tree_guided_search(db: SishDatabase, query: SishProbe, candidate_filter=None):
     """Guided search as it ran over a tree and per-key buckets of entries,
     on this database's rows: the reference for ``guided_search``."""
-    budget = db.params.probe_budget if probe_budget is None else probe_budget
+    budget = db.params.probe_budget
     tree = VebTree(48)
     buckets: dict[int, list[int]] = {}
     for key, start, stop in zip(db.keys.tolist(), db.starts[:-1].tolist(), db.starts[1:].tolist()):
@@ -156,10 +158,10 @@ def tree_guided_search(db: SishDatabase, query: SishProbe, probe_budget=None, ca
     return results
 
 
-def sort_guided_search(db: SishDatabase, query: SishProbe, probe_budget=None, kept=None):
+def sort_guided_search(db: SishDatabase, query: SishProbe, kept=None):
     """Guided search as it ran with a sorted union of the visited rows and a
     3-key lexsort: the reference for the merged ranges and one order key."""
-    budget = db.params.probe_budget if probe_budget is None else probe_budget
+    budget = db.params.probe_budget
     ranges = visited_ranges(db.keys, query.index, db.params.seed_offset, budget)
     rows = np.unique(np.concatenate([np.arange(db.starts[a], db.starts[b]) for a, b in ranges]))
     if kept is not None:
@@ -261,33 +263,35 @@ class TestGuidedSearch:
         db = handmade_db({100: [("near-lo", "x")], 105: [("near-hi", "x")], 200: [("far", "x")]})
         query = probe(101)
         # 3 member probes + succ(101) + pred(101) + one dead walker probe
-        hits = guided_search(db, query, probe_budget=6)
+        db.params = dataclasses.replace(db.params, probe_budget=6)
+        hits = guided_search(db, query)
         assert {db.slide_ids[db.slide[r]] for r, _ in hits} == {"near-lo", "near-hi"}
         # two more probes let the far seed's predecessor reach 200
-        hits = guided_search(db, query, probe_budget=8)
+        db.params = dataclasses.replace(db.params, probe_budget=8)
+        hits = guided_search(db, query)
         assert {db.slide_ids[db.slide[r]] for r, _ in hits} == {"near-lo", "near-hi", "far"}
 
     def test_exact_match_found_with_hamming_zero(self):
         db = handmade_db({500: [("target", "x")], 900: [("other", "x")]})
         db.codes[row_of(db, "other")] = packed("01100")
-        hits = guided_search(db, probe(500), probe_budget=500)
+        hits = guided_search(db, probe(500))
         assert db.slide_ids[db.slide[hits[0][0]]] == "target"
         assert hits[0][1] == 0
 
     def test_threshold_excludes_distant_codes(self):
         db = handmade_db({500: [("a", "x")]}, code_bits="0" * 200)
-        assert pairs(guided_search(db, probe(500, "1" * 200), probe_budget=500)) == []
+        assert pairs(guided_search(db, probe(500, "1" * 200))) == []
 
     def test_results_ascend_in_hamming(self):
         db = handmade_db({10: [("a", "x")], 11: [("b", "x")]}, code_bits="0000")
         db.codes[row_of(db, "b")] = packed("0011")
-        hams = [h for _, h in guided_search(db, probe(10, "0001"), probe_budget=500)]
+        hams = [h for _, h in guided_search(db, probe(10, "0001"))]
         assert hams == sorted(hams)
 
     def test_budget_validated(self):
-        db = handmade_db({1: [("a", "x")]})
+        # guided_search reads its budget from the params, which reject it
         with pytest.raises(ValidationError):
-            guided_search(db, probe(1), probe_budget=0)
+            SishParams(probe_budget=0)
 
     def test_seed_offset_is_coarse_digit(self):
         assert COARSE_DIGIT_UNIT == 256**5
@@ -365,8 +369,9 @@ class TestArrayWalk:
     def test_guided_search_equals_sort_search(self, search):
         db, query, budget, kept = search
         assert np.array_equal(np.argsort(db.rank), np.lexsort((db.ordinal, db.slide)))
-        got = guided_search(db, query, budget, kept=kept)
-        want = sort_guided_search(db, query, budget, kept=kept)
+        db.params = dataclasses.replace(db.params, probe_budget=budget)
+        got = guided_search(db, query, kept=kept)
+        want = sort_guided_search(db, query, kept=kept)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -413,14 +418,15 @@ class TestArrayWalk:
         assert sorted(set(got)) == sorted(expected)
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 6, 9, 17, 40, 120, 500, 20_000])
-    def test_guided_search_equals_tree_search(self, corpus_db, budget):
+    def test_guided_search_equals_tree_search(self, corpus_db, budget, monkeypatch):
         slides, db = corpus_db
+        monkeypatch.setattr(db, "params", dataclasses.replace(db.params, probe_budget=budget))
         lung = np.array([lab.site == "lung" for lab in db.labels])
         for slide in slides[::3]:
             for q in prepare_query(db, slide):
-                assert pairs(guided_search(db, q, budget)) == tree_guided_search(db, q, budget)
-                assert pairs(guided_search(db, q, budget, kept=lung)) == tree_guided_search(
-                    db, q, budget, candidate_filter=lambda sid, lab: lab.site == "lung"
+                assert pairs(guided_search(db, q)) == tree_guided_search(db, q)
+                assert pairs(guided_search(db, q, kept=lung)) == tree_guided_search(
+                    db, q, candidate_filter=lambda sid, lab: lab.site == "lung"
                 )
 
     def test_build_is_independent_of_slide_order(self, corpus_db):
@@ -518,6 +524,16 @@ class TestEndToEnd:
         db = build_database([flat, ok])
         assert [sid for sid, _ in db.unprocessed] == ["flat"]
         assert db.slide_ids == ["ok"]
+
+    def test_k_checked_before_any_search(self, corpus_db, monkeypatch):
+        slides, db = corpus_db
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("guided_search ran before k was checked")
+
+        monkeypatch.setattr(sish, "guided_search", refuse)
+        with pytest.raises(ValidationError):
+            query_slides(db, slides[0], 0)
 
     def test_self_query_hits_own_slide(self, corpus_db):
         slides, db = corpus_db
