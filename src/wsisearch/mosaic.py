@@ -13,11 +13,18 @@ Every clustering runs through one exact k-means over ragged groups of
 points that share d (_cluster_groups): a batch of percent mosaics, a
 query's one-slide batch included, makes two calls, one for every slide's
 primaries and one for every spatial group; kmeans is the one-group call.
-Each group's result is bit for bit the reference loop's on that group
-alone: distances are the direct ``((x - c) ** 2).sum()``, each k-means++
-total is the group's own ``sum()`` (a sum padded to another group's length
-rounds differently on floats), and each centroid sums its rows in the order
-``mean(axis=0)`` does.
+Only a group that fills a GEMM by itself runs alone: rows of ALONE_COLUMNS
+columns or more (RetCCL's 256- and 512-dim features) or PAIR_BLOCK pairs.
+All others, a build's 16-bin histogram primaries among them, run in one
+lockstep pass, where rows of GEMM_MIN_COLUMNS columns or more take batched
+GEMM estimates, (groups, k, d) @ (groups, d, rows) over groups zero-padded
+a block of PAIR_BLOCK pairs at a time, and narrower rows (the spatial
+groups) the direct formula.  Each group's result is bit for bit the
+reference loop's on that group alone: every GEMM estimate carries an error
+bound, and a point it cannot decide takes the direct
+``((x - c) ** 2).sum()``; each k-means++ total is the group's own ``sum()``
+(a sum padded to another group's length rounds differently on floats); and
+each centroid sums its rows in the order ``mean(axis=0)`` does.
 """
 from __future__ import annotations
 
@@ -52,6 +59,13 @@ WIDE_ROWS = 64
 #: formed at once, to bound their temporaries; a group of this many pairs
 #: clusters alone
 PAIR_BLOCK = 65536
+#: columns from which a padded, batched GEMM over many groups costs less
+#: than the direct formula (at 2 columns it slowed the spatial stage)
+GEMM_MIN_COLUMNS = 8
+#: columns from which a group clusters alone: on 16 slides of 600 rows its
+#: own GEMMs and the lockstep pass break even at 64 columns, and at 512 the
+#: lockstep pass took 0.30 s against 0.25 s
+ALONE_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -118,66 +132,134 @@ def _sq_distances(
 def _gemm_sq_distances(
     points: np.ndarray, centers: np.ndarray, points_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``|x|^2 - 2 x.c + |c|^2`` for every (point, center) pair from one GEMM,
-    and per point a bound on how far each of its estimates may lie from the
-    direct formula's value.
+    """``|x|^2 - 2 x.c + |c|^2`` for every (center, point) pair from one
+    GEMM, laid out (k, n), and per point a bound on how far each of its
+    estimates may lie from the direct formula's value.  ``points`` is
+    (n, d) and ``centers`` (k, d), or (g, n, d) and (g, k, d) for g groups,
+    each point paired with its own group's centers: (g, k, n) estimates.
 
     Both forms lie within 4(d+3)u(|x|^2 + |c|^2) of the exact squared
     distance (u the unit roundoff; the direct one from its d subtractions,
     d squares and d - 1 additions, the GEMM one from the norms, the dot
-    product and the two additions), so they differ by at most twice that.
-    A non-finite norm or estimate in a row makes its bound infinite or NaN,
-    which no comparison the callers make passes.
+    product and the two additions, in whatever order they are summed), so
+    they differ by at most twice that.  A non-finite norm or estimate in a
+    point's column makes its bound infinite or NaN, which no comparison the
+    callers make passes.
     """
-    d = points.shape[1]
-    centers_sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = points @ centers.T
+    d = points.shape[-1]
+    centers_sq = np.einsum("...ij,...ij->...i", centers, centers)
+    d2 = centers @ points.swapaxes(-1, -2)
     d2 *= -2.0
-    d2 += points_sq[:, None]
-    d2 += centers_sq
-    err = 8 * (d + 3) * UNIT_ROUNDOFF * (points_sq + centers_sq.max()) + SUBNORMAL_SLACK * d
-    err[~np.isfinite(d2).all(axis=1)] = np.inf  # an overflow voids the bound
+    d2 += points_sq[..., None, :]
+    d2 += centers_sq[..., None]
+    err = 8 * (d + 3) * UNIT_ROUNDOFF * (points_sq + centers_sq.max(axis=-1)[..., None])
+    err += SUBNORMAL_SLACK * d
+    err[~np.isfinite(d2).all(axis=-2)] = np.inf  # an overflow voids the bound
     return d2, err
+
+
+def _as_groups(values: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, tuple | slice]:
+    """``values``, rows of groups of sizes[i] in turn, as a (groups, longest,
+    ...) array, zero-padded unless the groups are all as long, and the index
+    that takes back out of such an array a (groups, longest) one's rows."""
+    width = int(sizes.max())
+    if sizes.min() == width:
+        return values.reshape(len(sizes), width, *values.shape[1:]), np.s_[:]
+    at = (
+        np.repeat(np.arange(len(sizes)), sizes),
+        np.arange(len(values)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+    )
+    padded = np.zeros((len(sizes), width, *values.shape[1:]))
+    padded[at] = values
+    return padded, at
+
+
+def _gemm_blocks(
+    points: np.ndarray, points_sq: np.ndarray, sizes: np.ndarray, centers: np.ndarray
+) -> Iterable[tuple[int, tuple | slice, np.ndarray, np.ndarray]]:
+    """_gemm_sq_distances of groups laid out in turn, group i of sizes[i]
+    rows against its k centers centers[i], a block at a time: as many
+    consecutive groups as come to at most PAIR_BLOCK pairs once zero-padded
+    to the block's longest (or one group alone), in one batched
+    ``(groups, k, d) @ (groups, d, rows)`` GEMM.  Yields per block its first
+    row, the index that takes its rows out of a (groups, rows) array (see
+    _as_groups), its (groups, k, rows) estimates and its (groups, rows)
+    bounds."""
+    starts, k, a = (np.cumsum(sizes) - sizes).tolist(), centers.shape[1], 0
+    while a < len(sizes):
+        padded = np.maximum.accumulate(sizes[a:]) * np.arange(1, len(sizes) - a + 1) * k
+        b = a + max(1, int(np.searchsorted(padded, PAIR_BLOCK, side="right")))
+        lo, rows = starts[a], sizes[a:b]
+        x, at = _as_groups(points[lo : lo + rows.sum()], rows)
+        x_sq, _ = _as_groups(points_sq[lo : lo + rows.sum()], rows)
+        yield lo, at, *_gemm_sq_distances(x, centers[a:b], x_sq)
+        a = b
+
+
+def _gemm_pays(pairs: int, d: int, groups: int) -> bool:
+    """Whether GEMM estimates, with the direct formula for the points in
+    doubt, cost less than the direct formula: from GEMM_MIN_DIFFERENCES
+    differences on, for one group's points or for groups of
+    GEMM_MIN_COLUMNS columns or more."""
+    return pairs * d >= GEMM_MIN_DIFFERENCES and (groups == 1 or d >= GEMM_MIN_COLUMNS)
 
 
 def _nearest(
     points: np.ndarray,
     centers: np.ndarray,
-    first: np.ndarray | None = None,
+    sizes: np.ndarray | None = None,
     points_sq: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Position among its k centers (laid out as for _sq_distances) of the
-    center nearest each point: the argmin of the direct
-    ``((x - c) ** 2).sum()``, the lowest position among ties.
+    """Position among its k centers of the center nearest each point: the
+    argmin of the direct ``((x - c) ** 2).sum()``, the lowest position among
+    ties.  ``centers`` is (k, d), every point's, or (g, k, d) for points
+    laid out as g groups in turn: group i, sizes[i] rows, takes centers[i].
 
-    Shared centers with GEMM_MIN_DIFFERENCES differences or more take the
-    GEMM estimate, over blocks of about PAIR_BLOCK pairs: a point whose two
-    smallest estimates lie further apart than twice the estimate's error
-    bound has the same argmin under the direct formula, and the other points
-    (ties, near-ties, non-finite values) are recomputed with it.  Everything
-    else takes the direct formula outright.  ``points_sq`` holds the points'
-    squared norms when the caller reuses them.
+    Where _gemm_pays, GEMM estimates decide, a block of about PAIR_BLOCK
+    pairs at a time: blocks of rows against shared centers, or the batched
+    GEMMs of _gemm_blocks.  A point whose two smallest estimates lie
+    further apart than twice the estimate's error bound has the same argmin
+    under the direct formula, and the other points (ties, near-ties,
+    non-finite values) are recomputed with it.  Everything else takes the
+    direct formula outright.  ``points_sq`` holds the points' squared norms
+    when the caller reuses them.
     """
     n, d = points.shape
     k = centers.shape[-2]
-    if first is not None or n * k * d < GEMM_MIN_DIFFERENCES:
-        return _sq_distances(points, centers, first).argmin(axis=1)
+    owner = None if centers.ndim == 2 else np.repeat(np.arange(len(centers)), sizes)
+    if not _gemm_pays(n * k, d, 1 if owner is None else len(centers)):
+        return _sq_distances(points, centers, owner).argmin(axis=1)
     if points_sq is None:
         points_sq = np.einsum("ij,ij->i", points, points)
-    step = max(1, PAIR_BLOCK // k)
-    if n > step:
-        return np.concatenate([
-            _nearest(points[lo : lo + step], centers, None, points_sq[lo : lo + step])
-            for lo in range(0, n, step)
-        ])
-    d2, err = _gemm_sq_distances(points, centers, points_sq)
-    rows = np.arange(n)
-    best = d2.argmin(axis=1)
-    first = d2[rows, best]
-    d2[rows, best] = np.inf
-    doubt = np.flatnonzero(~(d2.min(axis=1) - first > 2 * err))
-    if doubt.size:
-        best[doubt] = _sq_distances(points[doubt], centers).argmin(axis=1)
+    if owner is None:  # shared centers: (k, rows) estimates a block of rows at a time,
+        # apart from _gemm_blocks, whose padding and bookkeeping cost a lone
+        # group's small calls (RetCCL's query primaries) 10-20 us more each
+        step = max(1, PAIR_BLOCK // k)
+        if n > step:
+            return np.concatenate([
+                _nearest(points[lo : lo + step], centers, None, points_sq[lo : lo + step])
+                for lo in range(0, n, step)
+            ])
+        d2, err = _gemm_sq_distances(points, centers, points_sq)
+        lowest = d2.min(axis=0)
+        best = (d2 == lowest).argmax(axis=0)
+        d2[best, np.arange(n)] = np.inf
+        doubt = np.flatnonzero(~(d2.min(axis=0) - lowest > 2 * err))
+        if doubt.size:
+            best[doubt] = _sq_distances(points[doubt], centers).argmin(axis=1)
+        return best
+    best = np.empty(n, dtype=np.int64)
+    for lo, at, d2, err in _gemm_blocks(points, points_sq, sizes, centers):
+        # per point the lowest estimate, its first center, and the next lowest
+        lowest = d2.min(axis=1)
+        near = (d2 == lowest[:, None]).argmax(axis=1)
+        d2[np.arange(len(d2))[:, None], near, np.arange(d2.shape[2])] = np.inf
+        gap = d2.min(axis=1) - lowest
+        near, doubt = near[at].ravel(), np.flatnonzero(~(gap[at].ravel() > 2 * err[at].ravel()))
+        if doubt.size:
+            rows = lo + doubt
+            near[doubt] = _sq_distances(points[rows], centers, owner[rows]).argmin(axis=1)
+        best[lo : lo + len(near)] = near
     return best
 
 
@@ -202,7 +284,13 @@ def _draws(dist: np.ndarray, sizes: np.ndarray, rngs: Sequence[np.random.Generat
         return np.array([cdf.searchsorted(rng.random(), side="right")])
     start = np.cumsum(sizes) - sizes
     spans = list(zip(start.tolist(), sizes.tolist()))
-    totals = np.array([dist[lo : lo + n].sum() for lo, n in spans])
+    # each run of equal sizes as one (groups, size) block, whose row sums
+    # add each row as its own sum() does
+    runs = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    totals = np.concatenate([
+        dist[start[a] : start[b - 1] + sizes[b - 1]].reshape(b - a, -1).sum(axis=1)
+        for a, b in zip(runs, runs[1:])
+    ])
     flat = totals <= 0.0
     draws = np.array([
         rng.integers(n) if f else rng.random() for rng, (_, n), f in zip(rngs, spans, flat.tolist())
@@ -238,10 +326,12 @@ def _plus_plus_centers(
     ks never rises, so the groups still drawing at each step are a prefix,
     and one distance pass per step serves them all.  Group g draws from
     ``default_rng(seeds[g])`` (see _draws); a group of k = 1 draws nothing,
-    as its one cluster is its mean whatever the seed (see _lloyd).  A lone
-    group of GEMM_MIN_DIFFERENCES differences or more (``points_sq`` holds
-    its squared norms) takes the direct formula only for the points whose
-    GEMM estimate cannot rule out a distance below their current one.
+    as its one cluster is its mean whatever the seed (see _lloyd).  Where
+    _gemm_pays (``points_sq`` holds the squared norms), each step takes GEMM
+    estimates of the distances to the new centers, one GEMM for a lone
+    group, batched GEMMs over the drawing groups otherwise (see
+    _gemm_blocks), and the direct formula only for the points whose
+    estimate cannot rule out a distance below their current one.
     """
     start, kmax = np.cumsum(sizes) - sizes, int(ks[0])
     centers = np.empty((len(sizes), kmax, points.shape[1]))  # group g's first ks[g] rows serve
@@ -252,6 +342,7 @@ def _plus_plus_centers(
     bounds = [*start.tolist(), len(points)]
     rows = [bounds[g] for g in drawing]
     rngs = [np.random.default_rng(seed) for seed in seeds[: drawing[0]]]
+    d = points.shape[1]
     single = len(sizes) == 1
     base = None if single else kmax * np.repeat(np.arange(len(sizes)), sizes)  # group's center 0
     for i, (g, m) in enumerate(zip(drawing, rows)):
@@ -262,17 +353,26 @@ def _plus_plus_centers(
             chosen = start[:g] + np.array(firsts, dtype=np.int64)
         centers[:g, i] = points[chosen]
         if single:
-            own, at = centers[0, i : i + 1], None
+            own, first = centers[0, i : i + 1], None
         else:
-            own, at = centers.reshape(-1, 1, points.shape[1]), base[:m] + i
+            own, first = centers.reshape(-1, 1, d), base[:m] + i
         if not i:
-            dist = _sq_distances(points[:m], own, at)[:, 0]
-        elif single and points_sq is not None and points.size >= GEMM_MIN_DIFFERENCES:
-            est, err = _gemm_sq_distances(points, own, points_sq)
-            maybe = np.flatnonzero(~(est[:, 0] - err > dist))
-            dist[maybe] = np.minimum(dist[maybe], _sq_distances(points[maybe], own)[:, 0])
+            dist = _sq_distances(points[:m], own, first)[:, 0]
+        elif points_sq is not None and _gemm_pays(m, d, g):
+            if single:
+                est, err = _gemm_sq_distances(points, own, points_sq)
+                est = est[0]
+            else:  # each drawing group against its new center, a block of groups at a time
+                blocks = _gemm_blocks(points[:m], points_sq[:m], sizes[:g], centers[:g, i : i + 1])
+                est, err = map(np.concatenate, zip(*(
+                    (est[:, 0][at].ravel(), err[at].ravel()) for _, at, est, err in blocks
+                )))
+            # the direct formula where the estimate cannot rule out a closer center
+            maybe = np.flatnonzero(~(est - err > dist[:m]))
+            near = _sq_distances(points[maybe], own, None if single else first[maybe])[:, 0]
+            dist[maybe] = np.minimum(dist[maybe], near)
         else:
-            np.minimum(dist[:m], _sq_distances(points[:m], own, at)[:, 0], out=dist[:m])
+            np.minimum(dist[:m], _sq_distances(points[:m], own, first)[:, 0], out=dist[:m])
     if ks[-1] < kmax:  # drop the rows past each group's k
         return centers[np.arange(kmax) < ks[:, None]]
     return centers.reshape(-1, points.shape[1])
@@ -314,7 +414,7 @@ def _mean_centers(centers: np.ndarray, points: np.ndarray, labels: np.ndarray) -
 
 def _lloyd(
     points: np.ndarray,
-    points_sq: np.ndarray | None,
+    points_sq: np.ndarray,
     sizes: np.ndarray,
     ks: np.ndarray,
     centers: np.ndarray,
@@ -324,7 +424,7 @@ def _lloyd(
     ``centers``.  A group leaves at its assignment fixpoint, or after
     MAX_LLOYD_ITERATIONS, as the reference's loop does; a group of k = 1,
     which the reference's first step puts whole in one cluster, takes its
-    mean at once."""
+    mean at once.  ``points_sq`` holds the points' squared norms."""
     first, d = np.cumsum(ks) - ks, points.shape[1]
     owner = np.repeat(np.arange(len(sizes)), sizes)
     assign = first[owner]
@@ -335,32 +435,38 @@ def _lloyd(
         return assign
     assign[:m] = -1
     single = len(sizes) == 1
-    live = slice(None) if single else np.arange(m)  # rows of the groups still moving
+    moving = np.flatnonzero(ks > 1)  # the groups still moving
+    live = slice(0, m)  # and their rows, and x those rows' points
     # per k, the windows of k consecutive centers: a group's from its first on
     windows = {} if single else {
-        k: sliding_window_view(centers, (k, d))[:, 0] for k in set(ks.tolist())
+        k: sliding_window_view(centers, (k, d))[:, 0] for k in set(ks[moving].tolist())
     }
+    x, x_sq, layout = points[live], points_sq[live], None
     for _ in range(MAX_LLOYD_ITERATIONS):
-        x = points[live]
         if single:
-            new = _nearest(x, centers, None, points_sq)
-        else:  # ks[owner[live]] never rises: one block of points per k
-            base = first[owner[live]]
-            width = ks[owner[live]]
-            cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
-            new = base + np.concatenate([
-                _nearest(x[a:b], windows[width[a]], base[a:b]) for a, b in zip(cuts, cuts[1:])
-            ])
+            new = _nearest(x, centers, None, x_sq)
+        else:
+            if layout is None:  # per k (ks[moving] never rises) its groups and their rows
+                n = sizes[moving]
+                ends = np.cumsum(n)
+                cuts = [0, *(np.flatnonzero(np.diff(ks[moving])) + 1).tolist(), len(moving)]
+                layout = [(moving[a:b], ends[a] - n[a], ends[b - 1]) for a, b in zip(cuts, cuts[1:])]
+                base = np.repeat(first[moving], n)
+            new = base.copy()
+            for own, lo, hi in layout:
+                sets = windows[int(ks[own[0]])][first[own]]
+                new[lo:hi] += _nearest(x[lo:hi], sets, sizes[own], x_sq[lo:hi])
         moved = new != assign[live]
         if not moved.any():
             break
-        if not single:
-            moving = np.zeros(len(sizes), dtype=bool)
-            moving[owner[live[moved]]] = True
-            keep = moving[owner[live]]
-            live, x, new = live[keep], x[keep], new[keep]
         assign[live] = new
-        _mean_centers(centers, x, new)
+        _mean_centers(centers, x, new)  # a group that did not move gets the same means
+        if not single:  # and leaves
+            still = np.logical_or.reduceat(moved, ends - n)
+            if not still.all():
+                live, moving = np.arange(m)[live][np.repeat(still, n)], moving[still]
+                x = x_sq = layout = None  # one copy of the rows still moving at a time
+                x, x_sq = points[live], points_sq[live]
     return assign
 
 
@@ -373,19 +479,21 @@ def _cluster_groups(
     before empty clusters are dropped, bit for bit, whatever the other
     groups (see kmeans).
 
-    Groups run in order of k, largest first: each large one alone, through
-    the GEMM, and all others in one lockstep pass.  Returns each point's
-    cluster, groups in turn, as a row of the returned centers, where group
-    g's ks[g] centers follow those of groups 0 to g - 1.
+    Groups run in order of k, largest first, then longest first (so padded
+    blocks stay tight).  A group that fills a GEMM by itself runs alone,
+    against its own centers with no padding or gathering: one of PAIR_BLOCK
+    pairs, or one of ALONE_COLUMNS columns or more, such as RetCCL's
+    feature primaries.  All other groups run in one lockstep pass, where
+    groups of GEMM_MIN_COLUMNS columns or more, such as a build's histogram
+    primaries, take batched GEMM estimates (see _gemm_blocks) and narrower
+    ones, such as the spatial groups, the direct formula.  Returns each
+    point's cluster, groups in turn, as a row of the returned centers, where
+    group g's ks[g] centers follow those of groups 0 to g - 1.
     """
     sizes, ks = np.array([len(points) for points in groups]), np.asarray(ks, dtype=np.int64)
     d = groups[0].shape[1]
-    order = np.argsort(-ks, kind="stable")
-    # a group runs alone, through the GEMM, where that beats the direct
-    # formula in the lockstep pass: a row of 8 or more columns and
-    # GEMM_MIN_DIFFERENCES differences, or PAIR_BLOCK pairs whatever the row
-    pairs = sizes[order] * ks[order]
-    alone = (pairs >= PAIR_BLOCK) | ((d >= 8) & (pairs * d >= GEMM_MIN_DIFFERENCES))
+    order = np.lexsort((-sizes, -ks))
+    alone = (sizes[order] * ks[order] >= PAIR_BLOCK) | (d >= ALONE_COLUMNS)
     batches = [[g] for g in order[alone].tolist()] + ([order[~alone]] if not alone.all() else [])
     first_row, first_center = np.cumsum(sizes) - sizes, np.cumsum(ks) - ks
     assign, centers = np.empty(sizes.sum(), dtype=np.int64), np.empty((ks.sum(), d))
@@ -393,10 +501,9 @@ def _cluster_groups(
         n, k = sizes[batch], ks[batch]
         if len(batch) == 1:
             points = np.ascontiguousarray(groups[batch[0]], dtype=np.float64)
-            points_sq = np.einsum("ij,ij->i", points, points)
         else:
             points = np.concatenate([groups[g] for g in batch], dtype=np.float64)
-            points_sq = None
+        points_sq = np.einsum("ij,ij->i", points, points)
         batch_centers = _plus_plus_centers(points, points_sq, n, k, [seeds[g] for g in batch])
         # a group's rows and centers, from the batch's layout to the callers'
         shift = first_center[batch] - (np.cumsum(k) - k)
@@ -583,6 +690,8 @@ def histogram_matrix(slide: SlideRecord, bins: int = 16) -> np.ndarray:
     cluster on.  Uses ``np.histogram``'s arithmetic (edges, index corrections,
     right edge in the last bin) on blocks of whole rows, about HISTOGRAM_BLOCK
     components each as np.histogram blocks its input, to bound temporaries."""
+    if bins < 1:
+        raise ValidationError(f"histogram bins must be >= 1, got {bins}")
     lo, hi = float(slide.features.min()), float(slide.features.max())
     if lo == hi:
         hi = lo + 1.0

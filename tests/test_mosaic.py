@@ -158,6 +158,9 @@ class TestHistograms:
         # the slide spans [0, 1]: 0.5 opens bin 2, the right edge falls in bin 3
         slide = make_slide("h0", [[0.0, 0.5, 1.0, 1.0]])
         assert histogram_matrix(slide, bins=4).tolist() == [[0.25, 0.0, 0.25, 0.5]]
+        for bins in (0, -1):
+            with pytest.raises(ValidationError, match="bins must be >= 1"):
+                histogram_matrix(slide, bins=bins)
 
     def test_matrix_rows_are_histograms(self):
         rng = np.random.default_rng(8)
@@ -404,12 +407,15 @@ class TestKMeansEquivalence:
         want = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         with _kernel_sizes(force_gemm=True):
             assert np.array_equal(mosaic_module._nearest(pts, centers), want)
-        # each point against its own set of centers: this one or a shifted copy
+        # two groups in turn, each against its own set of centers: this one
+        # or a shifted copy, through the batched GEMM and the direct formula
         sets = np.stack([centers, centers + 1.0])
-        owner = np.arange(len(pts)) % 2
+        owner = np.arange(len(pts)) >= 150
         shifted = ((pts[:, None, :] - sets[1][None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        got = mosaic_module._nearest(pts, sets, owner)
-        assert np.array_equal(got, np.where(owner == 1, shifted, want))
+        for force_gemm in (True, False):
+            with _kernel_sizes(force_gemm):
+                got = mosaic_module._nearest(pts, sets, np.array([150, len(pts) - 150]))
+            assert np.array_equal(got, np.where(owner, shifted, want))
 
     def test_nearest_non_finite_rows_take_direct_formula(self):
         pts = np.random.default_rng(3).normal(size=(200, 32))
@@ -505,13 +511,21 @@ def ragged_batches(draw):
     return groups, ks, seeds
 
 
-#: size thresholds that send each group of 8 or more columns alone through
-#: the GEMM (and the direct formula through one-point blocks), every group
-#: through the direct formula in the lockstep pass, most groups alone
-#: through the direct formula with short padded-cdf blocks, and each
-#: centroid sum down either path
+#: size thresholds that send every group through the GEMM (and the direct
+#: formula through one-point blocks), every group of 8 or more columns
+#: through the lockstep pass's batched GEMM in blocks of a few groups,
+#: every GEMM estimate into doubt (a roundoff so large that the direct
+#: formula decides every point), every group through the direct formula in
+#: the lockstep pass, most groups alone through the direct formula with
+#: short padded-cdf blocks, and each centroid sum down either path
 SOLVER_MODES = {
     "gemm": dict(GEMM_MIN_DIFFERENCES=0, DIRECT_BLOCK=1),
+    "gemm, lockstep blocks": dict(
+        GEMM_MIN_DIFFERENCES=0, ALONE_COLUMNS=2**62, PAIR_BLOCK=512, DIRECT_BLOCK=64
+    ),
+    "gemm, every point in doubt": dict(
+        GEMM_MIN_DIFFERENCES=0, GEMM_MIN_COLUMNS=1, ALONE_COLUMNS=2**62, UNIT_ROUNDOFF=1e100
+    ),
     "direct": dict(GEMM_MIN_DIFFERENCES=2**62),
     "direct, short runs": dict(GEMM_MIN_DIFFERENCES=2**62, PAIR_BLOCK=64),
     "gemm, per-cluster sums": dict(GEMM_MIN_DIFFERENCES=0, WIDE_ROWS=2),
@@ -566,6 +580,26 @@ class TestKMeansScale:
         assert peak <= 2 * pts.nbytes + 8 * 2**20
         want = reference_kmeans(pts, 20, seed=4)
         assert np.array_equal(got.assignments, want.assignments)
+
+    def test_lockstep_build_memory_is_linear_in_input(self):
+        # 2,000 slides of 100 16-bin histograms, every one in the lockstep
+        # pass: its float64 copy of the rows, one gathered copy of the rows
+        # still moving and blocks of PAIR_BLOCK pairs peak at about 3.0x the
+        # input here; one padded (groups, k, rows) estimate of the whole
+        # build would add about 0.8x
+        rng = np.random.default_rng(0)
+        groups = [rng.integers(0, 40, (100, 16)) / 256.0 for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            assign, _ = mosaic_module._cluster_groups(groups, [9] * 2000, list(range(2000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.4 * sum(pts.nbytes for pts in groups)
+        for g in (0, 1999):
+            want = reference_kmeans(groups[g], 9, g).assignments
+            own = assign[100 * g : 100 * (g + 1)] - 9 * g
+            assert ((np.cumsum(np.bincount(own, minlength=9) > 0) - 1)[own]).tobytes() == want.tobytes()
 
 
 # The per-slide, per-group loop that the batched percent mosaic replaced, kept
