@@ -44,8 +44,12 @@ FIXED_CENTROIDS = "fixed_centroids"
 MAX_LLOYD_ITERATIONS = 100
 HISTOGRAM_BLOCK = 65536
 #: below this many differences (points x centers x dims) the direct distance
-#: formula costs less than the GEMM and its certificate
-GEMM_MIN_DIFFERENCES = 4096
+#: formula costs less than the GEMM and its certificate: one group's nearest
+#: centers broke even at 9,000-16,000 (25 x 1 x 256: 23 us direct, 48 us on
+#: the GEMM), so a k-means++ step, one new center, of a RetCCL query's 25 x
+#: 256 primaries runs direct, while their 25 x 9 x 256 Lloyd steps keep the
+#: GEMM (at 65,536 they left it, and the query mosaic slowed again)
+GEMM_MIN_DIFFERENCES = 16384
 #: differences the direct formula forms at once, to bound its temporaries
 DIRECT_BLOCK = 65536
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

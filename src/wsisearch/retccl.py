@@ -14,7 +14,12 @@ orders it by (slide_id, mosaic member).  A bag is the array of its hit rows
 by descending score plus the scores of its top hits.  A pair's score is
 ``clip((u * v).sum(), -1, 1)`` of its unit vectors; one GEMM estimates a
 whole query's, and a score is computed directly only where the estimate's
-error bound leaves a threshold or order decision in doubt.
+error bound leaves a threshold or order decision in doubt.  The unit rows
+are stored dim-major (Fortran order), so that GEMM reads ``unit_features.T``
+as a plain C-contiguous (dim, N) operand; BLAS takes a slower path for a
+transposed row-major one when the query has few rows.  A gather of rows
+still yields C-contiguous rows, so the direct score sums in the same order
+under either layout.
 """
 from __future__ import annotations
 
@@ -94,7 +99,7 @@ class RetcclDatabase:
     dim: int
     slide_ids: list[str]
     labels: list[SlideLabels]
-    unit_features: np.ndarray  # (N, dim) float64, rows normalized
+    unit_features: np.ndarray  # (N, dim) float64, rows normalized, Fortran (dim-major) order
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
     coords: np.ndarray  # (N, 2) int32, (x, y) per row of unit_features
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
@@ -134,22 +139,35 @@ def _query_rows(slide: SlideRecord, params: RetcclParams) -> tuple[np.ndarray, n
     return _mosaic_rows(_mosaics([slide], params)[0])
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's ``np.linalg.norm``, bit for bit: both take the square root
+    of the row's dot product with itself (``norm(axis=1)`` rounds
+    differently).  Database rows and query rows share it, so a row's unit
+    vector is the same wherever it comes from."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 def build_database(
     slides: Sequence[SlideRecord], params: RetcclParams | None = None
 ) -> RetcclDatabase:
     params = params or RetcclParams()
     dim = database_dim(slides)
     kept, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
-    unit = np.concatenate([features for _, (_, features) in kept]).astype(np.float64)
-    for vec in unit:  # one norm per row, as queries take theirs; axis=1 rounds differently
-        vec /= np.linalg.norm(vec)
+    sizes = [len(coords) for _, (coords, _) in kept]
+    unit = np.empty((sum(sizes), dim), order="F")  # filled a slide at a time, with no second copy
+    lo = 0
+    for _, (_, features) in kept:
+        rows = features.astype(np.float64)
+        rows /= _row_norms(rows)[:, None]  # in row order: dividing into the strided slice is slower
+        unit[lo : lo + len(rows)] = rows
+        lo += len(rows)
     return RetcclDatabase(
         params=params,
         dim=dim,
         slide_ids=[slide.slide_id for slide, _ in kept],
         labels=[slide.labels for slide, _ in kept],
         unit_features=unit,
-        slide=np.repeat(np.arange(len(kept)), [len(coords) for _, (coords, _) in kept]),
+        slide=np.repeat(np.arange(len(kept)), sizes),
         coords=np.concatenate([coords for _, (coords, _) in kept]),
         unprocessed=unprocessed,
     )
@@ -172,7 +190,7 @@ def _estimates(db: RetcclDatabase, features: np.ndarray) -> tuple[np.ndarray, np
     doubles all that, which covers rounding in the comparisons against it.
     """
     units = features.astype(np.float64)
-    norms = np.array([np.linalg.norm(vec) for vec in units])
+    norms = _row_norms(units)
     np.divide(units, norms[:, None], out=units, where=norms[:, None] > 0.0)
     est = units @ db.unit_features.T
     np.clip(est, -1.0, 1.0, out=est)

@@ -243,10 +243,11 @@ class TestDatabaseEnvelope:
         # subtype_freq dict and HSHR's graph-level knn_k, and rows that
         # followed input order; version 6 held HSHR's float incidence and
         # hyperedge weights; version 7 held HSHR hashes of a fixed-centroid
-        # mosaic, which differ from the mean's hash at near-ties.  Each
-        # changed the engine classes' fields or stored values, so such files
-        # must not load
-        for version in (1, 2, 3, 4, 5, 6, 7):
+        # mosaic, which differ from the mean's hash at near-ties; version 8
+        # stored RetCCL's unit rows row-major, which would load and run
+        # slow.  Each changed the engine classes' fields, stored values or
+        # layout, so such files must not load
+        for version in (1, 2, 3, 4, 5, 6, 7, 8):
             path = tmp_path / f"v{version}.db"
             envelope = {
                 "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None

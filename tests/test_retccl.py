@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsisearch.dataio import load_database, save_database
 from wsisearch.errors import (
     DimensionError,
     EmptyInputError,
@@ -122,6 +123,21 @@ class TestBuild:
             assert np.array_equal(unit, row / np.linalg.norm(row))
         assert np.array_equal(db.coords, np.concatenate([s.coords for s in in_order]))
         assert len(db) == 4
+
+    def test_store_is_dim_major_after_build_and_reload(self, axis_db, tmp_path):
+        _, db = axis_db
+        assert db.unit_features.flags.f_contiguous and not db.unit_features.flags.c_contiguous
+        save_database(tmp_path / "r.db", "retccl", db)
+        _, loaded = load_database(tmp_path / "r.db")
+        assert loaded.unit_features.flags.f_contiguous
+        assert loaded.unit_features.tobytes() == db.unit_features.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 7, 16, 64, 256, 512, 1000])
+    def test_row_norms_are_per_row_norms_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        rows = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-12, 13, size=(40, 1))
+        expected = [np.linalg.norm(vec) for vec in rows]
+        assert retccl._row_norms(rows).tolist() == expected
 
 
 class TestBuildBags:
@@ -566,7 +582,9 @@ class TestEquivalenceWithHitObjects:
 
 
 # The engine's scoring before one GEMM scored a whole query: one GEMV per
-# query row, as that version's build_bags and query_patches did it.
+# query row over a row-major store, as that version's build_bags and
+# query_patches did it.  Over the dim-major store BLAS sums in another
+# order, which can flip an exact tie the oracle's answer depends on.
 
 
 def gemv_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
@@ -574,7 +592,7 @@ def gemv_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         return None
-    return np.clip(db.unit_features @ (vec / norm), -1.0, 1.0)
+    return np.clip(np.ascontiguousarray(db.unit_features) @ (vec / norm), -1.0, 1.0)
 
 
 def gemv_build_bags(
@@ -719,6 +737,51 @@ class TestCertifiedRechecks:
             result = query_patches(db, patch, k)
             assert result == reference_patches(db, patch, k)
             assert result.entries[0].target_id.startswith("copy-a:")
+
+
+def answers(db: RetcclDatabase, query: np.ndarray, candidate_filter, ks) -> list:
+    """Every bag (hits, score bits, entropy), slide vote and patch result
+    of ``query`` against ``db``."""
+    out: list = [
+        (b.hits.tolist(), b.scores.tobytes(), b.entropy.hex())
+        for b in build_bags(db, query, candidate_filter)
+    ]
+    for k in ks:
+        out.append(query_slides(db, query, k, candidate_filter))
+        out += [
+            query_patches(db, PatchFeature(0, 0, row), k, candidate_filter)
+            for row in query[query.any(axis=1)]
+        ]
+    return out
+
+
+def in_layouts(db: RetcclDatabase) -> list[RetcclDatabase]:
+    """``db`` with its store row-major and dim-major."""
+    return [
+        dataclasses.replace(db, unit_features=layout(db.unit_features))
+        for layout in (np.ascontiguousarray, np.asfortranarray)
+    ]
+
+
+class TestStoreLayout:
+    """Scores, bags and votes do not depend on the store's memory order."""
+
+    @given(tie_corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_tie_corpora(self, corpus):
+        db, query, candidate_filter, k = corpus
+        row_major, dim_major = in_layouts(db)
+        assert answers(row_major, query, candidate_filter, [k]) == answers(
+            dim_major, query, candidate_filter, [k]
+        )
+
+    def test_near_ties(self):
+        db, query = near_tie_db()
+        row_major, dim_major = in_layouts(db)
+        queries = np.stack([query, -query, query + 1e-13])
+        assert answers(row_major, queries, None, [1, 7, 60]) == answers(
+            dim_major, queries, None, [1, 7, 60]
+        )
 
 
 class TestPositionIndependence:
