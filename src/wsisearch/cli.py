@@ -31,16 +31,18 @@ from .experiment import (
 from .metrics import mann_whitney_u
 from .synth import SyntheticSpec, synth_generate
 
-#: flags forwarded into engine parameter objects when present
-ENGINE_OVERRIDE_DESTS = (
-    "sim_threshold",
-    "quality_rule",
-    "hamming_threshold",
-    "probe_budget",
-    "knn_k",
-    "alpha",
-    "beta",
+#: engine flags, (dest, argparse keywords); each is forwarded into the engine
+#: parameter object when present
+ENGINE_FLAGS = (
+    ("sim_threshold", dict(type=float, help="retccl: cosine cut for bag membership")),
+    ("quality_rule", dict(choices=("median", "none"), help="retccl: weak-bag filter")),
+    ("hamming_threshold", dict(type=int, help="sish: result distance ceiling")),
+    ("probe_budget", dict(type=int, help="sish: index probes per guided search")),
+    ("knn_k", dict(type=int, help="hshr: hyperedge neighborhood size")),
+    ("alpha", dict(type=float, help="hshr: vertex similarity weight")),
+    ("beta", dict(type=float, help="hshr: hyperedge similarity weight")),
 )
+ENGINE_OVERRIDE_DESTS = tuple(dest for dest, _ in ENGINE_FLAGS)
 
 
 def _comma_ints(text: str) -> tuple[int, ...]:
@@ -63,13 +65,8 @@ def _int_or_tuple(text: str) -> int | tuple[int, ...]:
 
 
 def _add_engine_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--sim-threshold", type=float, help="retccl: cosine cut for bag membership")
-    sp.add_argument("--quality-rule", choices=("median", "none"), help="retccl: weak-bag filter")
-    sp.add_argument("--hamming-threshold", type=int, help="sish: result distance ceiling")
-    sp.add_argument("--probe-budget", type=int, help="sish: index probes per guided search")
-    sp.add_argument("--knn-k", type=int, help="hshr: hyperedge neighborhood size")
-    sp.add_argument("--alpha", type=float, help="hshr: vertex similarity weight")
-    sp.add_argument("--beta", type=float, help="hshr: hyperedge similarity weight")
+    for dest, keywords in ENGINE_FLAGS:
+        sp.add_argument("--" + dest.replace("_", "-"), **keywords)
 
 
 def _engine_overrides(ns: argparse.Namespace) -> dict:

@@ -1,11 +1,12 @@
 """Hypergraph retrieval over per-slide hash signatures.  Slide-level only.
 
 A slide's hash is the barcode of its mean feature, which population
-attention over a fixed-centroid mosaic equals.  Each database slide
-spans one hyperedge containing its K nearest slides by hash distance; a
-query joins the graph as a fresh vertex and hyperedge, and scores combine
-vertex-level and hyperedge-level similarity: the query's row of the
-weighted incidence products, in closed form from integer Hamming counts.
+attention over a fixed-centroid mosaic equals; a prepared query is that
+bare packed hash.  Each database slide spans one hyperedge containing its
+K nearest slides by hash distance; a query joins the graph as a fresh
+vertex and hyperedge, and scores combine vertex-level and hyperedge-level
+similarity: the query's row of the weighted incidence products, in closed
+form from integer Hamming counts.
 
 Slides are listed in slide_id order, so ties broken by slide index (equal
 hash distances to nearest neighbours, equal scores) go to the lower
@@ -65,14 +66,6 @@ class HshrParams:
             raise ValidationError("alpha and beta cannot both be 0")
 
 
-@dataclass(frozen=True, eq=False)
-class SlideSignature:
-    """One slide's hash, the code the hypergraph compares."""
-
-    slide_id: str
-    slide_hash: np.ndarray  # (ceil(L / 8),) uint8 packed
-
-
 @dataclass
 class HshrDatabase:
     params: HshrParams
@@ -88,13 +81,13 @@ class HshrDatabase:
         return len(self.slide_ids)
 
 
-def slide_signature(slide: SlideRecord) -> SlideSignature:
-    """The barcode of the slide's float64 mean feature, which population
-    attention over a fixed-centroid mosaic, sum_j (n_j / N) c_j, equals since
-    each centroid c_j is the mean of its n_j members.  Exact ties between
-    components read 0.  Sums float32 features in float64 without a copy."""
-    mean = slide.features.mean(axis=0, dtype=np.float64)
-    return SlideSignature(slide_id=slide.slide_id, slide_hash=binarize_barcode(mean))
+def slide_signature(slide: SlideRecord) -> np.ndarray:
+    """The slide's packed (ceil(L / 8),) uint8 hash: the barcode of its
+    float64 mean feature, which population attention over a fixed-centroid
+    mosaic, sum_j (n_j / N) c_j, equals since each centroid c_j is the mean
+    of its n_j members.  Exact ties between components read 0.  Sums float32
+    features in float64 without a copy."""
+    return binarize_barcode(slide.features.mean(axis=0, dtype=np.float64))
 
 
 def _knn_columns(ham: np.ndarray, k: int, first: int) -> np.ndarray:
@@ -139,12 +132,12 @@ def build_database(
     params = params or HshrParams()
     dim = database_dim(slides, min_dim=2)
     signed, unprocessed = encode_slides(slides, slide_signature)
-    hashes = np.stack([sig.slide_hash for _, sig in signed])
+    hashes = np.stack([slide_hash for _, slide_hash in signed])
     return HshrDatabase(
         params=params,
         dim=dim,
         code_length=dim - 1,
-        slide_ids=[sig.slide_id for _, sig in signed],
+        slide_ids=[slide.slide_id for slide, _ in signed],
         labels=[slide.labels for slide, _ in signed],
         incidence=build_hypergraph(hashes, dim - 1, params.knn_k),
         hashes=hashes,
@@ -152,13 +145,13 @@ def build_database(
     )
 
 
-def prepare_query(db: HshrDatabase, slide: SlideRecord) -> SlideSignature:
+def prepare_query(db: HshrDatabase, slide: SlideRecord) -> np.ndarray:
     check_query_dim(db, slide)
     return slide_signature(slide)
 
 
-def ranked_scores(db: HshrDatabase, query: SlideSignature) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of every database slide against the query, best first.
+def ranked_scores(db: HshrDatabase, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of every database slide against the query's packed hash, best first.
 
     The query joins the graph as vertex and hyperedge T and lies only in its
     own hyperedge, so row T of the vertex product H W Hᵀ is the query's
@@ -173,7 +166,7 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> tuple[np.ndarray, 
     the caller slices its top-k after any candidate filtering.
     """
     t, length = len(db), db.code_length
-    ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
+    ham = hamming_matrix(query[None, :], db.hashes)[0]
     near = np.argsort(ham, kind="stable")[: min(db.params.knn_k, t)]
     q = length - ham[near]
     rows = db.incidence[near].astype(np.int64)
@@ -192,15 +185,15 @@ def ranked_scores(db: HshrDatabase, query: SlideSignature) -> tuple[np.ndarray, 
 
 def query_slides(
     db: HshrDatabase,
-    query: SlideRecord | SlideSignature,
+    query: SlideRecord | np.ndarray,
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
-    signature = prepare_query(db, query) if isinstance(query, SlideRecord) else query
-    check_query_rows(signature.slide_hash[None, :], db.hashes.shape[1])
-    order, scores = ranked_scores(db, signature)
+    slide_hash = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    check_query_rows(slide_hash[None, :], db.hashes.shape[1])
+    order, scores = ranked_scores(db, slide_hash)
     top = order[kept_slides(candidate_filter, db)[order]][:k].tolist()
     hits = ((db.slide_ids[s], db.labels[s], float(scores[s])) for s in top)
     return ranked_result(hits, k, "hypergraph")

@@ -35,10 +35,6 @@ from .errors import (
 MAGNIFICATIONS = ("20x", "40x")
 DISTANCE_KINDS = ("hamming", "cosine", "hypergraph", "votes")
 
-#: Default feature width; databases carry their own dimension and engines
-#: always read it from there rather than from this constant.
-DEFAULT_DIM = 1024
-
 
 def _read_only_copy(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)

@@ -1,13 +1,14 @@
 """Two-stage clustering that reduces a slide's patch grid to a mosaic.
 
 Two recipes exist.  The percent recipe clusters patches by an arbitrary
-per-patch feature (the caller chooses raw features or a histogram
-surrogate), then keeps a fixed fraction of each cluster by running a second
-k-means on the spatial coordinates and picking the patch nearest each
-spatial centroid.  The fixed recipe clusters patch features into a fixed
-number of classes and keeps the centroids themselves as synthetic patches.
-A mosaic is columnar like its slide: row i of coords and features is member
-i.
+per-patch feature (RetCCL passes the raw features; Yottixel and SISH share
+histogram_mosaics, the histogram surrogate under their own params), then
+keeps a fixed fraction of each cluster by running a second k-means on the
+spatial coordinates and picking the patch nearest each spatial centroid.
+The fixed recipe clusters patch features into a fixed number of classes and
+keeps the centroids themselves as synthetic patches; no engine indexes it.
+A mosaic holds only its members, not its recipe, and is columnar like its
+slide: row i of coords and features is member i.
 
 Every clustering runs through one exact k-means over ragged groups of
 points that share d (_cluster_groups): a batch of percent mosaics, a
@@ -37,9 +38,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyInputError, ValidationError
 from .model import Encoding, SlideRecord, encode_slides, slide_seed
-
-PERCENT_OF_CLUSTERS = "percent_of_clusters"
-FIXED_CENTROIDS = "fixed_centroids"
 
 MAX_LLOYD_ITERATIONS = 100
 HISTOGRAM_BLOCK = 65536
@@ -92,13 +90,10 @@ class Mosaic:
     slide_id: str
     coords: np.ndarray  # (m, 2) int32, one (x, y) per member
     features: np.ndarray  # (m, dim) float32, one feature per member
-    method: str
     # populated only for fixed-centroid mosaics: patches per centroid
     cluster_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in (PERCENT_OF_CLUSTERS, FIXED_CENTROIDS):
-            raise ValidationError(f"unknown mosaic method {self.method!r}")
         if len(self) == 0:
             raise EmptyInputError(f"mosaic for slide {self.slide_id!r} is empty")
 
@@ -627,7 +622,6 @@ def build_mosaic_percent(
             slide_id=slide.slide_id,
             coords=slide.coords[selected - first],
             features=slide.features[selected - first],
-            method=PERCENT_OF_CLUSTERS,
         )
         for slide, selected, first in zip(
             slides, np.split(kept, np.searchsorted(kept, first_row[1:])), first_row
@@ -635,20 +629,19 @@ def build_mosaic_percent(
     ]
 
 
-def histogram_mosaics(
-    slides: Sequence[SlideRecord], k_primary: int, fraction: float, bins: int, seed: int
-) -> list[Mosaic]:
-    """Percent mosaics clustered on the per-patch histogram surrogate.
+def histogram_mosaics(slides: Sequence[SlideRecord], params) -> list[Mosaic]:
+    """Percent mosaics clustered on the per-patch histogram surrogate, under
+    an engine's ``params`` (its k_primary, fraction, histogram_bins and seed).
 
-    ``seed`` is the engine's base seed; each slide draws its own from it, so
-    a slide's mosaic does not depend on which other slides are indexed.
+    ``params.seed`` is the engine's base seed; each slide draws its own from
+    it, so a slide's mosaic does not depend on which other slides are indexed.
     """
     return build_mosaic_percent(
         slides,
-        (histogram_matrix(slide, bins=bins) for slide in slides),
-        k_primary=k_primary,
-        fraction=fraction,
-        seeds=[slide_seed(seed, slide.slide_id) for slide in slides],
+        (histogram_matrix(slide, bins=params.histogram_bins) for slide in slides),
+        k_primary=params.k_primary,
+        fraction=params.fraction,
+        seeds=[slide_seed(params.seed, slide.slide_id) for slide in slides],
     )
 
 
@@ -683,7 +676,6 @@ def build_mosaic_fixed(slide: SlideRecord, k_fixed: int, seed: int) -> Mosaic:
         slide_id=slide.slide_id,
         coords=slide.coords[anchors],
         features=result.centroids.astype(np.float32),
-        method=FIXED_CENTROIDS,
         cluster_sizes=sizes,
     )
 

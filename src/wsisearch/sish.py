@@ -9,6 +9,9 @@ from its own index with successor/predecessor probes, then keeps only
 candidates within a Hamming threshold of its barcode.  The keys sit in one
 sorted array: on a static index it gives the successor/predecessor sequence
 of the paper's van Emde Boas tree, with each walker's visits one slice.
+Rows are stored in key order, and each carries its saved rank in (slide,
+mosaic member) order, so hits sort by distance, slide_id, then member on one
+integer key.
 
 Slide ranking follows the uncertainty rule: query patches whose retrieved
 labels are too mixed (entropy above the median patch entropy) are dropped,
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -89,8 +91,8 @@ class SishProbe(NamedTuple):
 @dataclass
 class SishDatabase:
     """One row per indexed mosaic patch: rows starts[j] up to starts[j + 1]
-    carry keys[j], in (slide, ordinal) order.  Slides are listed in slide_id
-    order, so a row's ``slide`` is also the rank of its slide_id."""
+    carry keys[j], in ``rank`` order.  Slides are listed in slide_id order,
+    so a row's ``slide`` is also the rank of its slide_id."""
 
     params: SishParams
     dim: int
@@ -102,7 +104,7 @@ class SishDatabase:
     keys: np.ndarray  # (K,) int64, sorted distinct indices
     starts: np.ndarray  # (K + 1,) int64, first row of each key, then N
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels
-    ordinal: np.ndarray  # (N,) int64, position within the slide's mosaic
+    rank: np.ndarray  # (N,) int64, the row's place in (slide, mosaic member) order
     coords: np.ndarray  # (N, 2) int32
     codes: np.ndarray  # (N, ceil(L / 8)) uint8 packed barcodes
     freq: np.ndarray  # (T,) float64, database frequency of each slide's subtype
@@ -110,19 +112,6 @@ class SishDatabase:
 
     def __len__(self) -> int:
         return len(self.slide_ids)
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        """(N,) int64 position of each row in (slide, ordinal) order: rows
-        before its slide's, plus its ordinal.  Derived from ``slide`` and
-        ``ordinal`` on first use and never saved."""
-        sizes = np.bincount(self.slide, minlength=len(self))
-        return (np.cumsum(sizes) - sizes)[self.slide] + self.ordinal
-
-    def __getstate__(self) -> dict:
-        """Pickled state without ``rank``, so a saved file does not depend on
-        whether a query ran before the save."""
-        return {name: value for name, value in self.__dict__.items() if name != "rank"}
 
 
 def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | np.ndarray:
@@ -174,12 +163,6 @@ def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | 
     return int(index[0]) if f.ndim == 1 else index
 
 
-def _mosaics(slides: Sequence[SlideRecord], params: SishParams) -> list[Mosaic]:
-    return histogram_mosaics(
-        slides, params.k_primary, params.fraction, params.histogram_bins, params.seed
-    )
-
-
 def _mosaic_rows(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
     """Mosaic (coords, features) without flat-feature patches (scanner artifacts)."""
     varied = np.ptp(mosaic.features, axis=1) > 0.0
@@ -189,7 +172,7 @@ def _mosaic_rows(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _query_rows(slide: SlideRecord, params: SishParams) -> tuple[np.ndarray, np.ndarray]:
-    return _mosaic_rows(_mosaics([slide], params)[0])
+    return _mosaic_rows(histogram_mosaics([slide], params)[0])
 
 
 def _probes(db: SishDatabase, features: np.ndarray) -> list[SishProbe]:
@@ -201,7 +184,9 @@ def _probes(db: SishDatabase, features: np.ndarray) -> list[SishProbe]:
 def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
     params = params or SishParams()
     dim = database_dim(slides, min_dim=2)
-    kept, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
+    kept, unprocessed = encode_mosaics(
+        slides, lambda batch: histogram_mosaics(batch, params), _mosaic_rows
+    )
 
     # quantization ranges are a database-wide statistic, frozen at build time
     member_features = [features for _, (_, features) in kept]
@@ -210,7 +195,8 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     # index_encode fails only when every database-wide range is flat, and
     # then for every slide alike, so its error ends the build
     index = np.concatenate([index_encode(f, lo, hi) for f in member_features])
-    # rows in (index, slide, ordinal) order: a stable sort of (slide, ordinal) order
+    # rows in (index, slide, member) order: a stable sort of (slide, member)
+    # order, so each row's place in the latter is its entry of ``order``
     order = np.argsort(index, kind="stable")
     keys, first = np.unique(index[order], return_index=True)
     sizes = [len(f) for f in member_features]
@@ -227,7 +213,7 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
         keys=keys,
         starts=np.append(first, len(index)),
         slide=np.repeat(np.arange(len(kept)), sizes)[order],
-        ordinal=np.concatenate([np.arange(n) for n in sizes])[order],
+        rank=order,
         coords=np.concatenate([coords for _, (coords, _) in kept])[order],
         codes=np.concatenate([binarize_barcode(f) for f in member_features])[order],
         freq=np.array([subtype_counts[slide.subtype] / len(kept) for slide, _ in kept]),
@@ -298,9 +284,9 @@ def guided_search(
     Results are one (n, 2) int64 array of (row, hamming) pairs: the rows of
     kept slides (``kept`` is a per-slide mask, None keeps all) within
     db.params.hamming_threshold, ascending by distance, then slide_id, then
-    ordinal; n may be 0.  One argsort of ``ham * N + rank`` over the N rows
-    gives that order: ``rank`` is below N and ham at most code_length, so
-    keys are distinct and below (code_length + 1) * N <= 9 * codes.nbytes,
+    mosaic member; n may be 0.  One argsort of ``ham * N + rank`` over the N
+    rows gives that order: ``rank`` is below N and ham at most code_length,
+    so keys are distinct and below (code_length + 1) * N <= 9 * codes.nbytes,
     inside int64 for any codes array under 10**18 bytes.
     """
     # the seeds' walkers overlap: merged ranges give each row once, in row order

@@ -67,12 +67,6 @@ class YottixelDatabase:
         return len(self.slide_ids)
 
 
-def _mosaics(slides: Sequence[SlideRecord], params: YottixelParams) -> list[Mosaic]:
-    return histogram_mosaics(
-        slides, params.k_primary, params.fraction, params.histogram_bins, params.seed
-    )
-
-
 def _bag(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
     """(packed barcodes, coords) of the mosaic's members."""
     return binarize_barcode(mosaic.features), mosaic.coords
@@ -82,7 +76,9 @@ def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None 
     """Index slides; ones whose mosaic fails land in .unprocessed."""
     params = params or YottixelParams()
     dim = database_dim(slides, min_dim=2)
-    bags, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _bag)
+    bags, unprocessed = encode_mosaics(
+        slides, lambda batch: histogram_mosaics(batch, params), _bag
+    )
     return YottixelDatabase(
         params=params,
         dim=dim,
@@ -99,7 +95,7 @@ def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None 
 def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
     """Packed barcodes of a query slide's mosaic under the database parameters."""
     check_query_dim(db, slide)
-    return _bag(_mosaics([slide], db.params)[0])[0]
+    return _bag(histogram_mosaics([slide], db.params)[0])[0]
 
 
 def median_min_hamming(query: np.ndarray, stacked: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -146,5 +142,5 @@ def query_patches(
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:
     """The patches a slide would contribute as individual patch queries."""
     check_query_dim(db, slide)
-    (mosaic,) = _mosaics([slide], db.params)
+    (mosaic,) = histogram_mosaics([slide], db.params)
     return as_patches(mosaic.coords, mosaic.features)

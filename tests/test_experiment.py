@@ -1,6 +1,7 @@
 """Orchestration layer: runs, row serialization, summaries."""
 import inspect
 import json
+import pickle
 import typing
 
 import numpy as np
@@ -123,6 +124,21 @@ class TestEngineInterface:
             if "candidate_filter" in params:
                 hint = typing.get_type_hints(fn)["candidate_filter"]
                 assert hint == typing.Optional[model.CandidateFilter], (engine, name)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_MODULES))
+    def test_queries_never_write_to_the_database(self, engine, corpus):
+        # a saved file must not depend on whether a query ran before the save
+        db_slides, queries = corpus
+        mod = ENGINE_MODULES[engine]
+        db = build_engine_database(engine, db_slides)
+        before = pickle.dumps(db)
+        mod.query_slides(db, queries[0], len(db))
+        mod.query_slides(db, queries[1], 3, lambda slide_id, labels: labels.site == "lung")
+        assert pickle.dumps(db) == before
+        if engine != "hshr":
+            for patch in mod.query_patch_set(db, queries[0])[:2]:
+                mod.query_patches(db, patch, 10)
+            assert pickle.dumps(db) == before
 
     def test_hshr_patch_entry_points_unsupported(self, corpus):
         hshr = ENGINE_MODULES["hshr"]

@@ -15,7 +15,6 @@ from wsisearch.errors import UnsupportedOperationError, ValidationError
 from wsisearch.hshr import (
     HshrDatabase,
     HshrParams,
-    SlideSignature,
     _knn_columns,
     build_database,
     build_hypergraph,
@@ -44,10 +43,6 @@ from wsisearch.synth import SyntheticSpec, generate
 from util import make_slide, packed
 
 
-def signature_with_hash(slide_id: str, bits: str):
-    return SlideSignature(slide_id=slide_id, slide_hash=packed(bits))
-
-
 @pytest.fixture(scope="module")
 def corpus():
     rng = np.random.default_rng(41)
@@ -62,8 +57,8 @@ def corpus():
     return slides, build_database(slides, HshrParams(seed=5))
 
 
-def mosaic_signature(slide: SlideRecord, k_fixed: int, seed: int) -> SlideSignature:
-    """The signature as HSHR first computed it: the barcode of population
+def mosaic_signature(slide: SlideRecord, k_fixed: int, seed: int) -> np.ndarray:
+    """The slide hash as HSHR first computed it: the barcode of population
     attention over a k-means fixed-centroid mosaic, sizes / N @ centroids,
     with the centroids rounded to float32.  The reference for
     ``slide_signature`` wherever no two neighbouring mean components lie
@@ -72,7 +67,7 @@ def mosaic_signature(slide: SlideRecord, k_fixed: int, seed: int) -> SlideSignat
     sizes = np.asarray(fixed.cluster_sizes, dtype=np.float64)
     attention = sizes / sizes.sum()
     weighted_mean = attention @ fixed.features.astype(np.float64)
-    return SlideSignature(slide_id=slide.slide_id, slide_hash=binarize_barcode(weighted_mean))
+    return binarize_barcode(weighted_mean)
 
 
 @st.composite
@@ -89,9 +84,7 @@ def integer_slides(draw):
 class TestSignature:
     def test_identical_patches_hash_as_one_patch(self):
         slide = make_slide("flat", np.tile(np.arange(6.0), (10, 1)))
-        sig = slide_signature(slide)
-        assert sig.slide_id == "flat"
-        assert np.array_equal(sig.slide_hash, binarize_barcode(np.arange(6.0)))
+        assert np.array_equal(slide_signature(slide), binarize_barcode(np.arange(6.0)))
 
     def test_slide_hash_is_barcode_of_mean_feature(self, corpus):
         slides, db = corpus
@@ -100,7 +93,7 @@ class TestSignature:
             # summed in float64 without a float64 copy, bit for bit the copy's mean
             assert mean.tobytes() == slide.features.astype(np.float64).mean(axis=0).tobytes()
             assert np.array_equal(db.hashes[i], binarize_barcode(mean))
-            assert np.array_equal(slide_signature(slide).slide_hash, db.hashes[i])
+            assert np.array_equal(slide_signature(slide), db.hashes[i])
 
     @pytest.mark.parametrize("n, dim", [(1, 2), (9000, 16), (3, 20000)])
     def test_mean_without_copy_matches_float64_copy(self, n, dim):
@@ -116,9 +109,7 @@ class TestSignature:
         twin = make_slide(
             slides[0].slide_id, slides[0].features, site=slides[0].site, patient_id="someone-else"
         )
-        sig = prepare_query(db, twin)
-        assert sig.slide_id == db.slide_ids[0]
-        assert np.array_equal(db.hashes[0], sig.slide_hash)
+        assert np.array_equal(db.hashes[0], prepare_query(db, twin))
 
     @pytest.mark.parametrize("dim", [16, 64, 256])
     @pytest.mark.parametrize("seed", [1, 7, 23])
@@ -128,27 +119,27 @@ class TestSignature:
             SyntheticSpec(n_sites=2, slides_per_subtype=4, dim=dim, seed=seed)
         )
         expected = {
-            slide.slide_id: mosaic_signature(slide, 20, slide_seed(seed, slide.slide_id)).slide_hash
+            slide.slide_id: mosaic_signature(slide, 20, slide_seed(seed, slide.slide_id))
             for slide in db_slides + query_slides
         }
         db = build_database(db_slides, HshrParams(seed=seed))
         assert db.hashes.tobytes() == np.stack([expected[s] for s in db.slide_ids]).tobytes()
         for slide in query_slides:
-            assert np.array_equal(prepare_query(db, slide).slide_hash, expected[slide.slide_id])
+            assert np.array_equal(prepare_query(db, slide), expected[slide.slide_id])
 
     @given(integer_slides(), st.integers(0, 2**32 - 1), st.integers(-(2**31), 2**31))
     @settings(max_examples=200, deadline=None)
     def test_integer_slide_hash_is_exact_ascent_of_column_sums(self, case, order_seed, seed):
         slide, values = case
         expected = np.packbits(np.diff(values.sum(axis=0)) > 0)
-        assert np.array_equal(slide_signature(slide).slide_hash, expected)
+        assert np.array_equal(slide_signature(slide), expected)
         # patch order, slide id and engine seed do not enter the hash
         shuffled = make_slide(
             "other", values[np.random.default_rng(order_seed).permutation(len(values))]
         )
         db = build_database([slide], HshrParams(seed=seed))
         assert np.array_equal(db.hashes[0], expected)
-        assert np.array_equal(prepare_query(db, shuffled).slide_hash, expected)
+        assert np.array_equal(prepare_query(db, shuffled), expected)
 
     def test_no_kmeans_in_build_or_query(self, corpus, monkeypatch):
         def refuse(*args, **kwargs):
@@ -158,7 +149,7 @@ class TestSignature:
         slides, db = corpus
         rebuilt = build_database(slides, db.params)
         assert rebuilt.hashes.tobytes() == db.hashes.tobytes()
-        assert np.array_equal(prepare_query(rebuilt, slides[4]).slide_hash, db.hashes[4])
+        assert np.array_equal(prepare_query(rebuilt, slides[4]), db.hashes[4])
 
 
 class TestHypergraph:
@@ -321,11 +312,10 @@ class TestScoring:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_prepared_query_rejected(self, corpus, bad):
         slides, db = corpus
-        signature = prepare_query(db, slides[0])
-        slide_hash = signature.slide_hash.astype(np.float64)
+        slide_hash = prepare_query(db, slides[0]).astype(np.float64)
         slide_hash[0] = bad
         with pytest.raises(ValidationError):
-            query_slides(db, SlideSignature(signature.slide_id, slide_hash), k=3)
+            query_slides(db, slide_hash, k=3)
 
     def test_self_retrieval_twin_first(self, corpus):
         slides, db = corpus
@@ -344,8 +334,7 @@ class TestScoring:
         slides, db = corpus
         bits = np.unpackbits(db.hashes[0], count=db.code_length)
         flipped = "".join("0" if b else "1" for b in bits)
-        far = signature_with_hash("far", flipped)
-        order, scores = ranked_scores(db, far)
+        order, scores = ranked_scores(db, packed(flipped))
         assert len(order) == len(scores) == len(db)
         assert np.all(np.isfinite(scores))
 
@@ -403,7 +392,7 @@ def legacy_graph(db: HshrDatabase) -> tuple[np.ndarray, np.ndarray]:
     return incidence, weights
 
 
-def legacy_ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[float, str]]:
+def legacy_ranked_scores(db: HshrDatabase, query: np.ndarray) -> list[tuple[float, str]]:
     """Scores of every database slide against the query, best first.
 
     The query becomes vertex/hyperedge T in a copy of the incidence matrix;
@@ -412,7 +401,7 @@ def legacy_ranked_scores(db: HshrDatabase, query: SlideSignature) -> list[tuple[
     its top-k after any candidate filtering.
     """
     t = len(db)
-    ham = hamming_matrix(query.slide_hash[None, :], db.hashes)[0]
+    ham = hamming_matrix(query[None, :], db.hashes)[0]
     affinity = 1.0 - ham / float(db.code_length)
 
     extended = np.zeros((t + 1, t + 1), dtype=np.float64)
@@ -468,7 +457,7 @@ TIE_NAMES = ["s3", "s10", "s1", "b", "a2", "a10", "a", "a\x00"]
 
 @st.composite
 def tie_corpora(draw):
-    """(slides in a drawn order, query signatures, filter, k, params)."""
+    """(slides in a drawn order, query hashes, filter, k, params)."""
     names = draw(st.permutations(TIE_NAMES))[: draw(st.integers(1, len(TIE_NAMES)))]
     rows = st.lists(st.integers(0, len(TIE_POOL) - 1), min_size=1, max_size=3)
     slides = [
@@ -477,7 +466,7 @@ def tie_corpora(draw):
     ]
     params = HshrParams(knn_k=draw(st.integers(1, 9)))
     queries = [
-        SlideSignature("q", binarize_barcode(TIE_POOL[i])) for i in draw(st.lists(
+        binarize_barcode(TIE_POOL[i]) for i in draw(st.lists(
             st.integers(0, len(TIE_POOL) - 1), min_size=1, max_size=3))
     ]
     site = draw(st.sampled_from([None, "brain", "lung"]))
@@ -582,7 +571,7 @@ class TestExactScores:
         codes = np.random.default_rng(seed).integers(0, 2, size=(t + 1, bits)).astype(bool)
         hashes = np.packbits(codes, axis=1)
         db = coded_database(hashes[:t], bits, HshrParams(knn_k=knn_k, alpha=alpha, beta=beta))
-        order, scores = ranked_scores(db, SlideSignature("q", hashes[t]))
+        order, scores = ranked_scores(db, hashes[t])
 
         exact = fraction_scores(
             hamming_matrix(hashes[:t], hashes[:t]),
@@ -601,7 +590,7 @@ class TestExactScores:
         rng = np.random.default_rng(3)
         hashes = np.packbits(rng.integers(0, 2, size=(2001, 63)).astype(bool), axis=1)
         db = coded_database(hashes[:2000], 63, HshrParams())
-        query = SlideSignature("q", hashes[2000])
+        query = hashes[2000]
         tracemalloc.start()
         try:
             order, scores = ranked_scores(db, query)

@@ -245,9 +245,11 @@ class TestDatabaseEnvelope:
         # hyperedge weights; version 7 held HSHR hashes of a fixed-centroid
         # mosaic, which differ from the mean's hash at near-ties; version 8
         # stored RetCCL's unit rows row-major, which would load and run
-        # slow.  Each changed the engine classes' fields, stored values or
-        # layout, so such files must not load
-        for version in (1, 2, 3, 4, 5, 6, 7, 8):
+        # slow; version 9 held SISH's per-row ordinal, from which each query
+        # derived the row rank that version 10 stores.  Each changed the
+        # engine classes' fields, stored values or layout, so such files
+        # must not load
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
             path = tmp_path / f"v{version}.db"
             envelope = {
                 "format": "wsisearch-db", "version": version, "engine": "yottixel", "database": None

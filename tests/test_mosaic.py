@@ -15,9 +15,7 @@ from wsisearch import mosaic as mosaic_module
 from wsisearch.errors import DimensionError, EmptyInputError, ValidationError
 from wsisearch.model import SlideRecord
 from wsisearch.mosaic import (
-    FIXED_CENTROIDS,
     MAX_LLOYD_ITERATIONS,
-    PERCENT_OF_CLUSTERS,
     KMeansResult,
     Mosaic,
     _spawn_seeds,
@@ -95,7 +93,6 @@ class TestPercentMosaic:
         originals = {
             (x, y, f.tobytes()) for (x, y), f in zip(slide.coords.tolist(), slide.features)
         }
-        assert mosaic.method == PERCENT_OF_CLUSTERS
         assert mosaic.features.dtype == np.float32
         for (x, y), f in zip(mosaic.coords.tolist(), mosaic.features):
             assert (x, y, f.tobytes()) in originals
@@ -134,7 +131,6 @@ class TestFixedMosaic:
         rng = np.random.default_rng(5)
         slide = make_slide("f1", rng.normal(size=(50, 8)))
         mosaic = build_mosaic_fixed(slide, k_fixed=6, seed=2)
-        assert mosaic.method == FIXED_CENTROIDS
         assert len(mosaic) == len(mosaic.cluster_sizes)
         assert mosaic.features.dtype == np.float32
         assert sum(mosaic.cluster_sizes) == 50
@@ -653,7 +649,6 @@ def reference_build_mosaic_percent(
         slide_id=slide.slide_id,
         coords=slide.coords[selected],
         features=slide.features[selected],
-        method=PERCENT_OF_CLUSTERS,
     )
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from wsisearch import sish
 from wsisearch.errors import DegenerateFeatureError, DimensionError, EmptyInputError, ValidationError
 from wsisearch.model import SlideLabels, hamming_matrix
+from wsisearch.mosaic import histogram_mosaics
 from wsisearch.sish import (
     COARSE_DIGIT_UNIT,
     INDEX_MAX,
@@ -33,17 +33,20 @@ from util import gaussian_slides, make_slide, packed, patch_at
 
 
 def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "00000"):
-    """Database with chosen indices; entry tuples are (slide_id, subtype),
-    and an entry's ordinal is its position in its index's list."""
+    """Database with chosen indices; entry tuples are (slide_id, subtype).
+    A slide's members run in (index, place in the index's list) order."""
     subtype_of = {sid: subtype for members in entries_at.values() for sid, subtype in members}
     slide_ids = sorted(subtype_of)
-    rank = {sid: i for i, sid in enumerate(slide_ids)}
+    slide_rank = {sid: i for i, sid in enumerate(slide_ids)}
     rows = sorted(
-        (index, rank[sid], ordinal)
+        (index, slide_rank[sid], place)
         for index, members in entries_at.items()
-        for ordinal, (sid, _) in enumerate(members)
+        for place, (sid, _) in enumerate(members)
     )
     index = np.array([r[0] for r in rows], dtype=np.int64)
+    slide = np.array([r[1] for r in rows], dtype=np.int64)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[np.argsort(slide, kind="stable")] = np.arange(len(rows))
     keys, first = np.unique(index, return_index=True)
     counts: dict[str, int] = {}
     for subtype in subtype_of.values():
@@ -58,8 +61,8 @@ def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "
         labels=[SlideLabels("brain", subtype_of[sid], f"pt-{sid}") for sid in slide_ids],
         keys=keys,
         starts=np.append(first, len(rows)),
-        slide=np.array([r[1] for r in rows], dtype=np.int64),
-        ordinal=np.array([r[2] for r in rows], dtype=np.int64),
+        slide=slide,
+        rank=rank,
         coords=np.zeros((len(rows), 2), dtype=np.int32),
         codes=np.stack([packed(code_bits)] * len(rows)),
         freq=np.array([counts[subtype_of[sid]] / len(subtype_of) for sid in slide_ids]),
@@ -154,7 +157,7 @@ def tree_guided_search(db: SishDatabase, query: SishProbe, candidate_filter=None
     results = [
         (row, int(ham)) for row, ham in zip(candidates, hams) if ham <= db.params.hamming_threshold
     ]
-    results.sort(key=lambda t: (t[1], db.slide_ids[db.slide[t[0]]], db.ordinal[t[0]]))
+    results.sort(key=lambda t: (t[1], db.slide_ids[db.slide[t[0]]], db.rank[t[0]]))
     return results
 
 
@@ -169,16 +172,22 @@ def sort_guided_search(db: SishDatabase, query: SishProbe, kept=None):
     hams = hamming_matrix(query.code[None, :], db.codes[rows])[0]
     near = hams <= db.params.hamming_threshold
     rows, hams = rows[near], hams[near]
-    order = np.lexsort((db.ordinal[rows], db.slide[rows], hams))
+    order = np.lexsort((db.rank[rows], db.slide[rows], hams))
     return np.stack((rows[order], hams[order]), axis=1)
+
+
+def assert_rank_is_slide_order(db: SishDatabase) -> None:
+    """``rank`` numbers the rows 0..N-1, and a lower slide ranks lower."""
+    by_rank = np.argsort(db.rank)
+    assert np.array_equal(db.rank[by_rank], np.arange(len(db.rank)))
+    assert np.all(np.diff(db.slide[by_rank]) >= 0)
 
 
 def column_db(index, slide, codes, code_length: int, params: SishParams) -> SishDatabase:
     """Database from per-row keys, slides and packed codes, listed in
-    (slide, row) order so that each row's ordinal is its place in its slide."""
+    (slide, row) order so that each row's rank is its place in that list."""
     index, slide = np.asarray(index, dtype=np.int64), np.asarray(slide, dtype=np.int64)
-    ordinal = np.concatenate([np.arange(n) for n in np.bincount(slide)])
-    order = np.lexsort((ordinal, slide, index))
+    order = np.argsort(index, kind="stable")
     keys, first = np.unique(index[order], return_index=True)
     n_slides = int(slide.max()) + 1
     return SishDatabase(
@@ -192,7 +201,7 @@ def column_db(index, slide, codes, code_length: int, params: SishParams) -> Sish
         keys=keys,
         starts=np.append(first, len(order)),
         slide=slide[order],
-        ordinal=ordinal[order],
+        rank=order,
         coords=np.zeros((len(order), 2), dtype=np.int32),
         codes=np.asarray(codes, dtype=np.uint8)[order],
         freq=np.ones(n_slides),
@@ -368,7 +377,7 @@ class TestArrayWalk:
     @settings(max_examples=300, deadline=None)
     def test_guided_search_equals_sort_search(self, search):
         db, query, budget, kept = search
-        assert np.array_equal(np.argsort(db.rank), np.lexsort((db.ordinal, db.slide)))
+        assert_rank_is_slide_order(db)
         db.params = dataclasses.replace(db.params, probe_budget=budget)
         got = guided_search(db, query, kept=kept)
         want = sort_guided_search(db, query, kept=kept)
@@ -379,7 +388,7 @@ class TestArrayWalk:
             assert got.shape == (0, 2)
 
     def test_order_key_at_largest_distance_and_many_rows_per_slide(self):
-        # one slide holds nearly every row, so ranks and ordinals run near N,
+        # one slide holds nearly every row, so its ranks run near N,
         # and most rows sit at the largest distance, code_length
         code_length = 255
         sizes = [3, 60_000, 3]
@@ -397,13 +406,6 @@ class TestArrayWalk:
         assert np.array_equal(got, sort_guided_search(db, query))
         top = code_length * len(slide) + db.rank.max()
         assert top < (code_length + 1) * len(slide) <= 9 * db.codes.nbytes
-
-    def test_rank_is_derived_never_saved(self, corpus_db):
-        _, db = corpus_db
-        before = pickle.dumps(db)
-        assert np.array_equal(np.argsort(db.rank), np.lexsort((db.ordinal, db.slide)))
-        assert pickle.dumps(db) == before
-        assert np.array_equal(pickle.loads(before).rank, db.rank)
 
     @given(walks())
     @settings(max_examples=300, deadline=None)
@@ -433,15 +435,23 @@ class TestArrayWalk:
         slides, db = corpus_db
         again = build_database(slides[::-1], SishParams(seed=3))
         assert again.slide_ids == db.slide_ids == sorted(db.slide_ids)
-        for name in ("keys", "starts", "slide", "ordinal", "coords", "codes", "lo", "hi"):
+        for name in ("keys", "starts", "slide", "rank", "coords", "codes", "lo", "hi"):
             assert np.array_equal(getattr(again, name), getattr(db, name)), name
 
     def test_rows_within_a_key_run_in_slide_then_ordinal_order(self, corpus_db):
         _, db = corpus_db
         assert np.all(np.diff(db.keys) > 0)
         key_of_row = np.repeat(db.keys, np.diff(db.starts))
-        order = np.lexsort((db.ordinal, db.slide, key_of_row))
+        order = np.lexsort((db.rank, db.slide, key_of_row))
         assert np.array_equal(order, np.arange(len(order)))
+        assert_rank_is_slide_order(db)
+
+    def test_rank_is_the_place_in_slide_then_mosaic_member_order(self, corpus_db):
+        slides, db = corpus_db
+        by_rank = np.argsort(db.rank)
+        members = [sish._mosaic_rows(m)[0] for m in histogram_mosaics(slides, db.params)]
+        order = np.argsort([slide.slide_id for slide in slides], kind="stable")
+        assert np.array_equal(db.coords[by_rank], np.concatenate([members[i] for i in order]))
 
 
 class TestRankSlides:
