@@ -118,10 +118,6 @@ def bench_query(engine: str, spec: BenchSpec | None = None) -> EngineBench:
     )
 
 
-def bench_engines(engines: list[str], spec: BenchSpec | None = None) -> list[EngineBench]:
-    return [bench_query(engine, spec) for engine in engines]
-
-
 def format_report(results: list[EngineBench]) -> str:
     lines = [f"{'engine':<10} {'T':>6} {'median_s':>12}   slope (theory)"]
     for res in results:

@@ -2,17 +2,21 @@
 
 Subcommands: build-db, query, eval, synth, bench, stats-mwu.  Every
 subcommand accepts --config FILE with line-based key=value pairs (dashes
-and underscores interchangeable, # starts a comment); explicit flags beat
-config values.  Exit codes: 0 success, 2 validation problem, 3 unsupported
-operation.
+and underscores interchangeable, # starts a comment).  Each pair becomes a
+``--key=value`` argument placed right after the subcommand, so argparse
+converts, checks and requires config values exactly as it does flags, and
+an explicit flag, abbreviated or not, beats the file.  A config file cannot
+name another.  Exit codes: 0 success, 2 validation problem (argparse's own
+errors exit with SystemExit(2)), 3 unsupported operation.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
-from .bench import BenchSpec, bench_engines, format_report
+from .bench import BenchSpec, bench_query, format_report
 from .dataio import load_database, load_slides, parse_manifest, save_database
 from .errors import SearchError, UnsupportedOperationError, ValidationError
 from .experiment import (
@@ -80,29 +84,27 @@ def _engine_overrides(ns: argparse.Namespace) -> dict:
     return overrides
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsisearch", description="slide retrieval engines and their harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     def command(name: str, help_text: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, help="key=value file; flags win")
-        commands[name] = sp
         return sp
 
     sp = command("build-db", "index a manifest of slides into a database file")
-    sp.add_argument("--engine", choices=sorted(ENGINE_MODULES))
-    sp.add_argument("--manifest", type=Path)
-    sp.add_argument("--db", type=Path, help="output database path")
+    sp.add_argument("--engine", choices=sorted(ENGINE_MODULES), required=True)
+    sp.add_argument("--manifest", type=Path, required=True)
+    sp.add_argument("--db", type=Path, required=True, help="output database path")
     sp.add_argument("--seed", type=int, default=0)
     _add_engine_flags(sp)
 
     sp = command("query", "run query slides from a manifest against a database")
-    sp.add_argument("--db", type=Path)
-    sp.add_argument("--manifest", type=Path, help="query slides")
+    sp.add_argument("--db", type=Path, required=True)
+    sp.add_argument("--manifest", type=Path, required=True, help="query slides")
     sp.add_argument("--engine", choices=sorted(ENGINE_MODULES), help="must match the database")
     sp.add_argument("--task", choices=sorted(TASK_PLANS), default="site")
     sp.add_argument("--k", type=int, help="result slots per query (default: task K_max)")
@@ -110,12 +112,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--out", type=Path, help="rows CSV path (default: stdout)")
 
     sp = command("eval", "aggregate a rows CSV into mMV/mAP summaries")
-    sp.add_argument("--rows", type=Path)
-    sp.add_argument("--task", choices=sorted(TASK_PLANS))
+    sp.add_argument("--rows", type=Path, required=True)
+    sp.add_argument("--task", choices=sorted(TASK_PLANS), required=True)
     sp.add_argument("--out-dir", type=Path, help="also write summary.csv and summary.txt")
 
     sp = command("synth", "generate a synthetic corpus with manifests")
-    sp.add_argument("--out", type=Path)
+    sp.add_argument("--out", type=Path, required=True)
     sp.add_argument("--sites", type=int, default=5)
     sp.add_argument(
         "--subtypes-per-site",
@@ -146,59 +148,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--out", type=Path, help="also write the timings as CSV")
 
     sp = command("stats-mwu", "two-sided Mann-Whitney U test on two samples")
-    sp.add_argument("--a", type=_comma_floats, help="comma-separated sample")
-    sp.add_argument("--b", type=_comma_floats, help="comma-separated sample")
+    sp.add_argument("--a", type=_comma_floats, required=True, help="comma-separated sample")
+    sp.add_argument("--b", type=_comma_floats, required=True, help="comma-separated sample")
 
-    return parser, commands
-
-
-# arguments a run cannot proceed without; checked after the config merge so
-# a config file may satisfy them
-REQUIRED_DESTS = {
-    "build-db": ("engine", "manifest", "db"),
-    "query": ("db", "manifest"),
-    "eval": ("rows", "task"),
-    "synth": ("out",),
-    "bench": (),
-    "stats-mwu": ("a", "b"),
-}
+    return parser
 
 
-def _read_config(path: Path) -> dict[str, str]:
+def _config_args(path: Path) -> list[str]:
+    """The config file's key=value lines as ``--key=value`` arguments; the
+    ``=`` form keeps values such as ``-1,2`` from reading as flags."""
     if not path.is_file():
         raise ValidationError(f"config file {path} does not exist")
-    values: dict[str, str] = {}
+    args = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, sep, value = stripped.partition("=")
+        key = key.strip().replace("_", "-")
+        if not sep or not key:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config(
-    ns: argparse.Namespace,
-    command_parser: argparse.ArgumentParser,
-    argv: list[str],
-) -> None:
-    """Fill namespace attributes from the config file; explicit flags win."""
-    converters = {}
-    for action in command_parser._actions:
-        if action.option_strings:
-            converters[action.dest] = action.type or str
-    for key, raw in _read_config(ns.config).items():
-        if key not in converters or key == "config":
-            raise ValidationError(f"config key {key!r} does not apply to this command")
-        flag = "--" + key.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue
-        try:
-            setattr(ns, key, converters[key](raw))
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValidationError(f"config key {key!r}: {exc}") from exc
+        # argparse would take any prefix of config as --config
+        if "config".startswith(key):
+            raise ValidationError(f"{path}:{lineno}: a config file cannot name another")
+        args.append(f"--{key}={value.strip()}")
+    return args
 
 
 def _cmd_build_db(ns: argparse.Namespace) -> int:
@@ -278,13 +252,11 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         dim=ns.dim,
         seed=ns.seed,
     )
-    results = bench_engines(engines, spec)
+    results = [bench_query(engine, spec) for engine in engines]
     print(format_report(results))
     if ns.out is not None:
-        import csv as _csv
-
         with ns.out.open("w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["engine", "size", "median_s", "slope", "theory"])
             for res in results:
                 for size, med in zip(res.sizes, res.median_seconds):
@@ -313,17 +285,14 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        if getattr(ns, "config", None) is not None:
-            _apply_config(ns, commands[ns.command], argv)
-        missing = [
-            dest for dest in REQUIRED_DESTS[ns.command] if getattr(ns, dest) is None
-        ]
-        if missing:
-            flags = ", ".join("--" + dest.replace("_", "-") for dest in missing)
-            raise ValidationError(f"{ns.command} requires {flags} (flag or config)")
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.add_argument("--config", type=Path)
+        config = pre.parse_known_args(argv[1:])[0].config
+        if config is not None:
+            # after the subcommand and before the user's flags, which win
+            argv[1:1] = _config_args(config)
+        ns = build_parser().parse_args(argv)
         return _HANDLERS[ns.command](ns)
     except UnsupportedOperationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,14 @@ tissue; a standalone prebuilt database can instead be queried with a site
 filter (the CLI does this), which keeps the candidate set identical but
 computes database-wide statistics globally.
 
-Per-query work may run on a thread pool; rows are keyed by query_id and
-sorted before writing so the output is independent of scheduling.  Next to
-the rows and summary, a run writes run.json: the slides each database left
-unprocessed, with the reason, and how many queries abstained.
+Both runners, ``run_experiment`` and ``query_rows_against_db``, send every
+query through one loop, ``_query_all``: patient self-exclusion (plus the
+site for the subtype task), the slide and patch branches, abstention and
+the row layout live there once.  Per-query work may run on a thread pool;
+rows are keyed by query_id and sorted before writing so the output is
+independent of scheduling.  Next to the rows and summary, a run writes
+run.json: the slides each database left unprocessed, with the reason, and
+how many queries abstained.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .metrics import (
     ap_at_k,
     mv_at_k,
 )
-from .model import CandidateFilter, RetrievalResult, SlideRecord, patch_ref
+from .model import SlideRecord, check_k, patch_ref
 
 ENGINE_MODULES = {
     "yottixel": yottixel,
@@ -133,88 +137,69 @@ def build_engine_database(
     return ENGINE_MODULES[engine].build_database(slides, make_params(engine, overrides))
 
 
-def _null_row(query: SlideRecord, k_max: int) -> QueryRow:
-    return QueryRow(
-        query_id=query.slide_id,
-        query_site=query.site,
-        query_subtype=query.subtype,
-        slots=(None,) * k_max,
-    )
-
-
-def _result_to_slots(result: RetrievalResult, k_max: int) -> tuple[RetrievalSlot | None, ...]:
-    slots: list[RetrievalSlot | None] = [
-        RetrievalSlot(e.target_id, e.target_site, e.target_subtype, e.score)
-        for e in result.entries
-    ]
-    slots.extend([None] * (k_max - len(slots)))
-    return tuple(slots)
-
-
-def _query_one(
-    engine: str,
-    db,
-    query: SlideRecord,
-    task: str,
-    k_max: int,
-    candidate_filter: CandidateFilter,
-) -> list[QueryRow] | None:
-    """All rows one query slide produces, or None when it abstains: an
-    unprocessable query abstains rather than killing the run."""
-    mod = ENGINE_MODULES[engine]
-    try:
-        if task == TASK_PATCH:
-            rows = []
-            for patch in mod.query_patch_set(db, query):
-                result = mod.query_patches(db, patch, k_max, candidate_filter)
-                rows.append(
-                    QueryRow(
-                        query_id=patch_ref(query.slide_id, patch.x, patch.y),
-                        query_site=query.site,
-                        query_subtype=query.subtype,
-                        slots=_result_to_slots(result, k_max),
-                    )
-                )
-            return rows
-        result = mod.query_slides(db, query, k_max, candidate_filter)
-        return [
-            QueryRow(
-                query_id=query.slide_id,
-                query_site=query.site,
-                query_subtype=query.subtype,
-                slots=_result_to_slots(result, k_max),
-            )
-        ]
-    except (UnprocessedSlideError, UnsupportedOperationError):
-        return None
-
-
 def _query_all(
-    worker: Callable[[SlideRecord], list[QueryRow] | None],
+    engine: str,
+    db_for: Callable[[SlideRecord], object | None],
     queries: Sequence[SlideRecord],
+    task: str,
+    k: int,
     jobs: int,
-    k_max: int,
 ) -> tuple[list[QueryRow], int]:
     """Every query's rows, sorted by query_id so the thread schedule never
-    shows in the output, and the number of queries that abstained (the
-    worker returned None); each of those gets one all-null row."""
+    shows in the output, and the number of queries that abstained.
+
+    A query abstains, with one all-null row, when ``db_for`` gives it no
+    database or the engine cannot process it; it never kills the run.
+    Self-exclusion is by patient, not just slide id, and the subtype task
+    keeps only candidates from the query's site.
+    """
+    mod = ENGINE_MODULES[engine]
+
+    def row(query: SlideRecord, query_id: str, entries=()) -> QueryRow:
+        slots: list[RetrievalSlot | None] = [
+            RetrievalSlot(e.target_id, e.target_site, e.target_subtype, e.score)
+            for e in entries
+        ]
+        slots.extend([None] * (k - len(slots)))
+        return QueryRow(query_id, query.site, query.subtype, tuple(slots))
+
+    def worker(query: SlideRecord) -> list[QueryRow] | None:
+        db = db_for(query)
+        if db is None:
+            return None
+        # chosen once per query: the filter runs once per database slide
+        if task == TASK_SUBTYPE:
+            def keep(slide_id, labels):
+                return labels.site == query.site and labels.patient_id != query.patient_id
+        else:
+            def keep(slide_id, labels):
+                return labels.patient_id != query.patient_id
+        try:
+            if task == TASK_PATCH:
+                return [
+                    row(
+                        query,
+                        patch_ref(query.slide_id, patch.x, patch.y),
+                        mod.query_patches(db, patch, k, keep).entries,
+                    )
+                    for patch in mod.query_patch_set(db, query)
+                ]
+            return [row(query, query.slide_id, mod.query_slides(db, query, k, keep).entries)]
+        except (UnprocessedSlideError, UnsupportedOperationError):
+            return None
+
     if jobs == 1:
         per_query = [worker(q) for q in queries]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_query = list(pool.map(worker, queries))
     rows = [
-        row
+        r
         for query, query_rows in zip(queries, per_query)
-        for row in (query_rows if query_rows is not None else [_null_row(query, k_max)])
+        for r in (query_rows if query_rows is not None else [row(query, query.slide_id)])
     ]
     abstained = sum(query_rows is None for query_rows in per_query)
     return sorted(rows, key=lambda r: r.query_id), abstained
-
-
-def _patient_filter(query: SlideRecord) -> CandidateFilter:
-    # self-exclusion is by patient, not just slide id
-    return lambda slide_id, labels: labels.patient_id != query.patient_id
 
 
 def run_experiment(
@@ -234,32 +219,25 @@ def run_experiment(
     mod = ENGINE_MODULES[config.engine]
     params = make_params(config.engine, config.engine_params)
 
-    if config.task == TASK_SUBTYPE:
+    per_site = config.task == TASK_SUBTYPE
+    if per_site:
         by_site: dict[str, list[SlideRecord]] = {}
         for slide in db_slides:
             by_site.setdefault(slide.site, []).append(slide)
         databases = {
             site: mod.build_database(slides, params) for site, slides in by_site.items()
         }
-
-        def db_for(query: SlideRecord):
-            return databases.get(query.site)
-
     else:
         databases = {"all": mod.build_database(db_slides, params)}
 
-        def db_for(query: SlideRecord):
-            return databases["all"]
-
-    def worker(query: SlideRecord) -> list[QueryRow] | None:
-        db = db_for(query)
-        if db is None:
-            return None
-        return _query_one(
-            config.engine, db, query, config.task, k_max, _patient_filter(query)
-        )
-
-    rows, abstained = _query_all(worker, query_slides, config.jobs, k_max)
+    rows, abstained = _query_all(
+        config.engine,
+        lambda query: databases.get(query.site if per_site else "all"),
+        query_slides,
+        config.task,
+        k_max,
+        config.jobs,
+    )
     summary = compute_summary(rows, config.task)
     unprocessed = [
         (name, slide_id, reason)
@@ -317,17 +295,9 @@ def query_rows_against_db(
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
     k = k_max if k_max is not None else TASK_PLANS[task].k_max
-
-    def worker(query: SlideRecord) -> list[QueryRow]:
-        patient_ok = _patient_filter(query)
-        if task == TASK_SUBTYPE:
-            def keep(slide_id, labels):
-                return labels.site == query.site and patient_ok(slide_id, labels)
-        else:
-            keep = patient_ok
-        return _query_one(engine, db, query, task, k, keep)
-
-    return _query_all(worker, query_slides, jobs, k)[0]
+    # checked here too: a run whose every query abstains never reaches an engine
+    check_k(k)
+    return _query_all(engine, lambda query: db, query_slides, task, k, jobs)[0]
 
 
 @dataclass

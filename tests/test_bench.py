@@ -7,7 +7,6 @@ from wsisearch.bench import (
     THEORY_EXPONENT,
     BenchSpec,
     EngineBench,
-    bench_engines,
     bench_query,
     format_report,
 )
@@ -45,11 +44,6 @@ def test_bench_query_shape():
     assert all(t > 0 for t in res.median_seconds)
     assert math.isfinite(res.slope)
     assert res.theory == THEORY_EXPONENT["yottixel"]
-
-
-def test_bench_engines_runs_each():
-    results = bench_engines(["yottixel", "sish"], TINY)
-    assert [r.engine for r in results] == ["yottixel", "sish"]
 
 
 def test_format_report_lines():

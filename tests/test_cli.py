@@ -3,8 +3,15 @@ import numpy as np
 import pytest
 
 from wsisearch.cli import main
-from wsisearch.dataio import load_database
+from wsisearch.dataio import (
+    load_database,
+    load_slides,
+    parse_manifest,
+    write_features,
+    write_manifest,
+)
 from wsisearch.experiment import read_rows
+from wsisearch.model import as_patches
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +170,7 @@ class TestHappyPath:
         rc = main(
             [
                 "bench",
-                "--engine", "yottixel",
+                "--engine", "yottixel,sish",
                 "--sizes", "4,8",
                 "--reps", "1",
                 "--queries", "1",
@@ -175,7 +182,10 @@ class TestHappyPath:
         assert rc == 0
         text = out_csv.read_text().splitlines()
         assert text[0] == "engine,size,median_s,slope,theory"
-        assert len(text) == 3  # two sizes, one engine
+        # two sizes per engine, in the order named
+        assert [line.split(",")[:2] for line in text[1:]] == [
+            ["yottixel", "4"], ["yottixel", "8"], ["sish", "4"], ["sish", "8"],
+        ]
 
 
 class TestExitCodes:
@@ -231,6 +241,23 @@ class TestExitCodes:
         rc = main(["synth", "--out", str(tmp_path), "--sigma", "0"])
         assert rc == 2
 
+    def test_k_below_one_rejected_when_every_query_abstains(self, corpus_dir, tmp_path):
+        # RetCCL cannot query an all-zero slide, so no engine ever sees k
+        db_path = tmp_path / "retccl.db"
+        args = ["--manifest", str(corpus_dir / "manifest.csv"), "--db", str(db_path)]
+        assert main(["build-db", "--engine", "retccl", *args]) == 0
+        (row,) = parse_manifest(corpus_dir / "queries.csv").rows[:1]
+        coords = np.array([[x, 0] for x in range(8)], dtype=np.int32)
+        write_features(tmp_path / "zero.psf", as_patches(coords, np.zeros((8, 16), np.float32)))
+        zero_manifest = tmp_path / "zero.csv"
+        write_manifest(zero_manifest, [row._replace(features_path="zero.psf")])
+        query = ["query", "--db", str(db_path), "--manifest", str(zero_manifest), "--task", "patch"]
+        out = tmp_path / "rows.csv"
+        assert main([*query, "--out", str(out)]) == 0  # the query abstains
+        assert all(slot is None for r in read_rows(out) for slot in r.slots)
+        assert main([*query, "--k", "0", "--out", str(tmp_path / "k0.csv")]) == 2
+        assert not (tmp_path / "k0.csv").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, corpus_dir, tmp_path):
@@ -278,7 +305,48 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp_speed = 9\n")
-        assert main(["stats-mwu", "--config", str(cfg), "--a", "1", "--b", "2"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["stats-mwu", "--config", str(cfg), "--a", "1", "--b", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (["build-db", "--manifest", "m.csv", "--db", "out.db"], "engine"),
+            (["eval", "--rows", "rows.csv"], "task"),
+        ],
+    )
+    def test_bad_choice_exits_2(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "--config", str(cfg), *command[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("patches = 9\nsites = 1\nsubtypes-per-site = 1\nslides-per-subtype = 1\n")
+        out = tmp_path / "corpus"
+        rc = main(["synth", "--config", str(cfg), "--out", str(out), "--dim", "4", "--pat", "4"])
+        assert rc == 0
+        (slide,) = load_slides(parse_manifest(out / "manifest.csv"))
+        assert len(slide.coords) == 4
+
+    def test_config_cannot_name_another(self, tmp_path):
+        other = tmp_path / "other.cfg"
+        other.write_text("a = 1\nb = 2\n")
+        cfg = tmp_path / "nested.cfg"
+        for key in ("config", "conf"):
+            cfg.write_text(f"{key} = {other}\n")
+            assert main(["stats-mwu", "--config", str(cfg), "--a", "1", "--b", "2"]) == 2
+
+    def test_negative_value_parses(self, tmp_path, capsys):
+        cfg = tmp_path / "mwu.cfg"
+        cfg.write_text("a = -1,2\nb = 3,4\n")
+        assert main(["stats-mwu", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("U=0 ")
 
     def test_missing_config_file(self):
         assert main(["stats-mwu", "--config", "/nonexistent.cfg", "--a", "1", "--b", "2"]) == 2

@@ -358,6 +358,13 @@ class TestRunExperiment:
         assert all(":" in r.query_id for r in report.rows)
         assert all(r.query_subtype == queries[0].subtype for r in report.rows)
 
+    def test_empty_database_fails_unless_built_per_site(self, corpus):
+        _, queries = corpus
+        with pytest.raises(EmptyInputError):
+            run_experiment(ExperimentConfig(engine="yottixel"), [], queries)
+        report = run_experiment(ExperimentConfig(engine="yottixel", task=TASK_SUBTYPE), [], queries)
+        assert report.abstained == len(queries)
+
     def test_hshr_patch_config_rejected_upfront(self):
         with pytest.raises(UnsupportedOperationError):
             ExperimentConfig(engine="hshr", task=TASK_PATCH)
@@ -374,6 +381,17 @@ class TestQueryAgainstPrebuilt:
             for slot in row.slots:
                 if slot is not None:
                     assert labels[slot.target_id] == row.query_site
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_MODULES))
+    def test_subtype_run_equals_queries_against_each_site_database(self, engine, corpus):
+        db, queries = corpus
+        report = run_experiment(ExperimentConfig(engine=engine, task=TASK_SUBTYPE), db, queries)
+        rows = []
+        for site in sorted({s.site for s in db}):
+            site_db = build_engine_database(engine, [s for s in db if s.site == site])
+            site_queries = [q for q in queries if q.site == site]
+            rows += query_rows_against_db(engine, site_db, site_queries, TASK_SUBTYPE)
+        assert report.rows == sorted(rows, key=lambda r: r.query_id)
 
     def test_patch_task_unrestricted_by_site(self, corpus):
         db, queries = corpus
