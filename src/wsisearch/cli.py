@@ -5,7 +5,8 @@ subcommand accepts --config FILE with line-based key=value pairs (dashes
 and underscores interchangeable, # starts a comment).  Each pair becomes a
 ``--key=value`` argument placed right after the subcommand, so argparse
 converts, checks and requires config values exactly as it does flags, and
-an explicit flag, abbreviated or not, beats the file.  A config file cannot
+an explicit flag, abbreviated or not, beats the file.  A key must be the
+whole name of one of the subcommand's options, and a config file cannot
 name another.  Exit codes: 0 success, 2 validation problem (argparse's own
 errors exit with SystemExit(2)), 3 unsupported operation.
 """
@@ -84,7 +85,8 @@ def _engine_overrides(ns: argparse.Namespace) -> dict:
     return overrides
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="wsisearch", description="slide retrieval engines and their harness"
     )
@@ -151,15 +153,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_comma_floats, required=True, help="comma-separated sample")
     sp.add_argument("--b", type=_comma_floats, required=True, help="comma-separated sample")
 
-    return parser
+    return parser, sub.choices
 
 
-def _config_args(path: Path) -> list[str]:
-    """The config file's key=value lines as ``--key=value`` arguments; the
-    ``=`` form keeps values such as ``-1,2`` from reading as flags."""
+def _config_args(sp: argparse.ArgumentParser, args: list[str]) -> list[str]:
+    """The key=value lines of the file that ``--config`` names in ``args``
+    as ``--key=value`` arguments of subcommand parser ``sp``; the ``=`` form
+    keeps values such as ``-1,2`` from reading as flags.  A key must be the
+    whole name of one of ``sp``'s options, not a prefix of one."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", type=Path)
+    try:
+        path = pre.parse_known_args(args)[0].config
+    except argparse.ArgumentError as exc:
+        sp.error(str(exc))
+    if path is None:
+        return []
     if not path.is_file():
         raise ValidationError(f"config file {path} does not exist")
-    args = []
+    config = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -168,11 +180,13 @@ def _config_args(path: Path) -> list[str]:
         key = key.strip().replace("_", "-")
         if not sep or not key:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        # argparse would take any prefix of config as --config
+        # on the command line any prefix of config reads as --config
         if "config".startswith(key):
             raise ValidationError(f"{path}:{lineno}: a config file cannot name another")
-        args.append(f"--{key}={value.strip()}")
-    return args
+        if f"--{key}" not in sp._option_string_actions:
+            sp.error(f"{path}:{lineno}: unknown key {key!r}")
+        config.append(f"--{key}={value.strip()}")
+    return config
 
 
 def _cmd_build_db(ns: argparse.Namespace) -> int:
@@ -285,14 +299,12 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = build_parser()
     try:
-        pre = argparse.ArgumentParser(add_help=False)
-        pre.add_argument("--config", type=Path)
-        config = pre.parse_known_args(argv[1:])[0].config
-        if config is not None:
+        if argv and argv[0] in commands:
             # after the subcommand and before the user's flags, which win
-            argv[1:1] = _config_args(config)
-        ns = build_parser().parse_args(argv)
+            argv[1:1] = _config_args(commands[argv[0]], argv[1:])
+        ns = parser.parse_args(argv)
         return _HANDLERS[ns.command](ns)
     except UnsupportedOperationError as exc:
         print(f"error: {exc}", file=sys.stderr)

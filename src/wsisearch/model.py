@@ -37,7 +37,7 @@ DISTANCE_KINDS = ("hamming", "cosine", "hypergraph", "votes")
 
 
 def _read_only_copy(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -109,9 +109,15 @@ class SlideRecord:
                                  f"and features {features.shape} are not (n, 2) and (n, dim)")
         if not np.all(np.isfinite(features)):
             raise ValidationError(f"slide {self.slide_id!r} has non-finite features")
-        _, first = np.unique(coords, axis=0, return_index=True)
-        if len(first) < len(coords):
-            repeat = tuple(coords[np.setdiff1d(np.arange(len(coords)), first)[0]].tolist())
+        # one int64 per C-order (x, y) row, equal exactly when both are
+        keys = coords.view(np.int64).ravel()
+        ordered = np.sort(keys)
+        repeats = ordered[1:] == ordered[:-1]
+        if repeats.any():
+            # a stable sort keeps equal keys in row order, so the lowest row
+            # equal to its sorted predecessor is the first repeat
+            later = np.argsort(keys, kind="stable")[1:][repeats]
+            repeat = tuple(coords[later.min()].tolist())
             raise ValidationError(f"slide {self.slide_id!r} repeats patch coordinate {repeat}")
 
     @property

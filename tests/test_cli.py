@@ -334,6 +334,26 @@ class TestConfigFile:
         (slide,) = load_slides(parse_manifest(out / "manifest.csv"))
         assert len(slide.coords) == 4
 
+    def test_key_must_be_a_whole_option_name(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("sites = 1\npat = 3\n")
+        out = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--out", str(out), "--dim", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: wsisearch synth" in err
+        assert f"{cfg}:2: unknown key 'pat'" in err
+        assert not out.exists()
+
+    def test_bare_config_reports_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wsisearch synth ")
+        assert "wsisearch synth: error: argument --config: expected one argument" in err
+
     def test_config_cannot_name_another(self, tmp_path):
         other = tmp_path / "other.cfg"
         other.write_text("a = 1\nb = 2\n")

@@ -212,6 +212,22 @@ class TestManifests:
         with pytest.raises(ValidationError, match="'s2'"):
             load_slides(parse_manifest(path))
 
+    def test_repeat_in_last_row_of_large_slide(self, tmp_path):
+        n = 10**5
+        rows = np.arange(n)
+        coords = np.stack([rows % 400 - 200, rows // 400 - 125], axis=1)
+        patches = as_patches(coords, np.ones((n, 1), dtype=np.float32))
+        path = tmp_path / "manifest.csv"
+        write_manifest(path, [ManifestRow("big", "p1", "brain", "gbm", "20x", "big.psf")])
+        write_features(tmp_path / "big.psf", patches)
+        (slide,) = load_slides(parse_manifest(path))
+        assert slide.coords.tolist() == coords.tolist()
+        x, y = patches[12345].coord
+        patches[-1] = PatchFeature(x, y, patches[-1].feature)
+        write_features(tmp_path / "big.psf", patches)
+        with pytest.raises(ValidationError, match=rf"'big' repeats patch coordinate \({x}, {y}\)"):
+            load_slides(parse_manifest(path))
+
     def test_wrong_header_rejected(self, tmp_path):
         slides = self.make_slides()
         path = write_corpus(tmp_path, slides)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,7 +29,7 @@ from wsisearch.model import (
     subtype_codes,
 )
 
-from util import make_slide, packed
+from util import first_repeat_oracle, make_slide, packed
 
 #: feature dimensions whose code lengths L = dim - 1 (1, 8, 9, 16, 63, 256)
 #: fall on both sides of byte boundaries, so the last packed byte is either
@@ -216,6 +216,13 @@ class TestEncodeSlides:
         assert unprocessed == [("x2", "cannot encode x2"), ("x1", "cannot encode x1")]
 
 
+#: int32 coordinates, weighted towards a few values so that rows repeat
+INT32_VALUES = st.one_of(
+    st.sampled_from((-2**31, -2**31 + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1)),
+    st.integers(-2**31, 2**31 - 1),
+)
+
+
 def slide_of(coords, features, slide_id="s0"):
     return SlideRecord(
         slide_id=slide_id,
@@ -238,6 +245,28 @@ class TestSlideRecord:
         coords = [(5, 5), (2, 1), (7, 0), (2, 1), (5, 5)]
         with pytest.raises(ValidationError, match=r"repeats patch coordinate \(2, 1\)"):
             slide_of(coords, np.zeros((5, 3)))
+
+    @given(
+        rows=st.lists(st.tuples(INT32_VALUES, INT32_VALUES), min_size=1, max_size=24),
+        swapped=st.booleans(),
+        fortran=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_repeat_check_matches_row_unique_oracle(self, rows, swapped, fortran):
+        if swapped:
+            rows = rows + [(y, x) for x, y in rows]
+        coords = np.array(rows, dtype=np.int32)
+        if fortran:
+            coords = np.asfortranarray(coords)
+        repeat = first_repeat_oracle(coords)
+        features = np.zeros((len(coords), 2))
+        if repeat is None:
+            stored = slide_of(coords, features).coords
+            assert stored.flags.c_contiguous and stored.tolist() == coords.tolist()
+        else:
+            with pytest.raises(ValidationError) as exc:
+                slide_of(coords, features)
+            assert str(exc.value) == f"slide 's0' repeats patch coordinate {repeat}"
 
     def test_columns_are_typed_read_only_copies(self):
         coords = np.array([[0, 0], [1, 0]])

@@ -65,3 +65,14 @@ def gaussian_slides(
 def patch_at(slide: SlideRecord, i: int) -> PatchFeature:
     """Row i of a slide as the single-patch object patch queries take."""
     return as_patches(slide.coords, slide.features)[i]
+
+
+def first_repeat_oracle(coords) -> tuple[int, int] | None:
+    """The first (x, y) row that repeats an earlier one, by the row-wise
+    ``np.unique(axis=0)`` check ``SlideRecord`` once made; None if every
+    row is distinct."""
+    coords = np.asarray(coords, dtype=np.int32)
+    _, first = np.unique(coords, axis=0, return_index=True)
+    if len(first) == len(coords):
+        return None
+    return tuple(coords[np.setdiff1d(np.arange(len(coords)), first)[0]].tolist())
