@@ -46,8 +46,8 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.sizes) < 2:
-            raise ValidationError("need at least two sizes to fit a slope")
+        if len(set(self.sizes)) < 2:
+            raise ValidationError("need at least two distinct sizes to fit a slope")
         if min(self.sizes) < 2:
             raise ValidationError("sizes must be >= 2")
         if self.repetitions < 1 or self.queries < 1:
@@ -81,12 +81,8 @@ def _corpus(size: int, spec: BenchSpec) -> tuple[list, list]:
 def bench_query(engine: str, spec: BenchSpec | None = None) -> EngineBench:
     """Median query latency per database size plus the fitted scaling slope."""
     spec = spec or BenchSpec()
-    if engine not in ENGINE_MODULES:
-        raise ValidationError(
-            f"unknown engine {engine!r}; choose from {sorted(ENGINE_MODULES)}"
-        )
-    mod = ENGINE_MODULES[engine]
     params = make_params(engine, {"seed": spec.seed})
+    mod = ENGINE_MODULES[engine]
 
     # every size's database first, then the timed rounds
     prepared = []

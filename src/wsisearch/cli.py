@@ -23,8 +23,8 @@ from .errors import SearchError, UnsupportedOperationError, ValidationError
 from .experiment import (
     ENGINE_MODULES,
     TASK_PLANS,
+    ExperimentConfig,
     build_engine_database,
-    check_engine_task,
     compute_summary,
     format_cell,
     query_rows_against_db,
@@ -193,9 +193,8 @@ def _cmd_build_db(ns: argparse.Namespace) -> int:
     slides = load_slides(parse_manifest(ns.manifest))
     db = build_engine_database(ns.engine, slides, _engine_overrides(ns))
     save_database(ns.db, ns.engine, db)
-    unprocessed = getattr(db, "unprocessed", [])
-    print(f"indexed {len(slides) - len(unprocessed)}/{len(slides)} slides into {ns.db}")
-    for slide_id, reason in unprocessed:
+    print(f"indexed {len(db)}/{len(slides)} slides into {ns.db}")
+    for slide_id, reason in db.unprocessed:
         print(f"  unprocessed {slide_id}: {reason}", file=sys.stderr)
     return 0
 
@@ -206,9 +205,8 @@ def _cmd_query(ns: argparse.Namespace) -> int:
         raise ValidationError(
             f"database {ns.db} was built by {engine!r}, not {ns.engine!r}"
         )
-    check_engine_task(engine, ns.task)
+    k = ExperimentConfig(engine, ns.task, ns.k, ns.jobs).effective_k
     queries = load_slides(parse_manifest(ns.manifest))
-    k = ns.k if ns.k is not None else TASK_PLANS[ns.task].k_max
     rows = query_rows_against_db(engine, db, queries, ns.task, k, ns.jobs)
     if ns.out is None:
         write_rows_to(sys.stdout, rows, k)

@@ -20,6 +20,15 @@ class EmptyInputError(ValidationError):
     """An operation received an empty collection it cannot work on."""
 
 
+class NothingIndexedError(EmptyInputError):
+    """No slide of a database build could be indexed; ``unprocessed`` holds
+    each slide's (slide_id, reason)."""
+
+    def __init__(self, message: str, unprocessed: list[tuple[str, str]]) -> None:
+        super().__init__(message)
+        self.unprocessed = unprocessed
+
+
 class DegenerateFeatureError(ValidationError):
     """Feature statistics are degenerate (no component varies at all)."""
 

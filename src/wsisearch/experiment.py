@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 from . import hshr, retccl, sish, yottixel
 from .errors import (
     FormatError,
+    NothingIndexedError,
     UndefinedAggregateError,
     UnprocessedSlideError,
     UnsupportedOperationError,
@@ -43,7 +44,7 @@ from .metrics import (
     ap_at_k,
     mv_at_k,
 )
-from .model import SlideRecord, check_k, patch_ref
+from .model import SlideRecord, patch_ref
 
 ENGINE_MODULES = {
     "yottixel": yottixel,
@@ -211,24 +212,31 @@ def run_experiment(
     """Full run: build database(s), query everything, write rows + summary.
 
     The subtype task builds one database per site from that site's slides,
-    named by the site; queries whose site has no database slides abstain
-    with all-null rows.  The other tasks build one database, named
-    ``all``.
+    named by the site; queries whose site has no database slides, or none
+    that could be indexed, abstain with all-null rows.  The other tasks
+    build one database, named ``all``.
     """
     k_max = config.effective_k
     mod = ENGINE_MODULES[config.engine]
     params = make_params(config.engine, config.engine_params)
 
     per_site = config.task == TASK_SUBTYPE
+    groups: dict[str, Sequence[SlideRecord]] = {"all": db_slides}
     if per_site:
-        by_site: dict[str, list[SlideRecord]] = {}
+        groups = {}
         for slide in db_slides:
-            by_site.setdefault(slide.site, []).append(slide)
-        databases = {
-            site: mod.build_database(slides, params) for site, slides in by_site.items()
-        }
-    else:
-        databases = {"all": mod.build_database(db_slides, params)}
+            groups.setdefault(slide.site, []).append(slide)
+    databases = {}
+    unprocessed: list[tuple[str, str, str]] = []
+    for name, slides in groups.items():
+        try:
+            databases[name] = mod.build_database(slides, params)
+            failed = databases[name].unprocessed
+        except NothingIndexedError as exc:
+            if not per_site:
+                raise
+            failed = exc.unprocessed  # the site has no database: its queries abstain
+        unprocessed += [(name, slide_id, reason) for slide_id, reason in failed]
 
     rows, abstained = _query_all(
         config.engine,
@@ -239,11 +247,6 @@ def run_experiment(
         config.jobs,
     )
     summary = compute_summary(rows, config.task)
-    unprocessed = [
-        (name, slide_id, reason)
-        for name, db in databases.items()
-        for slide_id, reason in db.unprocessed
-    ]
 
     rows_path = summary_csv = summary_txt = run_json = None
     if out_dir is not None:
@@ -291,13 +294,9 @@ def query_rows_against_db(
     The subtype task here narrows candidates to the query's site by filter
     instead of rebuilding; database-wide statistics stay global.
     """
-    check_engine_task(engine, task)
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
-    k = k_max if k_max is not None else TASK_PLANS[task].k_max
-    # checked here too: a run whose every query abstains never reaches an engine
-    check_k(k)
-    return _query_all(engine, lambda query: db, query_slides, task, k, jobs)[0]
+    # checked here: a run whose every query abstains never reaches an engine
+    config = ExperimentConfig(engine, task, k_max, jobs)
+    return _query_all(engine, lambda query: db, query_slides, task, config.effective_k, jobs)[0]
 
 
 @dataclass

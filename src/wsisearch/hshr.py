@@ -15,7 +15,7 @@ slide_id whatever order the slides arrive in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,17 +29,14 @@ from .model import (
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
-    SlideLabels,
     SlideRecord,
+    SlideTable,
     binarize_barcode,
     check_k,
     check_query_dim,
     check_query_rows,
-    database_dim,
     encode_slides,
     hamming_matrix,
-    kept_slides,
-    ranked_result,
 )
 
 #: hyperedges whose Hamming rows build_hypergraph forms at once, to bound temporaries
@@ -67,18 +64,11 @@ class HshrParams:
 
 
 @dataclass
-class HshrDatabase:
+class HshrDatabase(SlideTable):
     params: HshrParams
-    dim: int
     code_length: int
-    slide_ids: list[str]
-    labels: list[SlideLabels]
     incidence: np.ndarray  # (T, T) int32, entries in units of 1/code_length
     hashes: np.ndarray  # (T, ceil(L / 8)) uint8, row i the hash of slide_ids[i]
-    unprocessed: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.slide_ids)
 
 
 def slide_signature(slide: SlideRecord) -> np.ndarray:
@@ -130,18 +120,15 @@ def build_database(
     slides: Sequence[SlideRecord], params: HshrParams | None = None
 ) -> HshrDatabase:
     params = params or HshrParams()
-    dim = database_dim(slides, min_dim=2)
-    signed, unprocessed = encode_slides(slides, slide_signature)
-    hashes = np.stack([slide_hash for _, slide_hash in signed])
+    table, signatures = encode_slides(slides, slide_signature, min_dim=2)
+    hashes = np.stack(signatures)
+    code_length = table["dim"] - 1
     return HshrDatabase(
+        **table,
         params=params,
-        dim=dim,
-        code_length=dim - 1,
-        slide_ids=[slide.slide_id for slide, _ in signed],
-        labels=[slide.labels for slide, _ in signed],
-        incidence=build_hypergraph(hashes, dim - 1, params.knn_k),
+        code_length=code_length,
+        incidence=build_hypergraph(hashes, code_length, params.knn_k),
         hashes=hashes,
-        unprocessed=unprocessed,
     )
 
 
@@ -194,9 +181,8 @@ def query_slides(
     slide_hash = prepare_query(db, query) if isinstance(query, SlideRecord) else query
     check_query_rows(slide_hash[None, :], db.hashes.shape[1])
     order, scores = ranked_scores(db, slide_hash)
-    top = order[kept_slides(candidate_filter, db)[order]][:k].tolist()
-    hits = ((db.slide_ids[s], db.labels[s], float(scores[s])) for s in top)
-    return ranked_result(hits, k, "hypergraph")
+    top = order[db.kept(candidate_filter)[order]][:k]
+    return db.slide_result(top, scores[top], k, "hypergraph")
 
 
 def query_patches(

@@ -1,9 +1,10 @@
 """Shared domain types plus the distance, entropy, and barcoding primitives.
 
-Every engine consumes these types; all of them are immutable after
-construction and all operations here are pure functions.  The checks,
-slide-encoding loop and result assembly that every engine's build and query
-share also live here, so the four engines decide them in one place.
+Every engine consumes these types.  The checks, slide-encoding loop and
+result assembly that every engine's build and query share also live here,
+so the four engines decide them in one place: each engine database is a
+``SlideTable`` (filled from ``encode_slides``) that filters candidate
+slides and assembles slide results.
 
 A slide is columnar: one (n, 2) int32 ``coords`` array and one (n, dim)
 float32 ``features`` matrix.  ``PatchFeature`` is the single-patch form the
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     EmptyInputError,
+    NothingIndexedError,
     UnprocessedSlideError,
     ValidationError,
 )
@@ -174,13 +176,38 @@ CandidateFilter = Callable[[str, SlideLabels], bool]
 Encoding = TypeVar("Encoding")
 
 
-def kept_slides(candidate_filter: CandidateFilter | None, db) -> np.ndarray:
-    """Per slide of ``db`` (its ``slide_ids`` and ``labels``), whether the
-    filter keeps it; no filter keeps all.  Engines take it once per query,
-    so the filter runs once per database slide."""
-    if candidate_filter is None:
-        return np.ones(len(db.slide_ids), dtype=bool)
-    return np.array([candidate_filter(*s) for s in zip(db.slide_ids, db.labels)], dtype=bool)
+@dataclass(kw_only=True)
+class SlideTable:
+    """The slide list every engine's database holds: slide i is
+    ``slide_ids[i]`` with ``labels[i]``, listed in slide_id order, plus the
+    (slide_id, reason) of each slide the build could not index.  Engine
+    databases derive from it and add their own arrays."""
+
+    dim: int
+    slide_ids: list[str]
+    labels: list[SlideLabels]
+    unprocessed: list[tuple[str, str]] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.slide_ids)
+
+    def kept(self, candidate_filter: CandidateFilter | None) -> np.ndarray:
+        """Per slide, whether the filter keeps it; no filter keeps all.
+        Engines take it once per query, so the filter runs once per slide."""
+        if candidate_filter is None:
+            return np.ones(len(self), dtype=bool)
+        return np.array(
+            [candidate_filter(*s) for s in zip(self.slide_ids, self.labels)], dtype=bool
+        )
+
+    def slide_result(self, slides, scores, k: int, kind: str) -> "RetrievalResult":
+        """Result of the first k ``slides`` (slide indices, best first) as
+        slide hits; ``scores[i]`` is the score of ``slides[i]``."""
+        hits = (
+            (self.slide_ids[s], self.labels[s], float(score))
+            for s, score in zip(np.asarray(slides).tolist(), np.asarray(scores).tolist())
+        )
+        return ranked_result(hits, k, kind)
 
 
 def database_dim(slides: Sequence[SlideRecord], min_dim: int = 1) -> int:
@@ -220,15 +247,19 @@ def check_query_rows(rows: np.ndarray, width: int) -> None:
 
 
 def encode_slides(
-    slides: Sequence[SlideRecord], encode: Callable[[SlideRecord], Encoding]
-) -> tuple[list[tuple[SlideRecord, Encoding]], list[tuple[str, str]]]:
+    slides: Sequence[SlideRecord], encode: Callable[[SlideRecord], Encoding], min_dim: int = 1
+) -> tuple[dict, list[Encoding]]:
     """Encode every slide for indexing.
 
-    Returns (slide, encoding) pairs in slide_id order (Python string order),
-    the one slide order every engine lists, plus the (slide_id, reason) of
-    each slide whose encoding failed, in input order; at least one slide
-    must survive.  Slide ids must be distinct, since engines key slides by id.
+    Returns the ``SlideTable`` fields of the build and the encodings of the
+    slides it lists.  Slides are listed in slide_id order (Python string
+    order), the one slide order every engine lists; ``unprocessed`` holds
+    the (slide_id, reason) of each slide whose encoding failed, in input
+    order.  The slides must share one feature dimension of at least
+    ``min_dim``, their ids must be distinct, since engines key slides by
+    id, and at least one slide must survive.
     """
+    dim = database_dim(slides, min_dim)
     ids = Counter(slide.slide_id for slide in slides)
     repeated = [slide_id for slide_id, n in ids.items() if n > 1]
     if repeated:
@@ -241,9 +272,15 @@ def encode_slides(
         except (ValidationError, UnprocessedSlideError) as exc:
             unprocessed.append((slide.slide_id, str(exc)))
     if not kept:
-        raise EmptyInputError(f"none of {len(slides)} slides could be indexed")
+        raise NothingIndexedError(f"none of {len(slides)} slides could be indexed", unprocessed)
     kept.sort(key=lambda item: item[0].slide_id)
-    return kept, unprocessed
+    table = dict(
+        dim=dim,
+        slide_ids=[slide.slide_id for slide, _ in kept],
+        labels=[slide.labels for slide, _ in kept],
+        unprocessed=unprocessed,
+    )
+    return table, [encoding for _, encoding in kept]
 
 
 def ranked_result(

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyInputError, ValidationError
-from .model import Encoding, SlideRecord, encode_slides, slide_seed
+from .model import Encoding, SlideRecord, database_dim, encode_slides, slide_seed
 
 MAX_LLOYD_ITERATIONS = 100
 HISTOGRAM_BLOCK = 65536
@@ -649,12 +649,15 @@ def encode_mosaics(
     slides: Sequence[SlideRecord],
     mosaics: Callable[[Sequence[SlideRecord]], list[Mosaic]],
     encode: Callable[[Mosaic], Encoding],
-) -> tuple[list[tuple[SlideRecord, Encoding]], list[tuple[str, str]]]:
+    min_dim: int = 1,
+) -> tuple[dict, list[Encoding]]:
     """``encode_slides`` for an engine that indexes percent mosaics: every
-    slide's mosaic comes from one ``mosaics`` call, then ``encode`` turns
-    each mosaic into its slide's encoding."""
+    slide's mosaic comes from one ``mosaics`` call, made once the slides'
+    dimension has passed its check, then ``encode`` turns each mosaic into
+    its slide's encoding."""
+    database_dim(slides, min_dim)
     built = {mosaic.slide_id: mosaic for mosaic in mosaics(slides)}
-    return encode_slides(slides, lambda slide: encode(built[slide.slide_id]))
+    return encode_slides(slides, lambda slide: encode(built[slide.slide_id]), min_dim)
 
 
 def build_mosaic_fixed(slide: SlideRecord, k_fixed: int, seed: int) -> Mosaic:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,17 +39,14 @@ from .model import (
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
-    SlideLabels,
     SlideRecord,
+    SlideTable,
     as_patches,
     check_k,
     check_query_dim,
     check_query_rows,
-    database_dim,
-    kept_slides,
     label_entropy,
     ranked_patches,
-    ranked_result,
     slide_seed,
     subtype_codes,
 )
@@ -91,21 +88,14 @@ class Bag:
 
 
 @dataclass
-class RetcclDatabase:
+class RetcclDatabase(SlideTable):
     """Slides are listed in slide_id order, so a row's ``slide`` is also the
     rank of its slide_id; rows run in slide order."""
 
     params: RetcclParams
-    dim: int
-    slide_ids: list[str]
-    labels: list[SlideLabels]
     unit_features: np.ndarray  # (N, dim) float64, rows normalized, Fortran (dim-major) order
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
     coords: np.ndarray  # (N, 2) int32, (x, y) per row of unit_features
-    unprocessed: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.slide_ids)
 
     @property
     def n_patches(self) -> int:
@@ -151,25 +141,22 @@ def build_database(
     slides: Sequence[SlideRecord], params: RetcclParams | None = None
 ) -> RetcclDatabase:
     params = params or RetcclParams()
-    dim = database_dim(slides)
-    kept, unprocessed = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
-    sizes = [len(coords) for _, (coords, _) in kept]
-    unit = np.empty((sum(sizes), dim), order="F")  # filled a slide at a time, with no second copy
+    table, kept = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
+    sizes = [len(coords) for coords, _ in kept]
+    # filled a slide at a time, with no second copy
+    unit = np.empty((sum(sizes), table["dim"]), order="F")
     lo = 0
-    for _, (_, features) in kept:
+    for _, features in kept:
         rows = features.astype(np.float64)
         rows /= _row_norms(rows)[:, None]  # in row order: dividing into the strided slice is slower
         unit[lo : lo + len(rows)] = rows
         lo += len(rows)
     return RetcclDatabase(
+        **table,
         params=params,
-        dim=dim,
-        slide_ids=[slide.slide_id for slide, _ in kept],
-        labels=[slide.labels for slide, _ in kept],
         unit_features=unit,
         slide=np.repeat(np.arange(len(kept)), sizes),
-        coords=np.concatenate([coords for _, (coords, _) in kept]),
-        unprocessed=unprocessed,
+        coords=np.concatenate([coords for coords, _ in kept]),
     )
 
 
@@ -239,7 +226,7 @@ def build_bags(
     it yields an empty bag (entropy +inf), as zero vectors are invisible to
     the index."""
     check_query_rows(query_features, db.dim)
-    mask = kept_slides(candidate_filter, db)[db.slide]
+    mask = db.kept(candidate_filter)[db.slide]
     codes = subtype_codes(db.labels)
     threshold = db.params.sim_threshold
     units, est, err = _estimates(db, query_features)
@@ -278,8 +265,8 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
     """Each bag nominates its best hit carrying the bag's majority label;
     distinct slides are collected in bag order until k are found."""
     check_k(k)
-    nominees: list[tuple[str, SlideLabels, float]] = []
-    seen: set[int] = set()
+    nominees: list[int] = []
+    scores: list[float] = []
     for bag in bags:
         if len(nominees) == k:
             break
@@ -290,12 +277,10 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
         # for the majority settles the tie toward the higher-scoring label;
         # that hit is also the bag's best hit carrying the majority label
         at = next(i for i, s in enumerate(top) if counts[db.labels[s].subtype] == best)
-        slide = top[at]
-        if slide in seen:
-            continue
-        seen.add(slide)
-        nominees.append((db.slide_ids[slide], db.labels[slide], float(bag.scores[at])))
-    return ranked_result(nominees, k, "cosine")
+        if top[at] not in nominees:
+            nominees.append(top[at])
+            scores.append(float(bag.scores[at]))
+    return db.slide_result(nominees, scores, k, "cosine")
 
 
 def query_slides(
@@ -323,7 +308,7 @@ def query_patches(
     if not patch.feature.any():
         raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
     (unit,), est, err = _estimates(db, patch.feature[None, :])
-    rows = np.flatnonzero(kept_slides(candidate_filter, db)[db.slide])
+    rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
     top = _ranked(db, unit, est[0], err[0], rows, k)[:k]
     return ranked_patches(db, top, _reference(db, top, unit), k, "cosine")
 

@@ -21,7 +21,7 @@ database frequency of the target's label to blunt class imbalance.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,19 +37,16 @@ from .model import (
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
-    SlideLabels,
     SlideRecord,
+    SlideTable,
     as_patches,
     binarize_barcode,
     check_k,
     check_query_dim,
     check_query_rows,
-    database_dim,
     hamming_matrix,
-    kept_slides,
     label_entropy,
     ranked_patches,
-    ranked_result,
     subtype_codes,
 )
 from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
@@ -89,18 +86,15 @@ class SishProbe(NamedTuple):
 
 
 @dataclass
-class SishDatabase:
+class SishDatabase(SlideTable):
     """One row per indexed mosaic patch: rows starts[j] up to starts[j + 1]
     carry keys[j], in ``rank`` order.  Slides are listed in slide_id order,
     so a row's ``slide`` is also the rank of its slide_id."""
 
     params: SishParams
-    dim: int
     code_length: int
     lo: np.ndarray  # (dim,) componentwise minima over indexed patches
     hi: np.ndarray
-    slide_ids: list[str]
-    labels: list[SlideLabels]
     keys: np.ndarray  # (K,) int64, sorted distinct indices
     starts: np.ndarray  # (K + 1,) int64, first row of each key, then N
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels
@@ -108,10 +102,6 @@ class SishDatabase:
     coords: np.ndarray  # (N, 2) int32
     codes: np.ndarray  # (N, ceil(L / 8)) uint8 packed barcodes
     freq: np.ndarray  # (T,) float64, database frequency of each slide's subtype
-    unprocessed: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.slide_ids)
 
 
 def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | np.ndarray:
@@ -183,13 +173,12 @@ def _probes(db: SishDatabase, features: np.ndarray) -> list[SishProbe]:
 
 def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
     params = params or SishParams()
-    dim = database_dim(slides, min_dim=2)
-    kept, unprocessed = encode_mosaics(
-        slides, lambda batch: histogram_mosaics(batch, params), _mosaic_rows
+    table, kept = encode_mosaics(
+        slides, lambda batch: histogram_mosaics(batch, params), _mosaic_rows, min_dim=2
     )
 
     # quantization ranges are a database-wide statistic, frozen at build time
-    member_features = [features for _, (_, features) in kept]
+    member_features = [features for _, features in kept]
     lo = np.min([f.min(axis=0) for f in member_features], axis=0).astype(np.float64)
     hi = np.max([f.max(axis=0) for f in member_features], axis=0).astype(np.float64)
     # index_encode fails only when every database-wide range is flat, and
@@ -201,23 +190,21 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     keys, first = np.unique(index[order], return_index=True)
     sizes = [len(f) for f in member_features]
 
-    subtype_counts = Counter(slide.subtype for slide, _ in kept)
+    subtypes = [labels.subtype for labels in table["labels"]]
+    subtype_counts = Counter(subtypes)
     return SishDatabase(
+        **table,
         params=params,
-        dim=dim,
-        code_length=dim - 1,
+        code_length=table["dim"] - 1,
         lo=lo,
         hi=hi,
-        slide_ids=[slide.slide_id for slide, _ in kept],
-        labels=[slide.labels for slide, _ in kept],
         keys=keys,
         starts=np.append(first, len(index)),
         slide=np.repeat(np.arange(len(kept)), sizes)[order],
         rank=order,
-        coords=np.concatenate([coords for _, (coords, _) in kept])[order],
+        coords=np.concatenate([coords for coords, _ in kept])[order],
         codes=np.concatenate([binarize_barcode(f) for f in member_features])[order],
-        freq=np.array([subtype_counts[slide.subtype] / len(kept) for slide, _ in kept]),
-        unprocessed=unprocessed,
+        freq=np.array([subtype_counts[subtype] / len(kept) for subtype in subtypes]),
     )
 
 
@@ -337,10 +324,8 @@ def rank_slides(
         minlength=len(db),
     )
     voted = np.flatnonzero(votes)
-    ranked = voted[np.lexsort((voted, -votes[voted]))][:k].tolist()
-    return ranked_result(
-        ((db.slide_ids[s], db.labels[s], float(votes[s])) for s in ranked), k, "votes"
-    )
+    ranked = voted[np.lexsort((voted, -votes[voted]))][:k]
+    return db.slide_result(ranked, votes[ranked], k, "votes")
 
 
 def query_slides(
@@ -357,7 +342,7 @@ def query_slides(
     if len(shapes) > 1:
         raise DimensionError(f"prepared query codes differ in shape: {sorted(shapes)}")
     check_query_rows(np.stack([probe.code for probe in probes]), db.codes.shape[1])
-    kept = kept_slides(candidate_filter, db)
+    kept = db.kept(candidate_filter)
     return rank_slides([guided_search(db, probe, kept=kept) for probe in probes], db, k)
 
 
@@ -371,7 +356,7 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     (probe,) = _probes(db, patch.feature[None, :])
-    hits = guided_search(db, probe, kept=kept_slides(candidate_filter, db))
+    hits = guided_search(db, probe, kept=db.kept(candidate_filter))
     return ranked_patches(db, hits[:, 0], hits[:, 1], k, "hamming")
 
 

@@ -12,7 +12,7 @@ so one stable sort by distance breaks ties by slide_id (then mosaic member).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,18 +21,15 @@ from .model import (
     CandidateFilter,
     PatchFeature,
     RetrievalResult,
-    SlideLabels,
     SlideRecord,
+    SlideTable,
     as_patches,
     binarize_barcode,
     check_k,
     check_query_dim,
     check_query_rows,
-    database_dim,
     hamming_matrix,
-    kept_slides,
     ranked_patches,
-    ranked_result,
 )
 from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
 
@@ -49,22 +46,15 @@ class YottixelParams:
 
 
 @dataclass
-class YottixelDatabase:
+class YottixelDatabase(SlideTable):
     """Every indexed slide's mosaic barcodes, stacked in slide order: row j
     of ``packed`` and ``coords`` belongs to slide ``slide[j]``."""
 
     params: YottixelParams
-    dim: int
     code_length: int
-    slide_ids: list[str]
-    labels: list[SlideLabels]
     packed: np.ndarray  # (N, ceil(L / 8)) uint8, one row per mosaic member
     coords: np.ndarray  # (N, 2) int32, (x, y) of each row's member
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
-    unprocessed: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.slide_ids)
 
 
 def _bag(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
@@ -75,20 +65,16 @@ def _bag(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
 def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None = None) -> YottixelDatabase:
     """Index slides; ones whose mosaic fails land in .unprocessed."""
     params = params or YottixelParams()
-    dim = database_dim(slides, min_dim=2)
-    bags, unprocessed = encode_mosaics(
-        slides, lambda batch: histogram_mosaics(batch, params), _bag
+    table, bags = encode_mosaics(
+        slides, lambda batch: histogram_mosaics(batch, params), _bag, min_dim=2
     )
     return YottixelDatabase(
+        **table,
         params=params,
-        dim=dim,
-        code_length=dim - 1,
-        slide_ids=[slide.slide_id for slide, _ in bags],
-        labels=[slide.labels for slide, _ in bags],
-        packed=np.concatenate([packed for _, (packed, _) in bags]),
-        coords=np.concatenate([coords for _, (_, coords) in bags]),
-        slide=np.repeat(np.arange(len(bags)), [len(packed) for _, (packed, _) in bags]),
-        unprocessed=unprocessed,
+        code_length=table["dim"] - 1,
+        packed=np.concatenate([packed for packed, _ in bags]),
+        coords=np.concatenate([coords for _, coords in bags]),
+        slide=np.repeat(np.arange(len(bags)), [len(packed) for packed, _ in bags]),
     )
 
 
@@ -117,10 +103,9 @@ def query_slides(
     check_query_rows(qpacked, db.packed.shape[1])
     starts = np.flatnonzero(np.diff(db.slide, prepend=-1))  # every slide has a row
     scores = median_min_hamming(qpacked, db.packed, starts)
-    kept = np.flatnonzero(kept_slides(candidate_filter, db))
-    top = kept[np.argsort(scores[kept], kind="stable")][:k].tolist()
-    hits = ((db.slide_ids[i], db.labels[i], float(scores[i])) for i in top)
-    return ranked_result(hits, k, "hamming")
+    kept = np.flatnonzero(db.kept(candidate_filter))
+    top = kept[np.argsort(scores[kept], kind="stable")][:k]
+    return db.slide_result(top, scores[top], k, "hamming")
 
 
 def query_patches(
@@ -134,7 +119,7 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     dists = hamming_matrix(binarize_barcode(patch.feature[None, :]), db.packed)[0]
-    rows = np.flatnonzero(kept_slides(candidate_filter, db)[db.slide])
+    rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
     top = rows[np.argsort(dists[rows], kind="stable")][:k]
     return ranked_patches(db, top, dists[top], k, "hamming")
 

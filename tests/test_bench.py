@@ -22,6 +22,9 @@ def test_theory_covers_every_engine():
 def test_spec_needs_two_sizes():
     with pytest.raises(ValidationError):
         BenchSpec(sizes=(10,))
+    # one distinct size leaves the slope undetermined
+    with pytest.raises(ValidationError, match="two distinct sizes"):
+        BenchSpec(sizes=(5, 5))
 
 
 def test_spec_rejects_degenerate_counts():

@@ -104,6 +104,15 @@ class TestGuards:
         assert ExperimentConfig(engine="yottixel", k_max=3).effective_k == 3
 
 
+#: per engine, patches it cannot index: (rng, n, dim) -> (n, dim) features
+UNINDEXABLE = [
+    # every patch constant: SISH drops flat mosaic patches
+    ("sish", lambda rng, n, dim: np.repeat(rng.normal(size=(n, 1)), dim, axis=1)),
+    # every patch zero: RetCCL drops zero vectors
+    ("retccl", lambda rng, n, dim: np.zeros((n, dim))),
+]
+
+
 ENGINE_INTERFACE = {
     "build_database": ["slides", "params"],
     "prepare_query": ["db", "slide"],
@@ -162,16 +171,26 @@ class TestEngineInterface:
         with pytest.raises(ValidationError, match=field):
             make_params(engine, {field: value})
 
-    @pytest.mark.parametrize(
-        "engine, patch_value",
-        [
-            # every patch constant: SISH drops flat mosaic patches
-            ("sish", lambda rng, n, dim: np.repeat(rng.normal(size=(n, 1)), dim, axis=1)),
-            # every patch zero: RetCCL drops zero vectors
-            ("retccl", lambda rng, n, dim: np.zeros((n, dim))),
-        ],
-        ids=["sish", "retccl"],
-    )
+    @pytest.mark.parametrize("engine", sorted(ENGINE_MODULES))
+    def test_database_is_a_slide_table(self, engine, corpus):
+        db_slides, _ = corpus
+        db = build_engine_database(engine, db_slides)
+        assert isinstance(db, model.SlideTable)
+        declared = set(vars(type(db))["__annotations__"]) | set(vars(type(db)))
+        assert declared.isdisjoint({"dim", "slide_ids", "labels", "unprocessed", "__len__"})
+        assert len(db) == len(db_slides)
+        everything = db.kept(None)
+        assert everything.dtype == bool and everything.tolist() == [True] * len(db)
+        for keep in (
+            lambda slide_id, labels: labels.site == "lung",
+            lambda slide_id, labels: slide_id.endswith(("0", "2")),
+            lambda slide_id, labels: False,
+        ):
+            # oracle: the filter called slide by slide, in table order
+            oracle = np.array([keep(*s) for s in zip(db.slide_ids, db.labels)], dtype=bool)
+            assert np.array_equal(db.kept(keep), oracle)
+
+    @pytest.mark.parametrize("engine, patch_value", UNINDEXABLE, ids=["sish", "retccl"])
     def test_build_with_no_indexable_slide_fails(self, engine, patch_value):
         rng = np.random.default_rng(8)
         slides = [make_slide(f"s{i}", patch_value(rng, 12, 16)) for i in range(3)]
@@ -318,6 +337,34 @@ class TestRunExperiment:
         write_summary(report.summary, tmp_path / "s.csv", tmp_path / "s.txt", context)
         assert report.summary_txt.read_bytes() == (tmp_path / "s.txt").read_bytes()
         assert report.summary_csv.read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    @pytest.mark.parametrize("engine, patch_value", UNINDEXABLE, ids=["sish", "retccl"])
+    def test_subtype_site_with_no_indexable_slide_abstains(
+        self, engine, patch_value, corpus, tmp_path
+    ):
+        db, queries = corpus
+        rng = np.random.default_rng(8)
+        bad = [
+            make_slide(s.slide_id, patch_value(rng, 12, 32), site=s.site, subtype=s.subtype)
+            for s in db
+            if s.site == "brain"
+        ]
+        good = [s for s in db if s.site != "brain"]
+        cfg = ExperimentConfig(engine=engine, task=TASK_SUBTYPE)
+        report = run_experiment(cfg, [*bad, *good], queries, out_dir=tmp_path / "bad")
+        clean = run_experiment(cfg, good, queries, out_dir=tmp_path / "clean")
+        # brain queries abstain in both runs; lung rows are untouched
+        assert report.rows_path.read_bytes() == clean.rows_path.read_bytes()
+        assert report.summary_txt.read_bytes() == clean.summary_txt.read_bytes()
+        assert report.abstained == clean.abstained == sum(q.site == "brain" for q in queries)
+        assert [entry[:2] for entry in report.unprocessed] == [
+            ("brain", s.slide_id) for s in bad
+        ]
+        assert all(entry[2] for entry in report.unprocessed)
+        assert json.loads(report.run_json.read_text())["unprocessed"] == [
+            {"database": name, "slide_id": slide_id, "reason": reason}
+            for name, slide_id, reason in report.unprocessed
+        ]
 
     def test_run_json_of_a_clean_site_run(self, corpus, tmp_path):
         db, queries = corpus

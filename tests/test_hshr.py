@@ -32,7 +32,6 @@ from wsisearch.model import (
     binarize_barcode,
     check_k,
     hamming_matrix,
-    kept_slides,
     ranked_result,
     SlideRecord,
     slide_seed,
@@ -436,7 +435,7 @@ def legacy_query_slides(
 ) -> RetrievalResult:
     """Top-k database slides by combined vertex and hyperedge similarity."""
     check_k(k)
-    kept = kept_slides(candidate_filter, db)
+    kept = db.kept(candidate_filter)
     slide_of = {slide_id: s for s, slide_id in enumerate(db.slide_ids)}
     hits = (
         (slide_id, db.labels[slide_of[slide_id]], score)

@@ -1,10 +1,12 @@
 """Feature file format, manifests, database envelopes."""
 from __future__ import annotations
 
+import json
 import pickle
 import struct
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from wsisearch.dataio import (
     write_manifest,
 )
 from wsisearch.errors import FormatError, ValidationError
-from wsisearch.model import PatchFeature, as_patches
+from wsisearch.experiment import TASK_SITE, query_rows_against_db
+from wsisearch.model import PatchFeature, SlideTable, as_patches
 from wsisearch.yottixel import YottixelParams, build_database
 
 from util import make_slide
@@ -300,3 +303,25 @@ class TestDatabaseEnvelope:
             monkeypatch.delitem(sys.modules, module.__name__)
         with pytest.raises(FormatError, match="old.db"):
             load_database(path)
+
+
+#: databases written by an earlier tree of the package at format version 10
+#: (commit 134899c, ``wsisearch build-db`` over ``wsisearch synth --sites 2
+#: --subtypes-per-site 2 --slides-per-subtype 3 --patches 30 --dim 32
+#: --separation 2.0 --sigma 0.2 --queries-per-subtype 1 --seed 7``), its
+#: query slides, and the site-task rows that tree answered them with
+FORMAT10 = Path(__file__).parent / "data" / "format10"
+
+
+class TestSavedDatabases:
+    @pytest.mark.parametrize("engine", ["hshr", "retccl", "sish", "yottixel"])
+    def test_earlier_files_load_and_answer_their_recorded_rows(self, engine):
+        saved_engine, db = load_database(FORMAT10 / f"{engine}.db")
+        assert saved_engine == engine and isinstance(db, SlideTable)
+        queries = load_slides(parse_manifest(FORMAT10 / "queries.csv"))
+        rows = query_rows_against_db(engine, db, queries, TASK_SITE)
+        recorded = json.loads((FORMAT10 / "site_rows.json").read_text())[engine]
+        assert [
+            [r.query_id, r.query_site, r.query_subtype, [list(s) if s else None for s in r.slots]]
+            for r in rows
+        ] == recorded

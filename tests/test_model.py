@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from wsisearch.errors import (
     DimensionError,
     EmptyInputError,
+    NothingIndexedError,
     ValidationError,
 )
 from wsisearch.model import (
@@ -209,11 +210,29 @@ class TestEncodeSlides:
                 raise ValidationError(f"cannot encode {slide.slide_id}")
             return slide.slide_id.upper()
 
-        kept, unprocessed = encode_slides(slides, encode)
-        assert [(slide.slide_id, code) for slide, code in kept] == [
-            ("\x00", "\x00"), ("a", "A"), ("a\x00", "A\x00"), ("b", "B")
-        ]
-        assert unprocessed == [("x2", "cannot encode x2"), ("x1", "cannot encode x1")]
+        table, codes = encode_slides(slides, encode)
+        assert table["slide_ids"] == ["\x00", "a", "a\x00", "b"]
+        assert codes == ["\x00", "A", "A\x00", "B"]
+        assert table["labels"] == [SlideLabels("brain", "gbm", f"pt-{sid}") for sid in table["slide_ids"]]
+        assert table["dim"] == 6
+        assert table["unprocessed"] == [("x2", "cannot encode x2"), ("x1", "cannot encode x1")]
+
+    def test_nothing_indexed_names_every_slide(self):
+        slides = [make_slide(name, np.arange(6.0)[None, :]) for name in ("b", "a")]
+
+        def encode(slide):
+            raise ValidationError(f"cannot encode {slide.slide_id}")
+
+        with pytest.raises(NothingIndexedError, match="none of 2 slides") as info:
+            encode_slides(slides, encode)
+        assert info.value.unprocessed == [("b", "cannot encode b"), ("a", "cannot encode a")]
+
+    def test_dimension_checked_before_encoding(self):
+        slides = [make_slide("a", np.arange(6.0)[None, :]), make_slide("b", np.arange(4.0)[None, :])]
+        with pytest.raises(DimensionError, match="mix feature dimensions"):
+            encode_slides(slides, pytest.fail)
+        with pytest.raises(DimensionError, match="dimension >= 7"):
+            encode_slides(slides[:1], pytest.fail, min_dim=7)
 
 
 #: int32 coordinates, weighted towards a few values so that rows repeat

@@ -27,7 +27,6 @@ from wsisearch.model import (
     SlideLabels,
     check_k,
     check_query_dim,
-    kept_slides,
     label_entropy,
     patch_ref,
     ranked_patches,
@@ -598,7 +597,7 @@ def gemv_scores(db: RetcclDatabase, feature: np.ndarray) -> np.ndarray | None:
 def gemv_build_bags(
     db: RetcclDatabase, query_features: np.ndarray, candidate_filter: CandidateFilter | None = None
 ) -> list[Bag]:
-    mask = kept_slides(candidate_filter, db)[db.slide]
+    mask = db.kept(candidate_filter)[db.slide]
     codes = subtype_codes(db.labels)
     bags: list[Bag] = []
     for i, row in enumerate(query_features):
@@ -617,7 +616,7 @@ def gemv_query_patches(
     db: RetcclDatabase, patch: PatchFeature, k: int, candidate_filter: CandidateFilter | None = None
 ) -> RetrievalResult:
     scores = gemv_scores(db, patch.feature)
-    rows = np.flatnonzero(kept_slides(candidate_filter, db)[db.slide])
+    rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
     top = rows[np.argsort(-scores[rows], kind="stable")][:k]
     return ranked_patches(db, top, scores[top], k, "cosine")
 
@@ -625,7 +624,7 @@ def gemv_query_patches(
 def reference_patches(db, patch, k, candidate_filter=None) -> RetrievalResult:
     scores = reference_scores(db, patch.feature)
     top = np.array(
-        reference_order(scores, np.flatnonzero(kept_slides(candidate_filter, db)[db.slide]))[:k],
+        reference_order(scores, np.flatnonzero(db.kept(candidate_filter)[db.slide]))[:k],
         dtype=np.int64,
     )
     return ranked_patches(db, top, scores[top], k, "cosine")
