@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Compare two source checkouts over alternating pairs of benchmark runs.
+
+For each workload of BENCHMARK.json, runs ``perfbench/run.py`` untraced in
+the base checkout and in the change checkout, N pairs in all.  Pair i uses
+seed ``--seed + i`` on both sides, and the side that runs first flips from
+one pair to the next (base first in pair 0), so drift in the host's speed
+hits both sides alike.  Every run must report ``correct``.
+
+Per workload and end-to-end metric it prints the median and quartiles of
+each side, how many pairs the change won (ties count for neither side) and
+whether the change's lead is a gain under the benchmark's rule: it wins at
+least nine tenths of the pairs, the medians differ by more than the base's
+interquartile range, and the change fails no larger share of operations than
+the base.  Every run lasts BENCHMARK.json's ``run_seconds``, every workload
+runs, and both checkouts must hold the same benchmark files.  ``--out`` keeps
+every run's result line, keyed by workload and side, in pair order.
+
+Usage:
+    python scripts/bench_pairs.py BASE CHANGE
+    python scripts/bench_pairs.py BASE CHANGE --pairs 12 --seed 11 --out runs.json
+"""
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def benchmark_files(checkout: Path) -> list[Path]:
+    """BENCHMARK.json and the benchmark's Python files, relative to the checkout."""
+    files = [checkout / "BENCHMARK.json", *(checkout / "perfbench").glob("*.py")]
+    return sorted(path.relative_to(checkout) for path in files)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The final JSON line of one untraced ``perfbench/run.py`` run."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} failed:\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} gave incorrect rows")
+    return result
+
+
+def failed_share(results: list[dict]) -> float:
+    """The share of all attempted operations that failed over a side's runs."""
+    return sum(r["failed"] for r in results) / max(1, sum(r["attempted"] for r in results))
+
+
+def summarise(
+    better: str, base: list[float], change: list[float], base_failed: float, change_failed: float
+) -> dict:
+    """Both sides' (first quartile, median, third quartile), linearly
+    interpolated, the pairs the change won, and whether that is a gain;
+    ``base_failed`` and ``change_failed`` are the sides' failed shares."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    b1, b2, b3 = statistics.quantiles(base, n=4, method="inclusive")
+    c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
+    return {
+        "base": (b1, b2, b3),
+        "change": (c1, c2, c3),
+        "wins": wins,
+        "pairs": len(base),
+        "gain": wins >= 0.9 * len(base) and sign * (b2 - c2) > b3 - b1
+        and change_failed <= base_failed,
+    }
+
+
+def fmt(value: float) -> str:
+    return f"{value:.4g}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", type=Path, help="source checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="source checkout of the change")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=11, help="seed of pair 0; pair i uses seed + i")
+    ap.add_argument("--out", type=Path, help="write every run's result here as JSON")
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be >= 2")
+    files = benchmark_files(args.base)
+    if files != benchmark_files(args.change) or not all(
+        filecmp.cmp(args.base / name, args.change / name, shallow=False) for name in files
+    ):
+        ap.error("the two checkouts hold different benchmark files")
+
+    bench = json.loads((args.base / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    every_run: dict[str, dict[str, list[dict]]] = {}
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = every_run[workload] = {"base": [], "change": []}
+        for i in range(args.pairs):
+            sides = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in sides:
+                result = run_once(getattr(args, side), workload, args.seed + i, seconds)
+                runs[side].append(result)
+                print(f"{workload} pair {i} {side}: failed {result['failed']} of "
+                      f"{result['attempted']}", file=sys.stderr, flush=True)
+        print(f"\n{workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+              f"{seconds:g} s runs")
+        failed = {side: failed_share(results) for side, results in runs.items()}
+        print(f"{'metric':<24} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} "
+              f"{'won':>6}  gain")
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            row = summarise(
+                metric["better"],
+                [run["metrics"][name]["value"] for run in runs["base"]],
+                [run["metrics"][name]["value"] for run in runs["change"]],
+                failed["base"],
+                failed["change"],
+            )
+            b1, b2, b3 = row["base"]
+            c1, c2, c3 = row["change"]
+            print(f"{name:<24} {f'{fmt(b2)} [{fmt(b1)}, {fmt(b3)}]':<30} "
+                  f"{f'{fmt(c2)} [{fmt(c1)}, {fmt(c3)}]':<30} "
+                  f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['gain'] else 'no'}")
+        for side, results in runs.items():
+            print(f"{side}: {sum(r['failed'] for r in results)} of "
+                  f"{sum(r['attempted'] for r in results)} operations failed "
+                  f"({failed[side]:.3%})")
+    if args.out:
+        args.out.write_text(json.dumps(every_run, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,9 @@ API edge speaks (feature files, patch queries); ``as_patches`` derives it.
 A barcode is one ``np.packbits`` row: uint8, most significant bit first,
 last byte zero-padded.  Its bit length L is the database's ``code_length``
 (feature dimension minus one) and is never stored per code.
-``hamming_matrix`` is the one Hamming kernel over such rows.
+``hamming_matrix`` is the one Hamming kernel over such rows: it xors every
+pair of rows into one uint8 buffer, counts that buffer's bits in place and
+sums each pair's byte counts in uint16 for codes of up to 8,191 bytes.
 """
 from __future__ import annotations
 
@@ -353,12 +355,18 @@ def hamming_matrix(packed_a: np.ndarray, packed_b: np.ndarray) -> np.ndarray:
     Both inputs must hold codes of one length L, so the zero padding of the
     last byte cancels under xor.
     """
-    if packed_a.shape[1] != packed_b.shape[1]:
-        raise DimensionError(
-            f"packed widths differ: {packed_a.shape[1]} vs {packed_b.shape[1]}"
+    if packed_a.dtype != np.uint8 or packed_b.dtype != np.uint8:
+        raise ValidationError(
+            f"packed codes must be uint8, got {packed_a.dtype} and {packed_b.dtype}"
         )
-    xored = packed_a[:, None, :] ^ packed_b[None, :, :]
-    return np.bitwise_count(xored).sum(axis=2, dtype=np.int64)
+    width = packed_a.shape[1]
+    if width != packed_b.shape[1]:
+        raise DimensionError(f"packed widths differ: {width} vs {packed_b.shape[1]}")
+    counts = np.bitwise_xor(packed_a[:, None, :], packed_b[None, :, :])
+    np.bitwise_count(counts, out=counts)
+    # a pair differs in at most 8 * width bits, which uint16 holds up to 8,191 bytes
+    total = np.uint16 if 8 * width <= 65_535 else np.int64
+    return counts.sum(axis=2, dtype=total).astype(np.int64, copy=False)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

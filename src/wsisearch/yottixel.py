@@ -84,6 +84,17 @@ def prepare_query(db: YottixelDatabase, slide: SlideRecord) -> np.ndarray:
     return _bag(histogram_mosaics([slide], db.params)[0])[0]
 
 
+def first_k(rows: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """The first k of ``rows`` by ascending ``values[row]``, ties in ``rows``
+    order: ``rows[np.argsort(values[rows], kind="stable")][:k]``, with only
+    the rows at or below the k-th smallest value sorted."""
+    ranked = values[rows]
+    if k < len(rows):
+        near = ranked <= np.partition(ranked, k - 1)[k - 1]
+        rows, ranked = rows[near], ranked[near]
+    return rows[np.argsort(ranked, kind="stable")][:k]
+
+
 def median_min_hamming(query: np.ndarray, stacked: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per target slide, the median over query rows of the minimum distance
     into that slide's rows; slide i owns rows starts[i] up to starts[i + 1]."""
@@ -101,10 +112,9 @@ def query_slides(
     check_k(k)
     qpacked = prepare_query(db, query) if isinstance(query, SlideRecord) else query
     check_query_rows(qpacked, db.packed.shape[1])
-    starts = np.flatnonzero(np.diff(db.slide, prepend=-1))  # every slide has a row
+    starts = np.searchsorted(db.slide, np.arange(len(db)))  # every slide has a row
     scores = median_min_hamming(qpacked, db.packed, starts)
-    kept = np.flatnonzero(db.kept(candidate_filter))
-    top = kept[np.argsort(scores[kept], kind="stable")][:k]
+    top = first_k(np.flatnonzero(db.kept(candidate_filter)), scores, k)
     return db.slide_result(top, scores[top], k, "hamming")
 
 
@@ -119,8 +129,7 @@ def query_patches(
     check_k(k)
     check_query_dim(db, patch)
     dists = hamming_matrix(binarize_barcode(patch.feature[None, :]), db.packed)[0]
-    rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
-    top = rows[np.argsort(dists[rows], kind="stable")][:k]
+    top = first_k(np.flatnonzero(db.kept(candidate_filter)[db.slide]), dists, k)
     return ranked_patches(db, top, dists[top], k, "hamming")
 
 

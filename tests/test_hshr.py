@@ -316,6 +316,12 @@ class TestScoring:
         with pytest.raises(ValidationError):
             query_slides(db, slide_hash, k=3)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_prepared_hash_must_be_uint8(self, corpus, dtype):
+        slides, db = corpus
+        with pytest.raises(ValidationError):
+            query_slides(db, prepare_query(db, slides[0]).astype(dtype), k=3)
+
     def test_self_retrieval_twin_first(self, corpus):
         slides, db = corpus
         twin = make_slide("twin", slides[3].features, site=slides[3].site, patient_id="someone-else")

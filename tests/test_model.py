@@ -145,6 +145,39 @@ class TestPackedKernel:
             assert np.array_equal(codes[i], binarize_barcode(features[i]))
 
 
+def oracle_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel before counting in place: bit counts summed in int64."""
+    return np.bitwise_count(a[:, None, :] ^ b[None, :, :]).sum(axis=2, dtype=np.int64)
+
+
+class TestKernelOracle:
+    """hamming_matrix against the int64-sum formula it replaced."""
+
+    @given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(1, 80))
+    def test_matches_oracle(self, data, rows_a, rows_b, width):
+        a = data.draw(hnp.arrays(np.uint8, (rows_a, width)))
+        b = data.draw(hnp.arrays(np.uint8, (rows_b, width)))
+        got = hamming_matrix(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle_hamming(a, b))
+
+    def test_wide_codes_do_not_wrap(self):
+        # 8,200 bytes of all ones against all zeros: 65,600 differing bits,
+        # more than a uint16 sum can hold
+        ones = np.full((1, 8200), 255, dtype=np.uint8)
+        zeros = np.zeros((1, 8200), dtype=np.uint8)
+        assert hamming_matrix(ones, zeros).tolist() == [[65600]]
+        assert oracle_hamming(ones, zeros).tolist() == [[65600]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16, np.int8, np.bool_])
+    def test_codes_must_be_uint8(self, dtype):
+        codes = np.ones((2, 3), dtype=np.uint8)
+        with pytest.raises(ValidationError):
+            hamming_matrix(codes.astype(dtype), codes)
+        with pytest.raises(ValidationError):
+            hamming_matrix(codes, codes.astype(dtype))
+
+
 class TestLabelEntropy:
     def test_uniform_two_labels(self):
         assert label_entropy(["a", "b"]) == pytest.approx(np.log(2))

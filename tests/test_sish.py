@@ -510,6 +510,13 @@ class TestEndToEnd:
         with pytest.raises(ValidationError):
             query_slides(db, [*probes[:-1], SishProbe(probes[-1].index, code)], k=3)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_prepared_codes_must_be_uint8(self, corpus_db, dtype):
+        slides, db = corpus_db
+        probes = [SishProbe(p.index, p.code.astype(dtype)) for p in prepare_query(db, slides[0])]
+        with pytest.raises(ValidationError):
+            query_slides(db, probes, k=3)
+
     @pytest.mark.parametrize("where", ["middle", "every"])
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_width_code_rejected(self, corpus_db, where, extra):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wsisearch.errors import DimensionError, EmptyInputError, ValidationError
 from wsisearch.model import (
@@ -28,6 +29,7 @@ from wsisearch.yottixel import (
     YottixelDatabase,
     YottixelParams,
     build_database,
+    first_k,
     median_min_hamming,
     prepare_query,
     query_patch_set,
@@ -114,6 +116,31 @@ class TestMedianMinHamming:
         assert len(calls) == 2
 
 
+def stable_first_k(rows: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """The selection first_k replaces: a stable sort of every row."""
+    return rows[np.argsort(values[rows], kind="stable")][:k]
+
+
+class TestSelection:
+    @given(st.data(), st.sampled_from([np.int64, np.float64]))
+    def test_first_k_equals_stable_sort_under_ties(self, data, dtype):
+        # values from {0, 0.5, ..., 2} make long runs of equal values
+        values = data.draw(hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(0, 4)))
+        values = values / 2 if dtype == np.float64 else values
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, len(values) - 1), unique=True))
+            if len(values) else [],
+            dtype=np.int64,
+        )
+        for k in range(1, len(rows) + 3):
+            assert np.array_equal(first_k(rows, values, k), stable_first_k(rows, values, k))
+
+    def test_first_k_of_no_rows_is_empty(self):
+        rows = np.zeros(0, dtype=np.int64)
+        for k in (1, 2):
+            assert first_k(rows, np.arange(5), k).tolist() == []
+
+
 class TestSlideQuery:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_prepared_query_rejected(self, two_cluster_db, bad):
@@ -122,6 +149,12 @@ class TestSlideQuery:
         codes[0, 0] = bad
         with pytest.raises(ValidationError):
             query_slides(db, codes, k=3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_prepared_query_must_be_uint8(self, two_cluster_db, dtype):
+        slides, db = two_cluster_db
+        with pytest.raises(ValidationError):
+            query_slides(db, prepare_query(db, slides[0]).astype(dtype), k=3)
 
     def test_self_query_ranks_self_first(self, two_cluster_db):
         slides, db = two_cluster_db
