@@ -12,9 +12,12 @@ each side, how many pairs the change won (ties count for neither side) and
 whether the change's lead is a gain under the benchmark's rule: it wins at
 least nine tenths of the pairs, the medians differ by more than the base's
 interquartile range, and the change fails no larger share of operations than
-the base.  Every run lasts BENCHMARK.json's ``run_seconds``, every workload
-runs, and both checkouts must hold the same benchmark files.  ``--out`` keeps
-every run's result line, keyed by workload and side, in pair order.
+the base.  It also prints whether the change is worse by the mirror rule: the
+base wins at least nine tenths of the pairs and the medians differ by more
+than the change's interquartile range.  Every run lasts BENCHMARK.json's
+``run_seconds``, every workload runs, and both checkouts must hold the same
+benchmark files.  ``--out`` keeps every run's result line, keyed by workload
+and side, in pair order.
 
 Usage:
     python scripts/bench_pairs.py BASE CHANGE
@@ -61,10 +64,12 @@ def summarise(
     better: str, base: list[float], change: list[float], base_failed: float, change_failed: float
 ) -> dict:
     """Both sides' (first quartile, median, third quartile), linearly
-    interpolated, the pairs the change won, and whether that is a gain;
-    ``base_failed`` and ``change_failed`` are the sides' failed shares."""
+    interpolated, the pairs the change won, and whether that is a gain or
+    the change is worse; ``base_failed`` and ``change_failed`` are the
+    sides' failed shares."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     b1, b2, b3 = statistics.quantiles(base, n=4, method="inclusive")
     c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
     return {
@@ -74,6 +79,7 @@ def summarise(
         "pairs": len(base),
         "gain": wins >= 0.9 * len(base) and sign * (b2 - c2) > b3 - b1
         and change_failed <= base_failed,
+        "worse": losses >= 0.9 * len(base) and sign * (c2 - b2) > c3 - c1,
     }
 
 
@@ -113,7 +119,7 @@ def main() -> int:
               f"{seconds:g} s runs")
         failed = {side: failed_share(results) for side, results in runs.items()}
         print(f"{'metric':<24} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} "
-              f"{'won':>6}  gain")
+              f"{'won':>6}  gain  worse")
         for metric in bench["end_to_end"]:
             name = metric["name"]
             row = summarise(
@@ -127,7 +133,8 @@ def main() -> int:
             c1, c2, c3 = row["change"]
             print(f"{name:<24} {f'{fmt(b2)} [{fmt(b1)}, {fmt(b3)}]':<30} "
                   f"{f'{fmt(c2)} [{fmt(c1)}, {fmt(c3)}]':<30} "
-                  f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['gain'] else 'no'}")
+                  f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['gain'] else 'no':<4}  "
+                  f"{'yes' if row['worse'] else 'no'}")
         for side, results in runs.items():
             print(f"{side}: {sum(r['failed'] for r in results)} of "
                   f"{sum(r['attempted'] for r in results)} operations failed "

@@ -339,8 +339,14 @@ def label_entropy(labels: Iterable | np.ndarray) -> float:
     first = np.full(len(counts), total)
     np.minimum.at(first, labels, np.arange(total))
     present = np.flatnonzero(counts)
-    in_order = counts[present[np.argsort(first[present])]]
-    return -sum((c / total) * math.log(c / total) for c in in_order.tolist())
+    return ordered_entropy(counts[present[np.argsort(first[present])]].tolist())
+
+
+def ordered_entropy(counts: Sequence[int]) -> float:
+    """Shannon entropy (natural log) of positive label counts, its terms
+    summed in the order given, with Python floats."""
+    total = sum(counts)
+    return -sum((c / total) * math.log(c / total) for c in counts)
 
 
 def subtype_codes(labels: Sequence[SlideLabels]) -> np.ndarray:

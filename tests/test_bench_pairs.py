@@ -34,6 +34,23 @@ def test_gain_needs_nine_tenths_and_a_lead_beyond_the_base_spread(better):
     assert not bench_pairs.summarise(better, base, clear, 0.0, 0.001)["gain"]
 
 
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_worse_mirrors_the_gain_rule_with_the_change_spread(better):
+    change = [10.0 + i for i in range(10)]  # quartiles 12.25, 14.5, 16.75
+    sign = -1 if better == "lower" else 1
+    row = bench_pairs.summarise(better, [c + sign * 5.0 for c in change], change, 0.0, 0.0)
+    assert row["wins"] == 0 and row["worse"] and not row["gain"]
+    # losing every pair by less than the change's interquartile range is not worse
+    base = [c + sign * 4.0 for c in change]
+    assert not bench_pairs.summarise(better, base, change, 0.0, 0.0)["worse"]
+    # a clear loss that wins two of ten pairs is not worse
+    base = [c + sign * 5.0 for c in change[:8]] + change[8:]
+    assert not bench_pairs.summarise(better, base, change, 0.0, 0.0)["worse"]
+    # a gain is never worse
+    gain = bench_pairs.summarise(better, change, [c + sign * 5.0 for c in change], 0.0, 0.0)
+    assert gain["gain"] and not gain["worse"]
+
+
 def test_failed_share_pools_every_run():
     runs = [{"failed": 1, "attempted": 10}, {"failed": 0, "attempted": 30}]
     assert bench_pairs.failed_share(runs) == 1 / 40

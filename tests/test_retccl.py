@@ -20,6 +20,7 @@ from wsisearch.errors import (
     ValidationError,
 )
 from wsisearch import retccl
+from wsisearch.mosaic import SUBNORMAL_SLACK, UNIT_ROUNDOFF
 from wsisearch.model import (
     CandidateFilter,
     PatchFeature,
@@ -27,7 +28,9 @@ from wsisearch.model import (
     SlideLabels,
     check_k,
     check_query_dim,
+    check_query_rows,
     label_entropy,
+    ordered_entropy,
     patch_ref,
     ranked_patches,
     ranked_result,
@@ -66,6 +69,20 @@ def reference_order(scores: np.ndarray, rows) -> list[int]:
     return sorted((int(j) for j in rows), key=lambda j: (-scores[j], j))
 
 
+def assert_bag(db: RetcclDatabase, bag: Bag, order: Sequence[int], scores) -> None:
+    """``bag`` keeps the contract for the hits ``order``, given by reference
+    score descending, then row: the same hit set, its first TOP_HITS rows in
+    that order with their reference ``scores`` (indexed by row), the other
+    rows ascending, and the entropy of the subtypes in that order."""
+    hits = bag.hits.tolist()
+    assert sorted(hits) == sorted(order) and len(hits) == len(order)
+    assert hits[:TOP_HITS] == list(order[:TOP_HITS])
+    assert hits[TOP_HITS:] == sorted(hits[TOP_HITS:])
+    assert bag.scores.tolist() == [scores[j] for j in order[:TOP_HITS]]
+    codes = subtype_codes(db.labels)[db.slide[np.asarray(order, dtype=np.int64)]]
+    assert bag.entropy.hex() == (label_entropy(codes) if len(order) else math.inf).hex()
+
+
 def label_db(slide_subtypes: dict[str, str], row_slides: list[str]) -> RetcclDatabase:
     """Label-only database for exercising vote_slides in isolation: row j
     belongs to slide row_slides[j]."""
@@ -75,7 +92,8 @@ def label_db(slide_subtypes: dict[str, str], row_slides: list[str]) -> RetcclDat
         dim=4,
         slide_ids=slide_ids,
         labels=[SlideLabels("brain", slide_subtypes[sid], f"pt-{sid}") for sid in slide_ids],
-        unit_features=np.zeros((len(row_slides), 4)),
+        features=np.zeros((len(row_slides), 4), dtype=np.float32, order="F"),
+        norms=np.ones(len(row_slides)),
         slide=np.array([slide_ids.index(sid) for sid in row_slides], dtype=np.int64),
         coords=np.zeros((len(row_slides), 2), dtype=np.int32),
     )
@@ -124,12 +142,38 @@ class TestBuild:
         assert len(db) == 4
 
     def test_store_is_dim_major_after_build_and_reload(self, axis_db, tmp_path):
-        _, db = axis_db
-        assert db.unit_features.flags.f_contiguous and not db.unit_features.flags.c_contiguous
+        slides, db = axis_db
+        assert db.features.dtype == np.float32 and db.norms.dtype == np.float64
+        assert db.features.flags.f_contiguous and not db.features.flags.c_contiguous
+        # the stored rows are the mosaic's float32 rows themselves (fraction 1.0)
+        rows = np.concatenate([s.features for s in slides])
+        assert np.array_equal(db.features, rows)
+        assert db.norms.tolist() == [np.linalg.norm(row.astype(np.float64)) for row in rows]
         save_database(tmp_path / "r.db", "retccl", db)
         _, loaded = load_database(tmp_path / "r.db")
-        assert loaded.unit_features.flags.f_contiguous
-        assert loaded.unit_features.tobytes() == db.unit_features.tobytes()
+        assert loaded.features.flags.f_contiguous
+        assert loaded.features.tobytes() == db.features.tobytes()
+        assert loaded.norms.tobytes() == db.norms.tobytes()
+        assert "unit_features" not in vars(loaded)  # derived, never pickled
+
+    def test_tiny_nonzero_rows_are_kept(self):
+        """A row of components 1e-30 has a float32 norm of 0 but is no zero
+        vector: build, query preparation and patch queries all keep it."""
+        rng = np.random.default_rng(8)
+        tiny = np.full((6, 16), 1e-30, dtype=np.float32)
+        tiny[:, :4] += 1e-30 * rng.random((6, 4)).astype(np.float32)
+        assert (np.linalg.norm(tiny, axis=1) == 0.0).all()
+        slides = [make_slide("tiny", tiny), make_slide("plain", rng.normal(size=(6, 16)))]
+        db = build_database(slides, RetcclParams(fraction=1.0, seed=0))
+        assert db.n_patches == 12 and db.slide.tolist() == [0] * 6 + [1] * 6
+        assert (db.norms[db.slide == 1] > 0.0).all()
+        query = make_slide("q", tiny[:3])
+        assert len(retccl.prepare_query(db, query)) == 3
+        patches = retccl.query_patch_set(db, query)
+        assert len(patches) == 3
+        result = query_patches(db, patches[0], k=2)
+        assert result.entries[0].target_id.startswith("tiny:")
+        assert result.entries[0].score == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 7, 16, 64, 256, 512, 1000])
     def test_row_norms_are_per_row_norms_bit_for_bit(self, d):
@@ -178,10 +222,27 @@ class TestBuildBags:
         for b in build_bags(db, slides[3].features):
             assert b.hits.dtype == np.int64 and b.scores.dtype == np.float64
             expected = reference_scores(db, slides[3].features[b.ordinal])
-            assert b.hits.tolist() == reference_order(
-                expected, np.flatnonzero(expected >= db.params.sim_threshold)
-            )
-            assert np.array_equal(b.scores, expected[b.hits[:TOP_HITS]])
+            order = reference_order(expected, np.flatnonzero(expected >= db.params.sim_threshold))
+            assert len(order) > TOP_HITS
+            assert_bag(db, b, order, expected)
+
+    def test_entropy_sums_subtypes_in_order_of_their_best_hits(self):
+        """Past the top hits, the subtypes' order is that of their best hits,
+        not of their codes; the entropy's bits depend on it."""
+        query = np.array([1.0, 0.0, 0.0, 0.0])
+
+        def at(cosine, n):
+            return [[cosine, np.sqrt(1 - cosine**2), 0.0, 0.0]] * n
+
+        # slide order gives codes a, b, c, d; the best hits run d, c, a, b
+        subtypes = ["a", "b", "c", "d"]
+        rows = at(0.80, 1) + at(0.75, 2) + at(0.90, 3) + at(0.99, TOP_HITS)
+        slide = [0] + [1] * 2 + [2] * 3 + [3] * TOP_HITS
+        db = store_db(rows, slide, subtypes)
+        (bag,) = build_bags(db, query[None, :])
+        assert len(bag.hits) == 11 and set(db.slide[bag.hits[:TOP_HITS]]) == {3}
+        assert bag.entropy.hex() == ordered_entropy([TOP_HITS, 3, 1, 2]).hex()
+        assert bag.entropy.hex() != ordered_entropy([TOP_HITS, 1, 2, 3]).hex()
 
     def test_empty_query_rejected(self, axis_db):
         _, db = axis_db
@@ -556,10 +617,9 @@ class TestEquivalenceWithHitObjects:
         assert len(new_bags) == len(old_bags)
         for new, old in zip(new_bags, old_bags):
             assert new.ordinal == old.ordinal
-            assert [(hit_slide(db, j), j) for j in new.hits.tolist()] == [
-                (h.slide_id, h.ordinal) for h in old.hits
-            ]
-            assert new.scores.tolist() == [h.score for h in old.hits[:TOP_HITS]]
+            # the legacy bag orders all hits; the new one keeps the contract
+            scores = {h.ordinal: h.score for h in old.hits}
+            assert_bag(db, new, [h.ordinal for h in old.hits], scores)
             assert new.entropy.hex() == old.entropy.hex()
         for rule in (QUALITY_MEDIAN, QUALITY_NONE):
             new_order = filter_and_order_bags(new_bags, rule)
@@ -638,16 +698,187 @@ class TestAgainstPerRowGemv:
         new_bags = build_bags(db, query, candidate_filter)
         old_bags = gemv_build_bags(db, query, candidate_filter)
         for new, old, row in zip(new_bags, old_bags, query, strict=True):
-            assert new.hits.tolist() == old.hits.tolist()
+            expected = reference_scores(db, row) if row.any() else {}
+            assert_bag(db, new, old.hits.tolist(), expected)
             assert new.entropy.hex() == old.entropy.hex()
-            top = new.hits[:TOP_HITS]
-            expected = reference_scores(db, row)[top] if row.any() else []
-            assert new.scores.tolist() == list(expected)
         for row in query[query.any(axis=1)]:
             patch = PatchFeature(0, 0, row)
             new = query_patches(db, patch, k, candidate_filter)
             assert new.target_ids() == gemv_query_patches(db, patch, k, candidate_filter).target_ids()
             assert new == reference_patches(db, patch, k, candidate_filter)
+
+
+# The engine before its store became float32: its _estimates, _reference,
+# _ranked, build_bags and query_patches word for word, except that their names
+# carry an oracle prefix and that they read a float64 unit store (the
+# database's unit_features, made once per call) in place of the database.
+# It ranks every hit of a bag; the engine orders only the top hits.
+
+
+def oracle_estimates(store: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    units = features.astype(np.float64)
+    norms = retccl._row_norms(units)
+    np.divide(units, norms[:, None], out=units, where=norms[:, None] > 0.0)
+    est = units @ store.T
+    np.clip(est, -1.0, 1.0, out=est)
+    d = units.shape[1]
+    err = 4 * (d + 2) * UNIT_ROUNDOFF * np.sqrt((units * units).sum(axis=1)) + d * SUBNORMAL_SLACK
+    return units, est, err
+
+
+def oracle_reference(store: np.ndarray, rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    return np.clip((store[rows] * unit).sum(axis=1), -1.0, 1.0)
+
+
+def oracle_ranked(
+    store: np.ndarray, unit: np.ndarray, est: np.ndarray, err: float, rows: np.ndarray, limit: int
+) -> np.ndarray:
+    scores = est[rows]
+    if limit < len(rows):
+        near = ~(scores < np.partition(scores, len(rows) - limit)[len(rows) - limit] - 2 * err)
+        rows, scores = rows[near], scores[near]
+    order = np.argsort(-scores, kind="stable")
+    ranked, key = rows[order], scores[order]
+    apart = key[:-1] - key[1:] > 2 * err
+    if not apart.all():
+        doubt = np.append(~apart, False) | np.insert(~apart, 0, False)
+        key[doubt] = oracle_reference(store, ranked[doubt], unit)
+        ranked = ranked[np.lexsort((ranked, -key, np.concatenate(([0], np.cumsum(apart)))))]
+    return ranked
+
+
+def oracle_build_bags(
+    db: RetcclDatabase, query_features: np.ndarray, candidate_filter: CandidateFilter | None = None
+) -> list[Bag]:
+    store = db.unit_features
+    check_query_rows(query_features, db.dim)
+    mask = db.kept(candidate_filter)[db.slide]
+    codes = subtype_codes(db.labels)
+    threshold = db.params.sim_threshold
+    units, est, err = oracle_estimates(store, query_features)
+    bags = []
+    for i, (unit, scores, bound) in enumerate(zip(units, est, err)):
+        rows = np.flatnonzero(~(scores + bound < threshold) & mask)
+        drop = ~(scores[rows] - bound >= threshold)
+        if drop.any():
+            drop[drop] = oracle_reference(store, rows[drop], unit) < threshold
+        hits = oracle_ranked(store, unit, scores, bound, rows[~drop], len(rows))
+        entropy = label_entropy(codes[db.slide[hits]]) if len(hits) else math.inf
+        bags.append(Bag(i, hits, oracle_reference(store, hits[:TOP_HITS], unit), entropy))
+    return bags
+
+
+def oracle_query_patches(
+    db: RetcclDatabase, patch: PatchFeature, k: int, candidate_filter: CandidateFilter | None = None
+) -> RetrievalResult:
+    store = db.unit_features
+    check_k(k)
+    check_query_dim(db, patch)
+    if not patch.feature.any():
+        raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
+    (unit,), est, err = oracle_estimates(store, patch.feature[None, :])
+    rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
+    top = oracle_ranked(store, unit, est[0], err[0], rows, k)[:k]
+    return ranked_patches(db, top, oracle_reference(store, top, unit), k, "cosine")
+
+
+def store_db(rows: np.ndarray, slide: Sequence[int], subtypes: Sequence[str]) -> RetcclDatabase:
+    """A database over float32 ``rows`` as build_database stores them, row
+    j in slide ``slide[j]`` (ascending); slide i is named ``s{i}`` and has
+    subtype ``subtypes[i]``."""
+    rows = np.asarray(rows, dtype=np.float32)
+    return RetcclDatabase(
+        params=RetcclParams(),
+        dim=rows.shape[1],
+        slide_ids=[f"s{i}" for i in range(len(subtypes))],
+        labels=[SlideLabels("brain", subtype, f"pt-{i}") for i, subtype in enumerate(subtypes)],
+        features=np.asfortranarray(rows),
+        norms=retccl._row_norms(rows.astype(np.float64)),
+        slide=np.asarray(slide, dtype=np.int64),
+        coords=np.stack([np.arange(len(rows)), np.zeros(len(rows), dtype=int)], axis=1).astype(np.int32),
+    )
+
+
+#: row magnitudes: subnormal in float32, where products underflow, tiny,
+#: plain, huge, and near float32's maximum, where float32 sums overflow
+MAGNITUDES = [1e-40, 1e-30, 1.0, 1e30, "max"]
+
+
+def scaled(vec: np.ndarray, magnitude) -> np.ndarray:
+    """``vec`` in float32 at ``magnitude``; near float32's maximum, its largest
+    component is 3e38."""
+    if magnitude == "max":
+        magnitude = 3e38 / np.abs(vec).max() if vec.any() else 1.0
+    return (vec * magnitude).astype(np.float32)
+
+
+@st.composite
+def float32_stores(draw):
+    """(database, query rows, candidate filter, k): database rows drawn from
+    a few vectors, most of them at cosine 0.70 to the first query row to
+    within 1e-6, and repeated across slides at one magnitude (exact ties) or
+    several; query rows of every magnitude, zero rows among them."""
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = rng.normal(size=d)
+    axis /= np.linalg.norm(axis)
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        off = rng.normal(size=d)
+        off -= (off @ axis) * axis
+        off /= np.linalg.norm(off)
+        near = 0.7 * axis + np.sqrt(0.51) * off + 1e-7 * rng.normal(size=d)
+        pool.append(draw(st.sampled_from([near, near, rng.normal(size=d)])))
+    magnitudes = st.sampled_from(MAGNITUDES)
+    rows, slide, subtypes = [], [], []
+    for i in range(draw(st.integers(1, 5))):
+        subtypes.append(draw(st.sampled_from(SUBTYPES)))
+        for j in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6)):
+            rows.append(scaled(pool[j], draw(magnitudes)))
+            slide.append(i)
+    db = store_db(rows, slide, subtypes)
+    query = [scaled(axis, draw(magnitudes))]
+    for _ in range(draw(st.integers(0, 3))):
+        vec = draw(st.sampled_from([axis, -axis, np.zeros(d), *pool]))
+        query.append(scaled(vec + 1e-7 * rng.normal(size=d) * vec.any(), draw(magnitudes)))
+    dropped = draw(st.sets(st.sampled_from(db.slide_ids)))
+    candidate_filter = (lambda sid, lab: sid not in dropped) if dropped else None
+    return db, np.stack(query), candidate_filter, draw(st.integers(1, len(rows) + 2))
+
+
+class TestAgainstFloat64Oracle:
+    @given(float32_stores())
+    @settings(max_examples=300, deadline=None)
+    def test_top_rows_scores_hit_sets_and_entropies_match(self, corpus):
+        db, query, candidate_filter, k = corpus
+        new_bags = build_bags(db, query, candidate_filter)
+        old_bags = oracle_build_bags(db, query, candidate_filter)
+        for new, old in zip(new_bags, old_bags, strict=True):
+            assert len(new.hits) == len(old.hits)
+            assert sorted(new.hits.tolist()) == sorted(old.hits.tolist())
+            assert new.hits[:TOP_HITS].tolist() == old.hits[:TOP_HITS].tolist()
+            assert new.scores.tobytes() == old.scores.tobytes()
+            assert new.entropy.hex() == old.entropy.hex()
+        assert query_slides(db, query, k, candidate_filter) == vote_slides(
+            filter_and_order_bags(old_bags, db.params.quality_rule), db, k
+        )
+        for row in query[query.any(axis=1)]:
+            patch = PatchFeature(0, 0, row)
+            assert query_patches(db, patch, k, candidate_filter) == oracle_query_patches(
+                db, patch, k, candidate_filter
+            )
+
+    def test_overflowing_rows_are_scored_by_the_reference(self):
+        rng = np.random.default_rng(3)
+        vec = np.abs(rng.normal(size=32)) + 1.0
+        rows = [scaled(vec, "max"), scaled(-vec, "max"), scaled(vec, 1.0)]
+        db = store_db(rows, [0, 0, 1], ["gbm", "lgg"])
+        units, est, _ = retccl._estimates(db, vec[None, :].astype(np.float32))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(units.astype(np.float32) @ db.features[:2].T).any()
+        assert est[0, :2].tolist() == retccl._reference(db, np.arange(2), units[0]).tolist()
+        (bag,) = build_bags(db, vec[None, :])
+        assert sorted(bag.hits.tolist()) == [0, 2] and bag.scores[0] == pytest.approx(1.0)
 
 
 @pytest.fixture
@@ -665,21 +896,21 @@ def recomputed(monkeypatch):
 
 
 def near_tie_db() -> tuple[RetcclDatabase, np.ndarray]:
-    """200 unit rows, four slides of 50, that differ from one vector in the
-    last bits, plus a query row whose reference scores against them differ
-    by a few ulps: far closer than any GEMM estimate can tell apart."""
+    """200 float32 rows, four slides of 50, that differ from one vector in
+    the last bits, plus a query row whose reference scores against them lie
+    within 1e-6 of each other: far closer than the float32 screen can tell
+    apart."""
     rng = np.random.default_rng(12)
     base = rng.normal(size=64)
-    rows = base + 3e-14 * np.abs(base) * rng.normal(size=(200, 64))
-    for vec in rows:
-        vec /= np.linalg.norm(vec)
+    rows = (base + 1e-6 * np.abs(base) * rng.normal(size=(200, 64))).astype(np.float32)
     slide_ids = ["s0", "s1", "s2", "s3"]
     db = RetcclDatabase(
         params=RetcclParams(sim_threshold=0.5),
         dim=64,
         slide_ids=slide_ids,
         labels=[SlideLabels("brain", ("gbm", "lgg")[i % 2], f"pt-{i}") for i in range(4)],
-        unit_features=rows,
+        features=np.asfortranarray(rows),
+        norms=retccl._row_norms(rows.astype(np.float64)),
         slide=np.repeat(np.arange(4), 50),
         coords=np.stack([np.arange(200) % 50, np.zeros(200, dtype=int)], axis=1).astype(np.int32),
     )
@@ -691,9 +922,9 @@ class TestCertifiedRechecks:
         db, query = near_tie_db()
         scores = reference_scores(db, query)
         assert len(np.unique(scores)) > 10  # distinct scores, a few ulps apart
+        assert np.ptp(scores) < 1e-6
         (bag,) = build_bags(db, query[None, :])
-        assert bag.hits.tolist() == reference_order(scores, range(200))
-        assert np.array_equal(bag.scores, scores[bag.hits[:TOP_HITS]])
+        assert_bag(db, bag, reference_order(scores, range(200)), scores)
         assert set(sum(recomputed, [])) == set(range(200))
         for k in (1, 7, 60):
             patch = PatchFeature(0, 0, query)
@@ -706,7 +937,7 @@ class TestCertifiedRechecks:
         db = dataclasses.replace(db, params=RetcclParams(sim_threshold=threshold))
         (bag,) = build_bags(db, query[None, :])
         expected = reference_order(scores, np.flatnonzero(scores >= threshold))
-        assert bag.hits.tolist() == expected
+        assert_bag(db, bag, expected, scores)
         assert len(expected) >= 100 and scores[expected[-1]] == threshold
         assert set(recomputed[0]) == set(range(200))  # every row sat within the bound
 
@@ -723,14 +954,14 @@ class TestCertifiedRechecks:
         query = feats[:4] + 0.3 * rng.normal(size=(4, 48)).astype(np.float32)
         for bag, row in zip(build_bags(db, query), query):
             scores = reference_scores(db, row)
-            hits = bag.hits.tolist()
-            assert hits == reference_order(scores, np.flatnonzero(scores >= 0.3))
-            copies = [j for j in hits if j < 2 * n]
+            order = reference_order(scores, np.flatnonzero(scores >= 0.3))
+            copies = [j for j in order if j < 2 * n]
             # each copy-a row (rows 0..n-1) ties with its copy-b twin and comes first
             assert copies[0::2] == [j - n for j in copies[1::2]] and max(copies[0::2]) < n
-            assert np.array_equal(bag.scores, scores[bag.hits[:TOP_HITS]])
+            assert_bag(db, bag, order, scores)
         tied = {j for call in recomputed for j in call}
-        assert tied >= {j for bag in build_bags(db, query) for j in bag.hits.tolist() if j < 2 * n}
+        top = build_bags(db, query)
+        assert tied >= {j for bag in top for j in bag.hits[:TOP_HITS].tolist() if j < 2 * n}
         for k in (1, 3):  # the cut falls inside a tie
             patch = PatchFeature(0, 0, query[0])
             result = query_patches(db, patch, k)
@@ -757,7 +988,7 @@ def answers(db: RetcclDatabase, query: np.ndarray, candidate_filter, ks) -> list
 def in_layouts(db: RetcclDatabase) -> list[RetcclDatabase]:
     """``db`` with its store row-major and dim-major."""
     return [
-        dataclasses.replace(db, unit_features=layout(db.unit_features))
+        dataclasses.replace(db, features=layout(db.features))
         for layout in (np.ascontiguousarray, np.asfortranarray)
     ]
 
@@ -821,7 +1052,7 @@ class TestPositionIndependence:
             features = retccl.prepare_query(base, query)
             for small, big in zip(build_bags(base, features), build_bags(grown, features)):
                 kept = keyed(grown, big.hits, big.scores)
-                assert [h[:2] for h in kept] == [h[:2] for h in keyed(base, small.hits)]
+                assert sorted(h[:2] for h in kept) == sorted(h[:2] for h in keyed(base, small.hits))
                 top = keyed(base, small.hits[:TOP_HITS], small.scores)
                 scored = [h for h in kept if h[2] is not None]
                 assert scored == top[: len(scored)]
