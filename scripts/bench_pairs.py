@@ -16,8 +16,11 @@ the base.  It also prints whether the change is worse by the mirror rule: the
 base wins at least nine tenths of the pairs and the medians differ by more
 than the change's interquartile range.  Every run lasts BENCHMARK.json's
 ``run_seconds``, every workload runs, and both checkouts must hold the same
-benchmark files.  ``--out`` keeps every run's result line, keyed by workload
-and side, in pair order.
+benchmark files.  Per workload and seed it also prints whether both sides
+gave the same per-engine row digests (the ``digests`` of each run's
+``info:`` line), naming each engine whose digest differs.  ``--out`` keeps
+every run's result line, with those digests, keyed by workload and side, in
+pair order.
 
 Usage:
     python scripts/bench_pairs.py BASE CHANGE
@@ -41,7 +44,8 @@ def benchmark_files(checkout: Path) -> list[Path]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one untraced ``perfbench/run.py`` run."""
+    """The final JSON line of one untraced ``perfbench/run.py`` run, plus the
+    per-engine row ``digests`` of its ``info:`` line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -49,10 +53,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {workload} seed {seed} failed:\n{done.stderr}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    *_, info, last = done.stdout.strip().splitlines()
+    result = json.loads(last)
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} gave incorrect rows")
+    result["digests"] = json.loads(info.removeprefix("info: "))["digests"]
     return result
+
+
+def differing_engines(base: dict, change: dict) -> list[str]:
+    """The engines whose row digests differ between two runs of one seed,
+    an engine that only one run reports among them."""
+    return sorted(engine for engine in base.keys() | change.keys()
+                  if base.get(engine) != change.get(engine))
 
 
 def failed_share(results: list[dict]) -> float:
@@ -135,6 +148,10 @@ def main() -> int:
                   f"{f'{fmt(c2)} [{fmt(c1)}, {fmt(c3)}]':<30} "
                   f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['gain'] else 'no':<4}  "
                   f"{'yes' if row['worse'] else 'no'}")
+        for i, (base, change) in enumerate(zip(runs["base"], runs["change"])):
+            differ = differing_engines(base["digests"], change["digests"])
+            print(f"seed {args.seed + i} row digests: "
+                  + (f"differ in {', '.join(differ)}" if differ else "same"))
         for side, results in runs.items():
             print(f"{side}: {sum(r['failed'] for r in results)} of "
                   f"{sum(r['attempted'] for r in results)} operations failed "

@@ -183,12 +183,19 @@ class SlideTable:
     """The slide list every engine's database holds: slide i is
     ``slide_ids[i]`` with ``labels[i]``, listed in slide_id order, plus the
     (slide_id, reason) of each slide the build could not index.  Engine
-    databases derive from it and add their own arrays."""
+    databases derive from it and add their own arrays.  ``subtype_code``
+    is derived from the labels once, at construction, and pickled with
+    them."""
 
     dim: int
     slide_ids: list[str]
     labels: list[SlideLabels]
     unprocessed: list[tuple[str, str]] = field(default_factory=list)
+    #: (T,) int64 per slide, subtype_codes(labels)
+    subtype_code: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.subtype_code = subtype_codes(self.labels)
 
     def __len__(self) -> int:
         return len(self.slide_ids)

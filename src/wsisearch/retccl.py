@@ -22,17 +22,28 @@ decision in doubt: whether a row reaches the threshold, and which rows
 come first by (score desc, row asc).  A bag holds its whole hit set, but
 only its top hits, the ones the quality rule and the vote read, are put in
 order, and the entropy needs no more than each subtype's best hit.  The rows
-are stored dim-major (Fortran order), so that the GEMM reads
-``features.T`` as a plain C-contiguous (dim, N) operand; BLAS takes a slower
-path for a transposed row-major one when the query has few rows.  A gather
-of rows still yields C-contiguous rows, so the reference sums in the same
-order under either layout.
+are stored row-major, so each slide's rows are one contiguous block: a
+screen reads only the blocks of the slides it keeps, as ``block @ q.T``
+with the block as BLAS's first operand, and the reference gathers whole
+rows.  A gather of rows yields C-contiguous rows under any layout, so the
+reference sums in the same order whatever the store's layout.
+
+The screen skips whole slides.  Each slide stores a cone that holds its
+rows: a unit direction c and cos r, r the largest angle between c and a
+unit row.  ``_cone_bounds`` derives from them, per query row, a certified
+ceiling on every reference score of the slide.  A bag screens only the
+slides whose ceiling reaches the threshold for some query row; a patch
+query screens the slide of highest ceiling, takes from it a floor under
+the k-th score, and then screens only the slides whose ceiling reaches
+it.  A skipped slide holds no hit and no top-k row, so no result depends
+on the skip.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +66,6 @@ from .model import (
     ordered_entropy,
     ranked_patches,
     slide_seed,
-    subtype_codes,
 )
 from .mosaic import Mosaic, build_mosaic_percent, check_mosaic_params, encode_mosaics
 from .mosaic import SUBNORMAL_SLACK, UNIT_ROUNDOFF
@@ -65,8 +75,11 @@ QUALITY_NONE = "none"
 #: hits per bag whose scores the quality rule and the vote read
 TOP_HITS = 5
 #: float32's unit roundoff and smallest subnormal, for the screen's bound
-UNIT_ROUNDOFF32 = np.finfo(np.float32).eps / 2
+UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
 TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+#: float64's smallest normal number and float32's largest finite one
+TINY64 = float(np.finfo(np.float64).tiny)
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -105,13 +118,28 @@ class Bag:
 @dataclass
 class RetcclDatabase(SlideTable):
     """Slides are listed in slide_id order, so a row's ``slide`` is also the
-    rank of its slide_id; rows run in slide order."""
+    rank of its slide_id; rows run in slide order.  Each slide's cone is
+    derived from its rows once, at construction, and pickled with them."""
 
     params: RetcclParams
-    features: np.ndarray  # (N, dim) float32 mosaic rows, Fortran (dim-major) order
+    features: np.ndarray  # (N, dim) float32 mosaic rows, C (row-major) order
     norms: np.ndarray  # (N,) float64, each row's _row_norms in float64
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
     coords: np.ndarray  # (N, 2) int32, (x, y) per row of features
+    #: (T + 1,) int64: slide s holds rows starts[s] to starts[s + 1]
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (T, dim) float64 unit direction c of each slide's cone
+    centres: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (T,) float64 cos r and sin r: no row of the slide lies further than r from c
+    cos_radius: np.ndarray = field(init=False, repr=False, compare=False)
+    sin_radius: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (T,) float64 smallest row norm of each slide, for the screen's bound
+    min_norm: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.starts = np.searchsorted(self.slide, np.arange(len(self) + 1))
+        self.centres, self.cos_radius, self.sin_radius, self.min_norm = _cones(self)
 
     @property
     def n_patches(self) -> int:
@@ -119,9 +147,52 @@ class RetcclDatabase(SlideTable):
 
     @property
     def unit_features(self) -> np.ndarray:
-        """(N, dim) float64 unit rows, dim-major: the vectors the reference
-        scores, made afresh on each access."""
+        """(N, dim) float64 unit rows: the vectors the reference scores,
+        made afresh on each access."""
         return self.features.astype(np.float64) / self.norms[:, None]
+
+
+def _cones(db: RetcclDatabase) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(centres, cos_radius, sin_radius, min_norm) of every slide's rows.
+
+    c is the direction of the sum of the slide's unit rows, found in
+    float32 (any unit vector would serve) and stored as a float64 unit
+    vector.  cos r is the least screened score of c against the slide's
+    rows less the screen's bound (``_estimates``), so no row's reference
+    score with c lies below it, less e (``_cone_bounds``), so no row's
+    exact cosine with c does.  A slide with no rows, or whose sum has no
+    accurate float64 norm (its square is not a normal number) or whose
+    screen overflows, gets c = 0 and cos r = -1: a cone of every direction.
+    """
+    spans = list(pairwise(db.starts.tolist()))
+    # a weight of float32's maximum scales the tiniest rows to norm 1 or less
+    weights = np.minimum(1.0 / db.norms, FLOAT32_MAX).astype(np.float32)
+    totals = np.zeros((len(spans), db.dim), dtype=np.float32)
+    for s, (a, b) in enumerate(spans):
+        np.matmul(weights[a:b], db.features[a:b], out=totals[s])
+    centres = totals.astype(np.float64)
+    square = np.vecdot(centres, centres)
+    whole = square >= TINY64
+    np.divide(centres, np.sqrt(square)[:, None], out=centres, where=whole[:, None])
+    centres[~whole] = 0.0
+    query = centres.astype(np.float32)
+    est = np.empty(len(db.norms), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow voids the slide's cone
+        for s, (a, b) in enumerate(spans):
+            np.matmul(db.features[a:b], query[s], out=est[a:b])
+    scores = est / db.norms
+    scores[~np.isfinite(scores)] = -np.inf
+    # each slide with rows reduces from its first row to the next such slide's
+    held = np.flatnonzero(np.diff(db.starts))
+    min_norm = np.full(len(spans), np.inf)
+    least = np.full(len(spans), np.inf)
+    if len(held):
+        min_norm[held] = np.minimum.reduceat(db.norms, db.starts[held])
+        least[held] = np.minimum.reduceat(scores, db.starts[held])
+    # the screen's bound reaches the reference, and e past it the exact cosine
+    cos_radius = least - (_query_err(centres) + _slide_err(db.dim, min_norm) + _dot_err(db.dim))
+    cos_radius[~whole | ~(cos_radius >= -1.0)] = -1.0
+    return centres, cos_radius, np.sqrt((1.0 - cos_radius) * (1.0 + cos_radius)), min_norm
 
 
 def _mosaic_rows(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +237,7 @@ def build_database(
     params = params or RetcclParams()
     table, kept = encode_mosaics(slides, lambda batch: _mosaics(batch, params), _mosaic_rows)
     sizes = [len(coords) for coords, _ in kept]
-    features = np.empty((sum(sizes), table["dim"]), dtype=np.float32, order="F")
-    np.concatenate([rows for _, rows in kept], out=features)
+    features = np.concatenate([rows for _, rows in kept], dtype=np.float32)
     return RetcclDatabase(
         **table,
         params=params,
@@ -185,10 +255,71 @@ def prepare_query(db: RetcclDatabase, slide: SlideRecord) -> np.ndarray:
     return _query_rows(slide, db.params)[1]
 
 
-def _estimates(db: RetcclDatabase, features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(units, est, err): each (m, dim) query row in float64 over its own
-    norm, as database rows are (zero rows stay zero), its (m, N) screened
-    scores, and per query row a bound on their distance from the reference.
+def _unit_rows(features: np.ndarray) -> np.ndarray:
+    """Each (m, dim) query row in float64 over its own norm, as database
+    rows are; zero rows stay zero."""
+    units = features.astype(np.float64)
+    norms = _row_norms(units)
+    np.divide(units, norms[:, None], out=units, where=norms[:, None] > 0.0)
+    return units
+
+
+def _cone_bounds(db: RetcclDatabase, units: np.ndarray) -> np.ndarray:
+    """(m, T): per unit query row and slide, a value that no reference score
+    of the slide's rows exceeds.
+
+    With θ the angle between a query row u and its slide's direction c, and
+    r the largest angle between c and a row v of the slide, the triangle
+    inequality gives ∠(u, v) >= θ - r, and cos falls on [0, π], so the
+    cosine of u and v is at most cos(max(0, θ - r)).  In floating point,
+    with d the dimension, u64 the float64 roundoff and
+    e = 4 (d + 2) u64 + d SUBNORMAL_SLACK:
+
+    - u and c are float64 quotients of a vector by its float64 norm, so
+      each has a norm within (d + 2) u64 of 1 (or is zero), and their
+      float64 dot product lies within (3d + 5) u64 of their exact cosine,
+      plus what underflowing products add: within e.  So cos θ <= g =
+      u . c + e;
+    - ``cos_radius`` is at most the exact cosine of c with every row of its
+      slide (``_cones``), so cos r >= ρ = cos_radius, and ``sin_radius`` is
+      sqrt((1 - ρ)(1 + ρ));
+    - the bound is cos(arccos g' - arccos ρ) = g' ρ + sin(arccos g') sin(arccos ρ)
+      with g' = min(g, ρ): where g >= ρ, θ may not exceed r, and g' = ρ gives
+      ρ² + sin² = 1.  Each sine is taken as sqrt((1 - x)(1 + x)), whose
+      factors round by at most u64 relative, without the cancellation of
+      1 - x², so the formula lies within 12 u64 of its exact value;
+    - the reference of u and a row lies within e of their exact cosine too;
+
+    so the bound adds e for the reference's own rounding, and 32 u64 for
+    the formula's.  A slide whose bound lies below a score holds no row
+    that reaches it.
+    """
+    slack = _dot_err(units.shape[1])
+    cos_t = units @ db.centres.T
+    cos_t += slack
+    np.minimum(cos_t, db.cos_radius, out=cos_t)
+    sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
+    sin_t *= db.sin_radius
+    cos_t *= db.cos_radius
+    cos_t += sin_t
+    cos_t += slack + 32 * UNIT_ROUNDOFF
+    return cos_t
+
+
+def _dot_err(d: int) -> float:
+    """e of ``_cone_bounds``: how far a float64 dot product of two unit
+    vectors of dimension d may lie from their exact cosine."""
+    return 4 * (d + 2) * UNIT_ROUNDOFF + d * SUBNORMAL_SLACK
+
+
+def _estimates(
+    db: RetcclDatabase, units: np.ndarray, slides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, est, err): the rows of ``slides`` (ascending slide indices),
+    their (m, n) screened scores against the (m, dim) unit query rows, and
+    per score a bound on its distance from the reference.  Each run of
+    consecutive slides is one contiguous block of rows, screened by one
+    float32 GEMM.
 
     The screen is ``q @ f.T / n`` with ``q`` the unit rows rounded to
     float32, ``f`` the float32 rows and ``n`` their float64 norms.  With u
@@ -204,8 +335,9 @@ def _estimates(db: RetcclDatabase, features: np.ndarray) -> tuple[np.ndarray, np
     - Σ|u_i f_i| <= |u| |f|, Σ|f_i| <= √d |f|, and |f| / n and the
       float64 scaling differ from 1 by a few float64 roundoffs;
 
-    so |est - c| <= γ |u| + d 2^-149 (1 + 1 / min n), to first order; the
-    bound doubles that, which covers the second-order terms.  The reference
+    so |est - c| <= γ |u| + d 2^-149 (1 + 1 / n), to first order; the bound
+    doubles that, which covers the second-order terms, and takes the term
+    in 1 / n with the smallest norm of the row's slide.  The reference
     lies within (d + 2) u64 |u| of c (u64 the float64 roundoff), plus what
     underflowing float64 products add, as any float64 dot product of the
     unit vectors does; the bound adds 4 (d + 2) u64 |u| + d SUBNORMAL_SLACK
@@ -215,22 +347,50 @@ def _estimates(db: RetcclDatabase, features: np.ndarray) -> tuple[np.ndarray, np
     estimate is replaced by its reference and needs no bound; a finite one
     saw no overflow.
     """
-    units = features.astype(np.float64)
-    norms = _row_norms(units)
-    np.divide(units, norms[:, None], out=units, where=norms[:, None] > 0.0)
+    blocks = _blocks(db, slides)
+    rows = np.concatenate([np.arange(a, b) for a, b in blocks] or [np.empty(0, np.int64)])
+    query = units.astype(np.float32)
+    est = np.empty((len(units), len(rows)))
+    at = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are rescored below
-        est = (units.astype(np.float32) @ db.features.T) / db.norms
+        for a, b in blocks:
+            np.divide((db.features[a:b] @ query.T).T, db.norms[a:b], out=est[:, at:at + b - a])
+            at += b - a
     if not np.isfinite(est).all():
         for i, row in enumerate(est):
-            rows = np.flatnonzero(~np.isfinite(row))
-            est[i, rows] = _reference(db, rows, units[i])
+            bad = np.flatnonzero(~np.isfinite(row))
+            est[i, bad] = _reference(db, rows[bad], units[i])
     np.clip(est, -1.0, 1.0, out=est)
+    per_slide = _slide_err(db.dim, db.min_norm)
+    return rows, est, np.add.outer(_query_err(units), per_slide[db.slide[rows]])
+
+
+def _query_err(units: np.ndarray) -> np.ndarray:
+    """The part of ``_estimates``' bound that each (m, dim) unit query row
+    carries against every row."""
     d = units.shape[1]
     gamma = (d + 1) * UNIT_ROUNDOFF32 / (1 - (d + 1) * UNIT_ROUNDOFF32)
-    unit_norms = _row_norms(units)
-    err = 2 * (gamma * unit_norms + d * TINY32 * (1 + 1 / db.norms.min()))
-    err += 4 * (d + 2) * UNIT_ROUNDOFF * unit_norms + d * SUBNORMAL_SLACK
-    return units, est, err
+    err = (2 * gamma + 4 * (d + 2) * UNIT_ROUNDOFF) * _row_norms(units)
+    err += 2 * d * TINY32 + d * SUBNORMAL_SLACK
+    return err
+
+
+def _slide_err(d: int, min_norm: np.ndarray) -> np.ndarray:
+    """The part of ``_estimates``' bound that each slide's rows carry, from
+    their smallest norm: underflowing float32 products."""
+    return 2 * d * TINY32 / min_norm
+
+
+def _blocks(db: RetcclDatabase, slides: np.ndarray) -> list[tuple[int, int]]:
+    """(first row, end row) of each run of consecutive ``slides`` (ascending)."""
+    blocks: list[tuple[int, int]] = []
+    starts = db.starts
+    for s in slides.tolist():
+        a, b = int(starts[s]), int(starts[s + 1])
+        if blocks and blocks[-1][1] == a:
+            a = blocks.pop()[0]
+        blocks.append((a, b))
+    return blocks
 
 
 def _reference(db: RetcclDatabase, rows: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -241,17 +401,16 @@ def _reference(db: RetcclDatabase, rows: np.ndarray, unit: np.ndarray) -> np.nda
 
 
 def _first(
-    db: RetcclDatabase, unit: np.ndarray, est: np.ndarray, err: float, rows: np.ndarray, k: int
+    db: RetcclDatabase, unit: np.ndarray, rows: np.ndarray, est: np.ndarray, err: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``k`` of ``rows`` by (reference score desc, row asc), and
-    their reference scores.  At least k rows score within ``err`` of the
-    k-th highest estimate or above, so a row whose estimate lies more than
-    twice ``err`` below it cannot be among them; only the others get a
-    reference."""
-    scores = est[rows]
+    their reference scores; ``est`` and ``err`` are the rows' estimates and
+    bounds.  At least k rows score at or above the k-th highest ``est -
+    err``, so a row whose ``est + err`` lies below it cannot be among them;
+    only the others get a reference."""
     if k < len(rows):
-        kth = np.partition(scores, len(rows) - k)[len(rows) - k]
-        rows = rows[~(scores < kth - 2 * err)]
+        floor = np.partition(est - err, len(rows) - k)[len(rows) - k]
+        rows = rows[est + err >= floor]
     ref = _reference(db, rows, unit)
     order = np.lexsort((rows, -ref))[:k]
     return rows[order], ref[order]
@@ -259,17 +418,18 @@ def _first(
 
 def _entropy(
     db: RetcclDatabase,
-    codes: np.ndarray,
     unit: np.ndarray,
-    est: np.ndarray,
-    err: float,
     hits: np.ndarray,
+    est: np.ndarray,
+    err: np.ndarray,
     top: np.ndarray,
 ) -> float:
     """``label_entropy`` of the hits' subtypes in full hit order, from the
-    hit set and its ordered ``top`` rows: its terms run in order of each
-    subtype's best hit.  Subtypes in ``top`` come first, in order of their
-    first appearance there; the others follow by their best hits."""
+    hit set (with its estimates and bounds) and its ordered ``top`` rows:
+    its terms run in order of each subtype's best hit.  Subtypes in ``top``
+    come first, in order of their first appearance there; the others follow
+    by their best hits."""
+    codes = db.subtype_code
     labels = codes[db.slide[hits]]
     counts = np.bincount(labels)
     order = list(dict.fromkeys(codes[db.slide[top]].tolist()))
@@ -277,7 +437,8 @@ def _entropy(
     if len(rest) > 1:
         best = {}
         for c in rest:
-            (row,), (score,) = _first(db, unit, est, err, hits[labels == c], 1)
+            of = labels == c
+            (row,), (score,) = _first(db, unit, hits[of], est[of], err[of], 1)
             best[c] = (-score, row)
         rest.sort(key=best.__getitem__)
     return ordered_entropy(counts[order + rest].tolist())
@@ -289,29 +450,31 @@ def build_bags(
     candidate_filter: CandidateFilter | None = None,
 ) -> list[Bag]:
     """One bag per row of the (m, dim) query features: all candidates whose
-    reference score reaches the threshold.  One GEMM screens the query; the
-    reference is computed only near the threshold, for the top hits and
-    their rivals, and for each subtype's best hit where the top hits leave
-    their order open.  A zero-vector query row scores 0 everywhere, so it
-    yields an empty bag (entropy +inf), as zero vectors are invisible to the
-    index."""
+    reference score reaches the threshold.  One GEMM screens the query over
+    the slides whose cone bound reaches the threshold for some query row;
+    the others hold no hit.  The reference is computed only near the
+    threshold, for the top hits and their rivals, and for each subtype's
+    best hit where the top hits leave their order open.  A zero-vector query
+    row scores 0 everywhere, so it yields an empty bag (entropy +inf), as
+    zero vectors are invisible to the index."""
     check_query_rows(query_features, db.dim)
-    mask = db.kept(candidate_filter)[db.slide]
-    codes = subtype_codes(db.labels)
     threshold = db.params.sim_threshold
-    units, est, err = _estimates(db, query_features)
+    units = _unit_rows(query_features)
+    near = (_cone_bounds(db, units) >= threshold).any(axis=0) & db.kept(candidate_filter)
+    rows, est, err = _estimates(db, units, np.flatnonzero(near))
     bags = []
     for i, (unit, scores, bound) in enumerate(zip(units, est, err)):
-        rows = np.flatnonzero(~(scores + bound < threshold) & mask)
-        drop = ~(scores[rows] - bound >= threshold)  # in doubt until the reference decides
+        at = np.flatnonzero(~(scores + bound < threshold))
+        drop = ~(scores[at] - bound[at] >= threshold)  # in doubt until the reference decides
         if drop.any():
-            drop[drop] = _reference(db, rows[drop], unit) < threshold
-        hits = rows[~drop]
+            drop[drop] = _reference(db, rows[at[drop]], unit) < threshold
+        at = at[~drop]
+        hits = rows[at]
         if not len(hits):
             bags.append(Bag(i, hits, np.empty(0), math.inf))
             continue
-        top, top_scores = _first(db, unit, scores, bound, hits, TOP_HITS)
-        entropy = _entropy(db, codes, unit, scores, bound, hits, top)
+        top, top_scores = _first(db, unit, hits, scores[at], bound[at], TOP_HITS)
+        entropy = _entropy(db, unit, hits, scores[at], bound[at], top)
         rest = np.ones(len(hits), dtype=bool)
         rest[np.searchsorted(hits, top)] = False
         bags.append(Bag(i, np.concatenate([top, hits[rest]]), top_scores, entropy))
@@ -377,15 +540,38 @@ def query_patches(
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
-    """Global top-k patches by reference score, unthresholded, ties by (slide_id, row)."""
+    """Global top-k patches by reference score, unthresholded, ties by
+    (slide_id, row).  Only the kept slides whose cone bound reaches
+    ``_floor`` are screened."""
     check_k(k)
     check_query_dim(db, patch)
     if not patch.feature.any():
         raise UndefinedSimilarityError("cosine similarity is undefined for a zero vector")
-    (unit,), est, err = _estimates(db, patch.feature[None, :])
-    rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
-    top, scores = _first(db, unit, est[0], err[0], rows, k)
+    units = _unit_rows(patch.feature[None, :])
+    bounds = _cone_bounds(db, units)[0]
+    kept = db.kept(candidate_filter)
+    floor = _floor(db, units, np.where(kept, bounds, -np.inf), k)
+    rows, est, err = _estimates(db, units, np.flatnonzero(kept & (bounds >= floor)))
+    top, scores = _first(db, units[0], rows, est[0], err[0], k)
     return ranked_patches(db, top, scores, k, "cosine")
+
+
+def _floor(db: RetcclDatabase, units: np.ndarray, bounds: np.ndarray, k: int) -> float:
+    """A floor under the k-th highest reference score of the unit query row
+    among the slides of finite ``bounds``: the k-th highest screened score
+    on the slide of highest bound, less the screen's bound (``_estimates``),
+    for at least k of its rows score at or above that.  -inf where that
+    slide holds fewer than k rows or its screen overflows."""
+    s = int(np.argmax(bounds))
+    a, b = int(db.starts[s]), int(db.starts[s + 1])
+    if b - a < k or bounds[s] == -np.inf:
+        return -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = (db.features[a:b] @ units[0].astype(np.float32)) / db.norms[a:b]
+    if not np.isfinite(est).all():
+        return -np.inf
+    err = _query_err(units)[0] + _slide_err(db.dim, db.min_norm[s])
+    return float(np.partition(est, b - a - k)[b - a - k] - err)
 
 
 def query_patch_set(db: RetcclDatabase, slide: SlideRecord) -> list[PatchFeature]:

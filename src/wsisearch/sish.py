@@ -47,7 +47,6 @@ from .model import (
     hamming_matrix,
     label_entropy,
     ranked_patches,
-    subtype_codes,
 )
 from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
 
@@ -305,12 +304,11 @@ def rank_slides(
     if not patch_results:
         raise EmptyInputError("rank_slides needs at least one query patch")
 
-    codes = subtype_codes(db.labels)
     surviving: list[tuple[float, np.ndarray]] = []
     for results in patch_results:
         if len(results):
             slides = db.slide[results[:, 0]]
-            surviving.append((label_entropy(codes[slides]), slides))
+            surviving.append((label_entropy(db.subtype_code[slides]), slides))
     if not surviving:
         return RetrievalResult(entries=(), k_requested=k)
 

@@ -64,3 +64,16 @@ def test_benchmark_files_include_the_definition_and_perfbench(tmp_path):
     assert [str(p) for p in bench_pairs.benchmark_files(tmp_path)] == [
         "BENCHMARK.json", "perfbench/run.py",
     ]
+
+
+def test_differing_engines_names_each_engine_whose_rows_differ():
+    base = {"hshr": "a", "retccl": "b", "sish": "c", "yottixel": "d"}
+    assert bench_pairs.differing_engines(base, dict(base)) == []
+    assert bench_pairs.differing_engines(base, {**base, "sish": "x", "hshr": "y"}) == [
+        "hshr", "sish",
+    ]
+    # an engine that only one run reports differs too
+    assert bench_pairs.differing_engines(base, {"retccl": "b", "sish": "c", "yottixel": "d"}) == [
+        "hshr",
+    ]
+    assert bench_pairs.differing_engines({}, {"retccl": "b"}) == ["retccl"]

@@ -305,13 +305,14 @@ class TestDatabaseEnvelope:
             load_database(path)
 
 
-#: databases written by this tree at format version 11 (``wsisearch build-db``
+#: databases written by this tree at format version 12 (``wsisearch build-db``
 #: over ``wsisearch synth --sites 2 --subtypes-per-site 2 --slides-per-subtype
 #: 3 --patches 30 --dim 32 --separation 2.0 --sigma 0.2 --queries-per-subtype
 #: 1 --seed 7``), its query slides, and the site-task rows it answered them with
+FORMAT12 = Path(__file__).parent / "data" / "format12"
+#: the same databases written by earlier trees: at format version 11 (commit
+#: e9ec795) with the rows that tree answered, and at version 10 (commit 134899c)
 FORMAT11 = Path(__file__).parent / "data" / "format11"
-#: the same databases written by an earlier tree (commit 134899c) at format
-#: version 10, and the rows that tree answered
 FORMAT10 = Path(__file__).parent / "data" / "format10"
 ENGINES = ["hshr", "retccl", "sish", "yottixel"]
 
@@ -319,20 +320,20 @@ ENGINES = ["hshr", "retccl", "sish", "yottixel"]
 class TestSavedDatabases:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_earlier_files_load_and_answer_their_recorded_rows(self, engine):
-        saved_engine, db = load_database(FORMAT11 / f"{engine}.db")
+        saved_engine, db = load_database(FORMAT12 / f"{engine}.db")
         assert saved_engine == engine and isinstance(db, SlideTable)
-        queries = load_slides(parse_manifest(FORMAT11 / "queries.csv"))
+        queries = load_slides(parse_manifest(FORMAT12 / "queries.csv"))
         rows = query_rows_against_db(engine, db, queries, TASK_SITE)
-        recorded = json.loads((FORMAT11 / "site_rows.json").read_text())[engine]
+        recorded = json.loads((FORMAT12 / "site_rows.json").read_text())[engine]
         assert [
             [r.query_id, r.query_site, r.query_subtype, [list(s) if s else None for s in r.slots]]
             for r in rows
         ] == recorded
 
     def test_rows_are_those_of_the_previous_version(self):
-        """Version 11 changed how RetCCL stores its rows, not any answer."""
-        assert (FORMAT11 / "site_rows.json").read_bytes() == (
-            FORMAT10 / "site_rows.json"
+        """Version 12 added derived per-slide columns, not any answer."""
+        assert (FORMAT12 / "site_rows.json").read_bytes() == (
+            FORMAT11 / "site_rows.json"
         ).read_bytes()
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -341,3 +342,10 @@ class TestSavedDatabases:
         version 11 stores the float32 rows and their norms."""
         with pytest.raises(FormatError, match="version 10 unsupported"):
             load_database(FORMAT10 / f"{engine}.db")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_version_11_files_rejected(self, engine):
+        """Version 11 stored RetCCL's rows dim-major and held no per-slide
+        subtype codes or RetCCL cones."""
+        with pytest.raises(FormatError, match="version 11 unsupported"):
+            load_database(FORMAT11 / f"{engine}.db")

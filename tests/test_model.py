@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from wsisearch.model import (
     hamming_distance,
     hamming_matrix,
     SlideLabels,
+    SlideTable,
     label_entropy,
     patch_ref,
     slide_seed,
@@ -206,6 +208,13 @@ class TestLabelEntropy:
     def test_subtype_codes_follow_labels(self):
         labels = [SlideLabels("brain", sub, "p") for sub in ["gbm", "lgg", "gbm", "oligo"]]
         assert subtype_codes(labels).tolist() == [0, 1, 0, 2]
+
+    def test_slide_table_codes_its_subtypes_once(self):
+        labels = [SlideLabels("brain", sub, "p") for sub in ["gbm", "lgg", "gbm", "oligo"]]
+        table = SlideTable(dim=2, slide_ids=["a", "b", "c", "d"], labels=labels)
+        assert table.subtype_code.tolist() == [0, 1, 0, 2]
+        loaded = pickle.loads(pickle.dumps(table))
+        assert "subtype_code" in vars(loaded) and loaded.subtype_code.tolist() == [0, 1, 0, 2]
 
 
 class TestBarcodeTypes:

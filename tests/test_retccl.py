@@ -92,7 +92,7 @@ def label_db(slide_subtypes: dict[str, str], row_slides: list[str]) -> RetcclDat
         dim=4,
         slide_ids=slide_ids,
         labels=[SlideLabels("brain", slide_subtypes[sid], f"pt-{sid}") for sid in slide_ids],
-        features=np.zeros((len(row_slides), 4), dtype=np.float32, order="F"),
+        features=np.zeros((len(row_slides), 4), dtype=np.float32),
         norms=np.ones(len(row_slides)),
         slide=np.array([slide_ids.index(sid) for sid in row_slides], dtype=np.int64),
         coords=np.zeros((len(row_slides), 2), dtype=np.int32),
@@ -141,20 +141,24 @@ class TestBuild:
         assert np.array_equal(db.coords, np.concatenate([s.coords for s in in_order]))
         assert len(db) == 4
 
-    def test_store_is_dim_major_after_build_and_reload(self, axis_db, tmp_path):
+    def test_store_is_row_major_after_build_and_reload(self, axis_db, tmp_path):
         slides, db = axis_db
         assert db.features.dtype == np.float32 and db.norms.dtype == np.float64
-        assert db.features.flags.f_contiguous and not db.features.flags.c_contiguous
+        assert db.features.flags.c_contiguous and not db.features.flags.f_contiguous
         # the stored rows are the mosaic's float32 rows themselves (fraction 1.0)
         rows = np.concatenate([s.features for s in slides])
         assert np.array_equal(db.features, rows)
         assert db.norms.tolist() == [np.linalg.norm(row.astype(np.float64)) for row in rows]
         save_database(tmp_path / "r.db", "retccl", db)
         _, loaded = load_database(tmp_path / "r.db")
-        assert loaded.features.flags.f_contiguous
+        assert loaded.features.flags.c_contiguous
         assert loaded.features.tobytes() == db.features.tobytes()
         assert loaded.norms.tobytes() == db.norms.tobytes()
         assert "unit_features" not in vars(loaded)  # derived, never pickled
+        # derived once, at build, and pickled with the rows
+        for name in ("subtype_code", "starts", "centres", "cos_radius", "sin_radius", "min_norm"):
+            assert name in vars(loaded)
+            assert getattr(loaded, name).tobytes() == getattr(db, name).tobytes()
 
     def test_tiny_nonzero_rows_are_kept(self):
         """A row of components 1e-30 has a float32 norm of 0 but is no zero
@@ -642,7 +646,7 @@ class TestEquivalenceWithHitObjects:
 
 # The engine's scoring before one GEMM scored a whole query: one GEMV per
 # query row over a row-major store, as that version's build_bags and
-# query_patches did it.  Over the dim-major store BLAS sums in another
+# query_patches did it.  In a GEMM over the store BLAS sums in another
 # order, which can flip an exact tie the oracle's answer depends on.
 
 
@@ -792,7 +796,7 @@ def store_db(rows: np.ndarray, slide: Sequence[int], subtypes: Sequence[str]) ->
         dim=rows.shape[1],
         slide_ids=[f"s{i}" for i in range(len(subtypes))],
         labels=[SlideLabels("brain", subtype, f"pt-{i}") for i, subtype in enumerate(subtypes)],
-        features=np.asfortranarray(rows),
+        features=np.ascontiguousarray(rows),
         norms=retccl._row_norms(rows.astype(np.float64)),
         slide=np.asarray(slide, dtype=np.int64),
         coords=np.stack([np.arange(len(rows)), np.zeros(len(rows), dtype=int)], axis=1).astype(np.int32),
@@ -873,12 +877,194 @@ class TestAgainstFloat64Oracle:
         vec = np.abs(rng.normal(size=32)) + 1.0
         rows = [scaled(vec, "max"), scaled(-vec, "max"), scaled(vec, 1.0)]
         db = store_db(rows, [0, 0, 1], ["gbm", "lgg"])
-        units, est, _ = retccl._estimates(db, vec[None, :].astype(np.float32))
+        units = retccl._unit_rows(vec[None, :].astype(np.float32))
+        rows, est, _ = retccl._estimates(db, units, np.arange(len(db)))
+        assert rows.tolist() == [0, 1, 2]
         with np.errstate(over="ignore"):
             assert not np.isfinite(units.astype(np.float32) @ db.features[:2].T).any()
         assert est[0, :2].tolist() == retccl._reference(db, np.arange(2), units[0]).tolist()
         (bag,) = build_bags(db, vec[None, :])
         assert sorted(bag.hits.tolist()) == [0, 2] and bag.scores[0] == pytest.approx(1.0)
+
+
+def edge_query(db: RetcclDatabase, s: int, angle: float) -> np.ndarray:
+    """A unit float64 row at ``angle`` beyond the edge of slide ``s``'s cone:
+    in the plane of its direction c and its row v furthest from c, on the far
+    side of c from v, at angle r + ``angle`` from c (r the angle of v to c),
+    so at ``angle`` from v."""
+    c = db.centres[s]
+    units = db.unit_features[db.starts[s]:db.starts[s + 1]]
+    v = units[np.argmin(units @ c)]
+    r = math.acos(min(1.0, float(v @ c)))
+    w = v - (v @ c) * c
+    if not np.linalg.norm(w) > 1e-12:  # v lies along c: any orthogonal direction
+        w = np.roll(c, 1) - (np.roll(c, 1) @ c) * c
+    w /= np.linalg.norm(w)
+    return math.cos(r + angle) * c + math.sin(r + angle) * w
+
+
+@st.composite
+def cone_stores(draw):
+    """(database, query rows, candidate filter, k): slides whose rows spread
+    around one direction each, at assorted magnitudes, and query rows at
+    arccos(threshold) beyond a slide's cone edge, whose edge row scores the
+    threshold itself, next to rows near a slide and random rows."""
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitudes = st.sampled_from(MAGNITUDES)
+    rows, slide, subtypes = [], [], []
+    for i in range(draw(st.integers(1, 5))):
+        subtypes.append(draw(st.sampled_from(SUBTYPES)))
+        axis = rng.normal(size=d)
+        spread = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+        for _ in range(draw(st.integers(1, 6))):
+            rows.append(scaled(axis / np.linalg.norm(axis) + spread * rng.normal(size=d),
+                               draw(magnitudes)))
+            slide.append(i)
+    db = store_db(rows, slide, subtypes)
+    beyond = math.acos(db.params.sim_threshold)
+    query = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.integers(0, len(subtypes) - 1))
+        kind = draw(st.sampled_from(["edge", "edge", "inside", "random"]))
+        if kind == "edge":
+            vec = edge_query(db, s, beyond + draw(st.sampled_from([0.0, 1e-9, -1e-9])))
+        elif kind == "inside":
+            vec = edge_query(db, s, draw(st.floats(-1.0, 1.0)))
+        else:
+            vec = rng.normal(size=d)
+        query.append(scaled(vec, draw(magnitudes)))
+    dropped = draw(st.sets(st.sampled_from(db.slide_ids)))
+    candidate_filter = (lambda sid, lab: sid not in dropped) if dropped else None
+    return db, np.stack(query), candidate_filter, draw(st.integers(1, len(rows) + 2))
+
+
+def clustered_db() -> tuple[RetcclDatabase, np.ndarray]:
+    """Eight slides of 40 rows, each spread about its own direction of
+    R^64, and query rows near slide 3's direction."""
+    rng = np.random.default_rng(17)
+    axes = rng.normal(size=(8, 64))
+    rows = np.concatenate([a + 0.3 * np.linalg.norm(a) / 8 * rng.normal(size=(40, 64)) for a in axes])
+    db = store_db(rows, np.repeat(np.arange(8), 40), SUBTYPES * 2 + SUBTYPES[:2])
+    return db, (axes[3] + 0.5 * rng.normal(size=(5, 64))).astype(np.float32)
+
+
+class TestConePruning:
+    """A slide is screened only where its cone bound reaches the threshold
+    or the floor under the k-th score, and pruning changes no result."""
+
+    @given(cone_stores())
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_queries_match_the_float64_oracle(self, corpus):
+        db, query, candidate_filter, k = corpus
+        new_bags = build_bags(db, query, candidate_filter)
+        old_bags = oracle_build_bags(db, query, candidate_filter)
+        for new, old in zip(new_bags, old_bags, strict=True):
+            assert sorted(new.hits.tolist()) == sorted(old.hits.tolist())
+            assert new.hits[:TOP_HITS].tolist() == old.hits[:TOP_HITS].tolist()
+            assert new.scores.tobytes() == old.scores.tobytes()
+            assert new.entropy.hex() == old.entropy.hex()
+        for row in query[query.any(axis=1)]:
+            patch = PatchFeature(0, 0, row)
+            assert query_patches(db, patch, k, candidate_filter) == oracle_query_patches(
+                db, patch, k, candidate_filter
+            )
+
+    def test_rows_lie_inside_their_cones(self):
+        db, _ = clustered_db()
+        for s in range(len(db)):
+            rows = np.arange(db.starts[s], db.starts[s + 1])
+            assert (retccl._reference(db, rows, db.centres[s]) >= db.cos_radius[s]).all()
+        assert db.cos_radius.min() > 0.5
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_holds_at_the_exact_radius(self, seed, d):
+        """With cos r the least exact cosine of c with a row (taken in long
+        double and rounded down), without the margins of the float32 screen,
+        every query row at the cone's edge still gets a bound at or above
+        each row's reference score."""
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=d)
+        rows = axis + rng.uniform(0.01, 1.0) * np.linalg.norm(axis) * rng.normal(size=(6, d))
+        db = store_db(rows / math.sqrt(d), np.zeros(6, dtype=int), ["gbm"])
+        f = db.features.astype(np.longdouble)
+        c = db.centres[0].astype(np.longdouble)
+        least = ((f @ c) / np.sqrt((f * f).sum(axis=1) * (c @ c))).min()
+        cos_r = np.nextafter(np.nextafter(np.float64(least), -2.0), -2.0)
+        db.cos_radius = np.array([cos_r])
+        db.sin_radius = np.sqrt((1.0 - db.cos_radius) * (1.0 + db.cos_radius))
+        for angle in rng.uniform(0.0, math.pi, size=8):
+            unit = retccl._unit_rows(edge_query(db, 0, angle)[None, :])
+            bound = retccl._cone_bounds(db, unit)[0, 0]
+            assert bound >= retccl._reference(db, np.arange(6), unit[0]).max()
+
+    def test_edge_row_at_the_threshold_is_a_hit(self):
+        rng = np.random.default_rng(5)
+        axis = rng.normal(size=16)
+        rows = axis + 0.3 * np.linalg.norm(axis) / 4 * rng.normal(size=(12, 16))
+        db = store_db(rows, np.zeros(12, dtype=int), ["gbm"])
+        query = edge_query(db, 0, math.acos(0.7) - 1e-6)
+        bound = retccl._cone_bounds(db, query[None, :])[0, 0]
+        assert 0.7 <= bound < 0.7 + 1e-5
+        (bag,) = build_bags(db, query[None, :])
+        scores = reference_scores(db, query)
+        assert len(bag.hits) == 1 and scores[bag.hits[0]] >= 0.7
+
+    def test_fewer_rows_screened_than_stored(self, monkeypatch):
+        db, query = clustered_db()
+        screened = []
+        estimates = retccl._estimates
+
+        def spy(db, units, slides):
+            out = estimates(db, units, slides)
+            screened.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(retccl, "_estimates", spy)
+        bags = build_bags(db, query)
+        assert screened == [40] and sum(len(b.hits) for b in bags) > 0
+        for row in query:
+            screened.clear()
+            result = query_patches(db, PatchFeature(0, 0, row), 10)
+            assert sum(screened) < db.n_patches
+            assert result == oracle_query_patches(db, PatchFeature(0, 0, row), 10)
+        for new, old in zip(bags, oracle_build_bags(db, query), strict=True):
+            assert sorted(new.hits.tolist()) == sorted(old.hits.tolist())
+            assert new.hits[:TOP_HITS].tolist() == old.hits[:TOP_HITS].tolist()
+
+
+class TestPerSlideUnderflowTerm:
+    def test_subnormal_slide_leaves_other_slides_alone(self, recomputed):
+        """One slide of 1e-40 rows widens the screen's bound of its own rows
+        only: the other slides keep their bounds and reference calls."""
+        rng = np.random.default_rng(8)
+        d = 256
+        query = rng.normal(size=d)
+        query /= np.linalg.norm(query)
+        rows = []
+        for delta in rng.uniform(-1e-3, 1e-3, size=60):
+            off = rng.normal(size=d)
+            off -= (off @ query) * query
+            off /= np.linalg.norm(off)
+            cos = 0.7 + delta
+            rows.append(cos * query + math.sqrt(1 - cos * cos) * off)
+        tiny = [scaled(r, 1e-40) for r in rows[:10]]
+        plain = store_db(rows, np.repeat([0, 1], 30), ["gbm", "lgg"])
+        grown = store_db(rows + tiny, np.repeat([0, 1, 2], [30, 30, 10]), ["gbm", "lgg", "luad"])
+        units = retccl._unit_rows(query[None, :])
+        _, _, err = retccl._estimates(plain, units, np.arange(2))
+        _, _, grown_err = retccl._estimates(grown, units, np.arange(3))
+        assert grown_err[0, :60].tolist() == err[0].tolist()
+        assert grown_err[0, 60:].min() > 10 * err[0].max()
+
+        def calls(db):
+            recomputed.clear()
+            build_bags(db, query[None, :])
+            query_patches(db, PatchFeature(0, 0, query), 7)
+            return sorted(j for call in recomputed for j in call if j < 60)
+
+        assert calls(grown) == calls(plain) and len(calls(plain)) < 30
 
 
 @pytest.fixture
@@ -909,7 +1095,7 @@ def near_tie_db() -> tuple[RetcclDatabase, np.ndarray]:
         dim=64,
         slide_ids=slide_ids,
         labels=[SlideLabels("brain", ("gbm", "lgg")[i % 2], f"pt-{i}") for i in range(4)],
-        features=np.asfortranarray(rows),
+        features=np.ascontiguousarray(rows),
         norms=retccl._row_norms(rows.astype(np.float64)),
         slide=np.repeat(np.arange(4), 50),
         coords=np.stack([np.arange(200) % 50, np.zeros(200, dtype=int)], axis=1).astype(np.int32),
