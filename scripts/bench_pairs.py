@@ -14,9 +14,15 @@ least nine tenths of the pairs, the medians differ by more than the base's
 interquartile range, and the change fails no larger share of operations than
 the base.  It also prints whether the change is worse by the mirror rule: the
 base wins at least nine tenths of the pairs and the medians differ by more
-than the change's interquartile range.  Every run lasts BENCHMARK.json's
-``run_seconds``, every workload runs, and both checkouts must hold the same
-benchmark files.  Per workload and seed it also prints whether both sides
+than the change's interquartile range.  Last comes the bound rule, by which
+a change that claims no gain is judged: the change's median as a signed
+percentage of the base's, and ``over`` when the change's median is worse
+than the base's by more than the metric's BENCHMARK.json ``bound`` times
+the base median, ``unresolved`` when either side's interquartile range
+exceeds that amount (unless every change run beats every base run), and
+``ok`` otherwise.  Every run lasts BENCHMARK.json's ``run_seconds``,
+every workload runs, and both checkouts must hold the same benchmark
+files.  Per workload and seed it also prints whether both sides
 gave the same per-engine row digests (the ``digests`` of each run's
 ``info:`` line), naming each engine whose digest differs.  ``--out`` keeps
 every run's result line, with those digests, keyed by workload and side, in
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -96,6 +103,24 @@ def summarise(
     }
 
 
+def bound_verdict(
+    better: str, bound: float, base: list[float], change: list[float]
+) -> tuple[float, str]:
+    """The change's median as a signed percentage of the base's, and the
+    bound rule's verdict: ``over``, ``unresolved`` or ``ok``."""
+    sign = 1.0 if better == "lower" else -1.0
+    b1, b2, b3 = statistics.quantiles(base, n=4, method="inclusive")
+    c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
+    limit = bound * abs(b2)
+    percent = 100.0 * (c2 - b2) / abs(b2) if b2 else math.nan
+    if sign * (c2 - b2) > limit:
+        return percent, "over"
+    beats_all = all(sign * (b - c) > 0 for b in base for c in change)
+    if max(b3 - b1, c3 - c1) > limit and not beats_all:
+        return percent, "unresolved"
+    return percent, "ok"
+
+
 def fmt(value: float) -> str:
     return f"{value:.4g}"
 
@@ -132,22 +157,19 @@ def main() -> int:
               f"{seconds:g} s runs")
         failed = {side: failed_share(results) for side, results in runs.items()}
         print(f"{'metric':<24} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} "
-              f"{'won':>6}  gain  worse")
+              f"{'won':>6}  gain  worse  {'change':>7}  bound")
         for metric in bench["end_to_end"]:
             name = metric["name"]
-            row = summarise(
-                metric["better"],
-                [run["metrics"][name]["value"] for run in runs["base"]],
-                [run["metrics"][name]["value"] for run in runs["change"]],
-                failed["base"],
-                failed["change"],
-            )
+            base = [run["metrics"][name]["value"] for run in runs["base"]]
+            change = [run["metrics"][name]["value"] for run in runs["change"]]
+            row = summarise(metric["better"], base, change, failed["base"], failed["change"])
+            percent, verdict = bound_verdict(metric["better"], metric["bound"], base, change)
             b1, b2, b3 = row["base"]
             c1, c2, c3 = row["change"]
             print(f"{name:<24} {f'{fmt(b2)} [{fmt(b1)}, {fmt(b3)}]':<30} "
                   f"{f'{fmt(c2)} [{fmt(c1)}, {fmt(c3)}]':<30} "
                   f"{row['wins']:>3}/{row['pairs']:<2}  {'yes' if row['gain'] else 'no':<4}  "
-                  f"{'yes' if row['worse'] else 'no'}")
+                  f"{'yes' if row['worse'] else 'no':<5}  {percent:>+6.1f}%  {verdict}")
         for i, (base, change) in enumerate(zip(runs["base"], runs["change"])):
             differ = differing_engines(base["digests"], change["digests"])
             print(f"seed {args.seed + i} row digests: "

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +57,8 @@ COARSE_DIGIT_UNIT = 256**5
 INDEX_BITS = 48
 INDEX_MAX = 2**INDEX_BITS - 1
 N_DIGITS = 6
+#: place value of each digit, coarsest first
+DIGIT_WEIGHTS = 256 ** np.arange(N_DIGITS - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,6 @@ class SishParams:
         if self.probe_budget < 1:
             raise ValidationError("probe_budget must be >= 1")
         check_mosaic_params(self.k_primary, self.fraction, self.histogram_bins)
-
-
-class SishProbe(NamedTuple):
-    """One query patch: its integer index and packed barcode."""
-
-    index: int
-    code: np.ndarray  # (ceil(L / 8),) uint8
 
 
 @dataclass
@@ -103,53 +98,44 @@ class SishDatabase(SlideTable):
     freq: np.ndarray  # (T,) float64, database frequency of each slide's subtype
 
 
-def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int | np.ndarray:
-    """Map a feature vector to a 48-bit integer index.
+def index_encode(features: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map each row of a (m, dim) feature matrix to a 48-bit int64 index.
 
     Components quantize to 0..255 against the database-wide ranges (values
-    outside clip; flat components read as 0).  The byte vector is padded by
+    outside clip; flat components read as 0).  Each byte row is padded by
     cyclic repetition to a multiple of 6 (at dim 2 the repetition only
     reaches 4 columns) and pooled over the whole, the two halves, and the
     three thirds; the six rounded means are the base-256 digits of the
-    index, coarsest first.  A (m, dim) matrix gives one int64 index per row;
-    the pooled sums are of integers, so exact, and each row's index is the
-    one its 1-D call returns.  Needs dim >= 2, so that every third is
-    non-empty.
+    index, coarsest first.  Each pooled sum is the difference of two
+    entries of the row's prefix sum, exact because every partial sum is an
+    integer below 2**53, so each mean is the one ``.mean()`` gives.  Needs
+    dim >= 2, so that every third is non-empty.
     """
-    f = np.asarray(features, dtype=np.float64)
+    rows = np.asarray(features, dtype=np.float64)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    if f.ndim not in (1, 2) or f.shape[-1:] != lo.shape or lo.shape != hi.shape:
+    if rows.ndim != 2 or rows.shape[1:] != lo.shape or lo.shape != hi.shape:
         raise DimensionError(
-            f"feature shape {f.shape} does not match range shapes {lo.shape}/{hi.shape}"
+            f"feature shape {rows.shape} does not match range shapes {lo.shape}/{hi.shape}"
         )
-    if f.shape[-1] < 2:
-        raise DimensionError(f"index coding needs feature dimension >= 2, got {f.shape[-1]}")
+    dim = rows.shape[1]
+    if dim < 2:
+        raise DimensionError(f"index coding needs feature dimension >= 2, got {dim}")
     span = hi - lo
     live = span > 0
     if not live.any():
         raise DegenerateFeatureError("every component range is flat; index undefined")
-    rows = np.atleast_2d(f)
-    q = np.zeros(rows.shape, dtype=np.float64)
-    q[:, live] = np.clip(np.rint(255.0 * (rows[:, live] - lo[live]) / span[live]), 0, 255)
+    q = np.divide(255.0 * (rows - lo), span, out=np.zeros(rows.shape), where=live)
+    np.clip(np.rint(q, out=q), 0, 255, out=q)
 
-    if q.shape[1] % N_DIGITS:
-        pad = N_DIGITS - q.shape[1] % N_DIGITS
-        q = np.concatenate([q, q[:, :pad]], axis=1)
-    half = q.shape[1] // 2
-    third = q.shape[1] // 3
-    pools = (
-        q.mean(axis=1),
-        q[:, :half].mean(axis=1),
-        q[:, half:].mean(axis=1),
-        q[:, :third].mean(axis=1),
-        q[:, third : 2 * third].mean(axis=1),
-        q[:, 2 * third :].mean(axis=1),
-    )
-    index = np.zeros(rows.shape[0], dtype=np.int64)
-    for value in pools:
-        index = (index << 8) | np.clip(np.rint(value), 0, 255).astype(np.int64)
-    return int(index[0]) if f.ndim == 1 else index
+    width = dim + min(-dim % N_DIGITS, dim)
+    sums = np.zeros((len(q), width + 1))
+    np.cumsum(q[:, np.arange(width) % dim], axis=1, out=sums[:, 1:])
+    half, third = width // 2, width // 3
+    start = np.array([0, 0, half, 0, third, 2 * third])
+    end = np.array([width, half, width, third, 2 * third, width])
+    pooled = (sums[:, end] - sums[:, start]) / (end - start)
+    return np.rint(pooled).astype(np.int64) @ DIGIT_WEIGHTS
 
 
 def _mosaic_rows(mosaic: Mosaic) -> tuple[np.ndarray, np.ndarray]:
@@ -164,10 +150,10 @@ def _query_rows(slide: SlideRecord, params: SishParams) -> tuple[np.ndarray, np.
     return _mosaic_rows(histogram_mosaics([slide], params)[0])
 
 
-def _probes(db: SishDatabase, features: np.ndarray) -> list[SishProbe]:
-    """Integer index plus barcode of each feature row, under the database's ranges."""
-    indices = index_encode(features, db.lo, db.hi).tolist()
-    return [SishProbe(index, code) for index, code in zip(indices, binarize_barcode(features))]
+def _probes(db: SishDatabase, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m,) int64 integer indices and (m, ceil(L / 8)) uint8 packed barcodes
+    of (m, dim) feature rows, under the database's ranges."""
+    return index_encode(features, db.lo, db.hi), binarize_barcode(features)
 
 
 def build_database(slides: Sequence[SlideRecord], params: SishParams | None = None) -> SishDatabase:
@@ -207,8 +193,9 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     )
 
 
-def prepare_query(db: SishDatabase, slide: SlideRecord) -> list[SishProbe]:
-    """One probe per mosaic patch of a query slide, under the database's frozen ranges."""
+def prepare_query(db: SishDatabase, slide: SlideRecord) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, codes) of a query slide's mosaic patches, one row each,
+    under the database's frozen ranges."""
     check_query_dim(db, slide)
     return _probes(db, _query_rows(slide, db.params)[1])
 
@@ -262,10 +249,11 @@ def visited_ranges(
 
 
 def guided_search(
-    db: SishDatabase, query: SishProbe, kept: np.ndarray | None = None
+    db: SishDatabase, index: int, code: np.ndarray, kept: np.ndarray | None = None
 ) -> np.ndarray:
-    """Walk the keys outward from the query index (``visited_ranges``) for
-    db.params.probe_budget probes, keep near-in-Hamming hits.
+    """Walk the keys outward from one query patch's ``index``
+    (``visited_ranges``) for db.params.probe_budget probes, keep the hits
+    near its packed barcode ``code`` in Hamming distance.
 
     Results are one (n, 2) int64 array of (row, hamming) pairs: the rows of
     kept slides (``kept`` is a per-slide mask, None keeps all) within
@@ -277,7 +265,7 @@ def guided_search(
     """
     # the seeds' walkers overlap: merged ranges give each row once, in row order
     merged: list[list[int]] = []
-    ranges = visited_ranges(db.keys, query.index, db.params.seed_offset, db.params.probe_budget)
+    ranges = visited_ranges(db.keys, index, db.params.seed_offset, db.params.probe_budget)
     for a, b in sorted(ranges):
         if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
@@ -286,7 +274,7 @@ def guided_search(
     rows = np.concatenate([np.arange(db.starts[a], db.starts[b]) for a, b in merged])
     if kept is not None:
         rows = rows[kept[db.slide[rows]]]
-    hams = hamming_matrix(query.code[None, :], db.codes[rows])[0]
+    hams = hamming_matrix(code[None, :], db.codes[rows])[0]
     near = hams <= db.params.hamming_threshold
     rows, hams = rows[near], hams[near]
     order = np.argsort(hams * len(db.slide) + db.rank[rows])
@@ -328,20 +316,21 @@ def rank_slides(
 
 def query_slides(
     db: SishDatabase,
-    query: SlideRecord | Sequence[SishProbe],
+    query: SlideRecord | tuple[np.ndarray, np.ndarray],
     k: int,
     candidate_filter: CandidateFilter | None = None,
 ) -> RetrievalResult:
     check_k(k)
-    probes = prepare_query(db, query) if isinstance(query, SlideRecord) else list(query)
-    if not probes:
-        raise EmptyInputError("query has no mosaic patches")
-    shapes = {np.shape(probe.code) for probe in probes}
-    if len(shapes) > 1:
-        raise DimensionError(f"prepared query codes differ in shape: {sorted(shapes)}")
-    check_query_rows(np.stack([probe.code for probe in probes]), db.codes.shape[1])
+    indices, codes = prepare_query(db, query) if isinstance(query, SlideRecord) else query
+    check_query_rows(codes, db.codes.shape[1])
+    if indices.shape != codes.shape[:1]:
+        raise DimensionError(f"prepared query has {indices.shape} indices for {len(codes)} codes")
+    if codes.dtype != np.uint8 or not np.issubdtype(indices.dtype, np.integer):
+        raise ValidationError(f"prepared query needs uint8 codes and integer indices, "
+                              f"got {codes.dtype} and {indices.dtype}")
     kept = db.kept(candidate_filter)
-    return rank_slides([guided_search(db, probe, kept=kept) for probe in probes], db, k)
+    hits = [guided_search(db, index, code, kept) for index, code in zip(indices.tolist(), codes)]
+    return rank_slides(hits, db, k)
 
 
 def query_patches(
@@ -353,8 +342,8 @@ def query_patches(
     """Top-k patches by guided search from one query patch; may come up short."""
     check_k(k)
     check_query_dim(db, patch)
-    (probe,) = _probes(db, patch.feature[None, :])
-    hits = guided_search(db, probe, kept=db.kept(candidate_filter))
+    (index,), (code,) = _probes(db, patch.feature[None, :])
+    hits = guided_search(db, int(index), code, db.kept(candidate_filter))
     return ranked_patches(db, hits[:, 0], hits[:, 1], k, "hamming")
 
 

@@ -299,7 +299,7 @@ def test_criterion_06_threshold_contracts():
     sdb = sish.build_database(ramp_slides, sish.SishParams(seed=6))
     assert not sdb.unprocessed
     near_q = make_slide("nq", base + rng.normal(0.0, 1e-3, (12, dim)))
-    results = [sish.guided_search(sdb, e) for e in sish.prepare_query(sdb, near_q)]
+    results = [sish.guided_search(sdb, *q) for q in zip(*sish.prepare_query(sdb, near_q))]
     assert any(len(r) for r in results)
     for per_patch in results:
         for _, ham in per_patch:
@@ -307,8 +307,8 @@ def test_criterion_06_threshold_contracts():
 
     # descending ramp flips every barcode bit: 511 > 128, so nothing returns
     far_q = make_slide("fq", base[::-1] + rng.normal(0.0, 1e-3, (12, dim)))
-    for entry in sish.prepare_query(sdb, far_q):
-        assert len(sish.guided_search(sdb, entry)) == 0
+    for q in zip(*sish.prepare_query(sdb, far_q)):
+        assert len(sish.guided_search(sdb, *q)) == 0
     assert sish.query_slides(sdb, far_q, k=5).entries == ()
 
     assert time.perf_counter() - t0 < 10.0

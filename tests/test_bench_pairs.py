@@ -77,3 +77,30 @@ def test_differing_engines_names_each_engine_whose_rows_differ():
         "hshr",
     ]
     assert bench_pairs.differing_engines({}, {"retccl": "b"}) == ["retccl"]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_bound_rule_flags_a_median_worse_by_more_than_the_bound(better):
+    base = [10.0, 10.1, 10.2, 10.3, 10.4]  # median 10.2, interquartile range 0.2
+    worse = 1.0 if better == "lower" else -1.0
+    # 20% worse against a 25% bound is ok; 30% worse is over
+    percent, verdict = bench_pairs.bound_verdict(better, 0.25, base, [b + worse * 2.04 for b in base])
+    assert verdict == "ok" and percent == pytest.approx(20.0 * worse)
+    percent, verdict = bench_pairs.bound_verdict(better, 0.25, base, [b + worse * 3.06 for b in base])
+    assert verdict == "over" and percent == pytest.approx(30.0 * worse)
+    # better by any amount is never over
+    assert bench_pairs.bound_verdict(better, 0.25, base, [b - worse * 5.0 for b in base])[1] == "ok"
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_bound_rule_cannot_resolve_a_spread_wider_than_the_bound(better):
+    tight = [10.0, 10.1, 10.2, 10.3, 10.4]  # a 25% bound allows 2.55
+    wide = [6.0, 8.0, 10.0, 13.0, 16.0]  # interquartile range 5
+    assert bench_pairs.bound_verdict(better, 0.25, tight, tight)[1] == "ok"
+    assert bench_pairs.bound_verdict(better, 0.25, tight, wide)[1] == "unresolved"
+    assert bench_pairs.bound_verdict(better, 0.25, wide, tight)[1] == "unresolved"
+    # unless every change run beats every base run
+    ahead = -1.0 if better == "lower" else 1.0
+    spread = [10.2 + ahead * (1.0 + 2.0 * i) for i in range(5)]  # interquartile range 4
+    assert bench_pairs.bound_verdict(better, 0.25, tight, spread)[1] == "ok"
+    assert bench_pairs.bound_verdict(better, 0.25, tight, spread[:4] + [10.2])[1] == "unresolved"

@@ -5,6 +5,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -998,6 +999,45 @@ class TestConePruning:
             unit = retccl._unit_rows(edge_query(db, 0, angle)[None, :])
             bound = retccl._cone_bounds(db, unit)[0, 0]
             assert bound >= retccl._reference(db, np.arange(6), unit[0]).max()
+
+    def test_bound_holds_opposite_the_cone_at_the_exact_radius(self):
+        """The slack on u . c: with c = e1 and the query row u = (-1, 1e-9),
+        u . c is -1 exactly, while the exact cosine of u and c is
+        -1 + 5e-19, so the angle it gives is off by 1e-9 where the bound is
+        steepest in it.  Without the slack the bound falls 1e-9 below the
+        score of the edge row nearest u, and the bag at that score is empty."""
+        rows = np.array([[8.0, 0.0], [-1.0, 4.0], [-1.0, -4.0]])  # w * 4 is exact, so c = e1
+        db = store_db(rows, np.zeros(3, dtype=int), ["gbm"])
+        assert db.centres[0].tolist() == [1.0, 0.0]
+        cos_r = np.nextafter(np.float64(-1 / np.sqrt(np.longdouble(17))), -2.0)
+        db.cos_radius = np.array([cos_r])
+        db.sin_radius = np.sqrt((1.0 - db.cos_radius) * (1.0 + db.cos_radius))
+        query = np.array([[-1.0, 1e-9]])
+        unit = retccl._unit_rows(query)
+        score = retccl._reference(db, np.array([1]), unit[0])[0]
+        assert (unit @ db.centres.T).tolist() == [[-1.0]]
+        assert retccl._cone_bounds(db, unit)[0, 0] >= score
+        db.params = RetcclParams(sim_threshold=float(score))
+        (bag,) = build_bags(db, query)
+        assert bag.hits.tolist() == [1]
+
+    def test_cos_radius_holds_below_the_exact_cosine(self, monkeypatch):
+        """The e in ``_cones``' cos r: for rows (a, +-2^j) c is e1 exactly
+        and the screen a / norm is exact, so its bound may be taken as 0.
+        The float64 score can then round above the exact cosine
+        a / sqrt(a^2 + 4^j); cos r must not."""
+        monkeypatch.setattr(retccl, "_query_err", lambda units: np.zeros(len(units)))
+        monkeypatch.setattr(retccl, "_slide_err", lambda d, min_norm: np.zeros_like(min_norm))
+        pairs = [(5, 1), (8, 1), (22, 1), (7, 1), (3, 2)]
+        rows = [[a, sign * b] for a, b in pairs for sign in (1, -1)]
+        db = store_db(rows, np.repeat(np.arange(len(pairs)), 2), ["gbm"] * len(pairs))
+        assert db.centres.tolist() == [[1.0, 0.0]] * len(pairs)
+        above = 0
+        for (a, b), cos_r, norm in zip(pairs, db.cos_radius, db.norms[::2]):
+            exact_squared = Fraction(a * a, a * a + b * b)
+            above += Fraction(a / norm) ** 2 > exact_squared
+            assert cos_r > 0 and Fraction(float(cos_r)) ** 2 <= exact_squared
+        assert above >= 3  # scores that round above the exact cosine
 
     def test_edge_row_at_the_threshold_is_a_hit(self):
         rng = np.random.default_rng(5)

@@ -17,7 +17,6 @@ from wsisearch.sish import (
     INDEX_MAX,
     SishDatabase,
     SishParams,
-    SishProbe,
     build_database,
     guided_search,
     index_encode,
@@ -74,8 +73,9 @@ def row_of(db: SishDatabase, slide_id: str) -> int:
     return int(np.flatnonzero(db.slide == db.slide_ids.index(slide_id))[0])
 
 
-def probe(index: int, bits: str = "00000") -> SishProbe:
-    return SishProbe(index, packed(bits))
+def probe(index: int, bits: str = "00000") -> tuple[int, np.ndarray]:
+    """(index, code) of one query patch, the arguments ``guided_search`` takes."""
+    return index, packed(bits)
 
 
 def hit_rows(*pairs: tuple[int, int]) -> np.ndarray:
@@ -134,7 +134,7 @@ def tree_walk(tree: VebTree, m: int, c: int, budget: int) -> list[int]:
     return hit_indices
 
 
-def tree_guided_search(db: SishDatabase, query: SishProbe, candidate_filter=None):
+def tree_guided_search(db: SishDatabase, index: int, code: np.ndarray, candidate_filter=None):
     """Guided search as it ran over a tree and per-key buckets of entries,
     on this database's rows: the reference for ``guided_search``."""
     budget = db.params.probe_budget
@@ -143,7 +143,7 @@ def tree_guided_search(db: SishDatabase, query: SishProbe, candidate_filter=None
     for key, start, stop in zip(db.keys.tolist(), db.starts[:-1].tolist(), db.starts[1:].tolist()):
         tree.insert(key)
         buckets[key] = list(range(start, stop))
-    hit_indices = tree_walk(tree, query.index, db.params.seed_offset, budget)
+    hit_indices = tree_walk(tree, index, db.params.seed_offset, budget)
     candidates = [
         row
         for idx in hit_indices
@@ -153,7 +153,7 @@ def tree_guided_search(db: SishDatabase, query: SishProbe, candidate_filter=None
     ]
     if not candidates:
         return []
-    hams = hamming_matrix(query.code[None, :], np.stack([db.codes[r] for r in candidates]))[0]
+    hams = hamming_matrix(code[None, :], np.stack([db.codes[r] for r in candidates]))[0]
     results = [
         (row, int(ham)) for row, ham in zip(candidates, hams) if ham <= db.params.hamming_threshold
     ]
@@ -161,15 +161,15 @@ def tree_guided_search(db: SishDatabase, query: SishProbe, candidate_filter=None
     return results
 
 
-def sort_guided_search(db: SishDatabase, query: SishProbe, kept=None):
+def sort_guided_search(db: SishDatabase, index: int, code: np.ndarray, kept=None):
     """Guided search as it ran with a sorted union of the visited rows and a
     3-key lexsort: the reference for the merged ranges and one order key."""
     budget = db.params.probe_budget
-    ranges = visited_ranges(db.keys, query.index, db.params.seed_offset, budget)
+    ranges = visited_ranges(db.keys, index, db.params.seed_offset, budget)
     rows = np.unique(np.concatenate([np.arange(db.starts[a], db.starts[b]) for a, b in ranges]))
     if kept is not None:
         rows = rows[kept[db.slide[rows]]]
-    hams = hamming_matrix(query.code[None, :], db.codes[rows])[0]
+    hams = hamming_matrix(code[None, :], db.codes[rows])[0]
     near = hams <= db.params.hamming_threshold
     rows, hams = rows[near], hams[near]
     order = np.lexsort((db.rank[rows], db.slide[rows], hams))
@@ -208,39 +208,92 @@ def column_db(index, slide, codes, code_length: int, params: SishParams) -> Sish
     )
 
 
+def pooled_mean_index_encode(features, lo, hi):
+    """The index as six sliced ``.mean()`` pools and a digit loop, for one
+    feature vector or a (m, dim) matrix: the reference for ``index_encode``."""
+    f = np.asarray(features, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    span = hi - lo
+    live = span > 0
+    rows = np.atleast_2d(f)
+    q = np.zeros(rows.shape, dtype=np.float64)
+    q[:, live] = np.clip(np.rint(255.0 * (rows[:, live] - lo[live]) / span[live]), 0, 255)
+    if q.shape[1] % 6:
+        pad = 6 - q.shape[1] % 6
+        q = np.concatenate([q, q[:, :pad]], axis=1)
+    half = q.shape[1] // 2
+    third = q.shape[1] // 3
+    pools = (
+        q.mean(axis=1),
+        q[:, :half].mean(axis=1),
+        q[:, half:].mean(axis=1),
+        q[:, :third].mean(axis=1),
+        q[:, third : 2 * third].mean(axis=1),
+        q[:, 2 * third :].mean(axis=1),
+    )
+    index = np.zeros(rows.shape[0], dtype=np.int64)
+    for value in pools:
+        index = (index << 8) | np.clip(np.rint(value), 0, 255).astype(np.int64)
+    return int(index[0]) if f.ndim == 1 else index
+
+
+@st.composite
+def encodings(draw):
+    """(features, lo, hi) with some components flat, features partly
+    outside the ranges, and some on quantization half-steps, where rint
+    rounds half to even; one feature vector or a matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.one_of(st.integers(2, 69), st.sampled_from([64, 256, 512, 1024])))
+    m = draw(st.sampled_from([None, 1, 2, 10]))
+    lo = rng.normal(size=dim)
+    hi = lo + rng.uniform(0.0, 3.0, dim) * (rng.random(dim) < draw(st.sampled_from([0.2, 0.8, 1.0])))
+    live = rng.integers(dim)
+    hi[live] = lo[live] + 1.0  # at least one component is not flat
+    shape = (dim,) if m is None else (m, dim)
+    feats = lo + (hi - lo) * rng.uniform(-0.2, 1.2, shape)
+    if draw(st.booleans()):
+        # components on whole and half steps of 1/255 of their range
+        steps = rng.integers(0, 256, shape) + 0.5 * rng.integers(0, 2, shape)
+        feats = lo + (hi - lo) * steps / 255.0
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return feats.astype(dtype), lo, hi
+
+
 class TestIndexEncode:
     def test_all_min_is_zero(self):
-        assert index_encode(np.zeros(6), np.zeros(6), np.ones(6)) == 0
+        assert index_encode(np.zeros((1, 6)), np.zeros(6), np.ones(6)).tolist() == [0]
 
     def test_all_max_saturates(self):
-        assert index_encode(np.ones(6), np.zeros(6), np.ones(6)) == 2**48 - 1
+        assert index_encode(np.ones((1, 6)), np.zeros(6), np.ones(6)).tolist() == [2**48 - 1]
 
     def test_fits_universe(self):
         rng = np.random.default_rng(2)
         lo, hi = -np.ones(31), np.ones(31)
-        for _ in range(50):
-            idx = index_encode(rng.uniform(-1, 1, size=31), lo, hi)
-            assert 0 <= idx < 2**48
+        idx = index_encode(rng.uniform(-1, 1, size=(50, 31)), lo, hi)
+        assert idx.dtype == np.int64
+        assert ((0 <= idx) & (idx < 2**48)).all()
 
     def test_equal_after_quantization_means_equal_index(self):
         # components sitting inside the same rounding cell share an index
         lo, hi = np.zeros(12), np.full(12, 255.0)
         base = np.arange(12, dtype=float) * 3.0
-        assert index_encode(base + 0.2, lo, hi) == index_encode(base + 0.3, lo, hi)
+        idx = index_encode(np.stack([base + 0.2, base + 0.3]), lo, hi)
+        assert idx[0] == idx[1]
 
     def test_out_of_range_values_clip(self):
         lo, hi = np.zeros(6), np.ones(6)
-        assert index_encode(np.full(6, 99.0), lo, hi) == 2**48 - 1
-        assert index_encode(np.full(6, -99.0), lo, hi) == 0
+        idx = index_encode(np.stack([np.full(6, 99.0), np.full(6, -99.0)]), lo, hi)
+        assert idx.tolist() == [2**48 - 1, 0]
 
     def test_all_flat_ranges_degenerate(self):
         with pytest.raises(DegenerateFeatureError):
-            index_encode(np.ones(6), np.ones(6), np.ones(6))
+            index_encode(np.ones((1, 6)), np.ones(6), np.ones(6))
 
     def test_pads_non_multiple_of_six(self):
         lo, hi = np.zeros(7), np.ones(7)
-        idx = index_encode(np.linspace(0, 1, 7), lo, hi)
-        assert 0 <= idx < 2**48
+        idx = index_encode(np.linspace(0, 1, 7)[None, :], lo, hi)
+        assert 0 <= idx[0] < 2**48
 
     @given(st.integers(1, 40), st.integers(2, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -254,17 +307,38 @@ class TestIndexEncode:
         feats = (rng.normal(size=(m, dim)) * 2.0).astype(np.float32)
         got = index_encode(feats, lo, hi)
         assert got.shape == (m,)
-        assert got.tolist() == [index_encode(row, lo, hi) for row in feats]
+        assert got.tolist() == [index_encode(row[None, :], lo, hi)[0] for row in feats]
+
+    @given(encodings())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_sum_pools_match_the_pooled_means(self, case):
+        feats, lo, hi = case
+        want = pooled_mean_index_encode(feats, lo, hi)
+        got = index_encode(np.atleast_2d(feats), lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.atleast_1d(want).tolist()
+
+    def test_dim_two_pools_its_four_padded_columns(self):
+        # padded bytes (255, 0, 255, 0): whole 127.5 -> 128 (half to even),
+        # halves 127.5 -> 128 each, thirds 255, 0 and 127.5 -> 128
+        idx = index_encode(np.array([[1.0, 0.0]]), np.zeros(2), np.ones(2))
+        assert idx.tolist() == [int.from_bytes(bytes([128, 128, 128, 255, 0, 128]), "big")]
+        assert idx.tolist() == [pooled_mean_index_encode(np.array([1.0, 0.0]), np.zeros(2), np.ones(2))]
 
     def test_dim_one_rejected(self):
         # one column cannot fill three thirds; the pooled digit would be NaN
-        for feats in (np.zeros(1), np.zeros((3, 1))):
+        for feats in (np.zeros((1, 1)), np.zeros((3, 1))):
             with pytest.raises(DimensionError):
                 index_encode(feats, np.zeros(1), np.ones(1))
 
     def test_matrix_width_must_match_ranges(self):
         with pytest.raises(DimensionError):
             index_encode(np.zeros((3, 5)), np.zeros(6), np.ones(6))
+
+    def test_vector_rejected(self):
+        # a single feature vector is a (1, dim) matrix
+        with pytest.raises(DimensionError):
+            index_encode(np.zeros(6), np.zeros(6), np.ones(6))
 
 
 class TestGuidedSearch:
@@ -273,28 +347,28 @@ class TestGuidedSearch:
         query = probe(101)
         # 3 member probes + succ(101) + pred(101) + one dead walker probe
         db.params = dataclasses.replace(db.params, probe_budget=6)
-        hits = guided_search(db, query)
+        hits = guided_search(db, *query)
         assert {db.slide_ids[db.slide[r]] for r, _ in hits} == {"near-lo", "near-hi"}
         # two more probes let the far seed's predecessor reach 200
         db.params = dataclasses.replace(db.params, probe_budget=8)
-        hits = guided_search(db, query)
+        hits = guided_search(db, *query)
         assert {db.slide_ids[db.slide[r]] for r, _ in hits} == {"near-lo", "near-hi", "far"}
 
     def test_exact_match_found_with_hamming_zero(self):
         db = handmade_db({500: [("target", "x")], 900: [("other", "x")]})
         db.codes[row_of(db, "other")] = packed("01100")
-        hits = guided_search(db, probe(500))
+        hits = guided_search(db, *probe(500))
         assert db.slide_ids[db.slide[hits[0][0]]] == "target"
         assert hits[0][1] == 0
 
     def test_threshold_excludes_distant_codes(self):
         db = handmade_db({500: [("a", "x")]}, code_bits="0" * 200)
-        assert pairs(guided_search(db, probe(500, "1" * 200))) == []
+        assert pairs(guided_search(db, *probe(500, "1" * 200))) == []
 
     def test_results_ascend_in_hamming(self):
         db = handmade_db({10: [("a", "x")], 11: [("b", "x")]}, code_bits="0000")
         db.codes[row_of(db, "b")] = packed("0011")
-        hams = [h for _, h in guided_search(db, probe(10, "0001"))]
+        hams = [h for _, h in guided_search(db, *probe(10, "0001"))]
         assert hams == sorted(hams)
 
     def test_budget_validated(self):
@@ -308,7 +382,7 @@ class TestGuidedSearch:
     def test_kept_mask_drops_rows_of_excluded_slides(self):
         db = handmade_db({10: [("a", "x"), ("b", "x")], 12: [("c", "x")]})
         kept = np.array([sid != "b" for sid in db.slide_ids])
-        hits = guided_search(db, probe(10), kept=kept)
+        hits = guided_search(db, *probe(10), kept=kept)
         assert [db.slide_ids[db.slide[r]] for r, _ in hits] == ["a", "c"]
 
 
@@ -336,7 +410,7 @@ def walks(draw):
 
 @st.composite
 def searches(draw):
-    """(database, probe, budget, kept) where few keys carry many rows, a few
+    """(database, (index, code), budget, kept) where few keys carry many rows, a few
     distinct codes make Hamming ties within and across slides, and a small
     seed offset makes the three seeds' walkers overlap."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -369,7 +443,7 @@ def searches(draw):
         kept = np.zeros(len(db), dtype=bool)
     elif kept == "some":
         kept = rng.random(len(db)) < 0.5
-    return db, SishProbe(query_index, np.packbits(query_bits)), budget, kept
+    return db, (query_index, np.packbits(query_bits)), budget, kept
 
 
 class TestArrayWalk:
@@ -379,8 +453,8 @@ class TestArrayWalk:
         db, query, budget, kept = search
         assert_rank_is_slide_order(db)
         db.params = dataclasses.replace(db.params, probe_budget=budget)
-        got = guided_search(db, query, kept=kept)
-        want = sort_guided_search(db, query, kept=kept)
+        got = guided_search(db, *query, kept=kept)
+        want = sort_guided_search(db, *query, kept=kept)
         assert got.dtype == want.dtype == np.int64
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -399,11 +473,11 @@ class TestArrayWalk:
         params = SishParams(hamming_threshold=code_length, seed_offset=1)
         db = column_db(rng.integers(0, 4, len(slide)), slide, np.packbits(bits, axis=1),
                        code_length, params)
-        query = SishProbe(1, np.packbits(np.ones(code_length, dtype=bool)))
-        got = guided_search(db, query)
+        query = (1, np.packbits(np.ones(code_length, dtype=bool)))
+        got = guided_search(db, *query)
         assert len(got) == len(slide)
         assert set(got[:, 1].tolist()) == {code_length - 1, code_length}
-        assert np.array_equal(got, sort_guided_search(db, query))
+        assert np.array_equal(got, sort_guided_search(db, *query))
         top = code_length * len(slide) + db.rank.max()
         assert top < (code_length + 1) * len(slide) <= 9 * db.codes.nbytes
 
@@ -425,10 +499,10 @@ class TestArrayWalk:
         monkeypatch.setattr(db, "params", dataclasses.replace(db.params, probe_budget=budget))
         lung = np.array([lab.site == "lung" for lab in db.labels])
         for slide in slides[::3]:
-            for q in prepare_query(db, slide):
-                assert pairs(guided_search(db, q)) == tree_guided_search(db, q)
-                assert pairs(guided_search(db, q, kept=lung)) == tree_guided_search(
-                    db, q, candidate_filter=lambda sid, lab: lab.site == "lung"
+            for q in zip(*prepare_query(db, slide)):
+                assert pairs(guided_search(db, *q)) == tree_guided_search(db, *q)
+                assert pairs(guided_search(db, *q, kept=lung)) == tree_guided_search(
+                    db, *q, candidate_filter=lambda sid, lab: lab.site == "lung"
                 )
 
     def test_build_is_independent_of_slide_order(self, corpus_db):
@@ -504,29 +578,47 @@ class TestEndToEnd:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_prepared_query_rejected(self, corpus_db, bad):
         slides, db = corpus_db
-        probes = prepare_query(db, slides[0])
-        code = probes[-1].code.astype(np.float64)
-        code[0] = bad
+        indices, codes = prepare_query(db, slides[0])
+        codes = codes.astype(np.float64)
+        codes[-1, 0] = bad
         with pytest.raises(ValidationError):
-            query_slides(db, [*probes[:-1], SishProbe(probes[-1].index, code)], k=3)
+            query_slides(db, (indices, codes), k=3)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     def test_prepared_codes_must_be_uint8(self, corpus_db, dtype):
         slides, db = corpus_db
-        probes = [SishProbe(p.index, p.code.astype(dtype)) for p in prepare_query(db, slides[0])]
+        indices, codes = prepare_query(db, slides[0])
         with pytest.raises(ValidationError):
-            query_slides(db, probes, k=3)
+            query_slides(db, (indices, codes.astype(dtype)), k=3)
 
     @pytest.mark.parametrize("where", ["middle", "every"])
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_width_code_rejected(self, corpus_db, where, extra):
+        # "middle": a query of the middle patch alone; "every": all patches
         slides, db = corpus_db
-        probes = prepare_query(db, slides[0])
-        bad = range(len(probes)) if where == "every" else [len(probes) // 2]
-        for i in bad:
-            probes[i] = SishProbe(probes[i].index, np.zeros(db.codes.shape[1] + extra, np.uint8))
+        indices, _ = prepare_query(db, slides[0])
+        if where == "middle":
+            indices = indices[len(indices) // 2 :][:1]
+        codes = np.zeros((len(indices), db.codes.shape[1] + extra), np.uint8)
         with pytest.raises(DimensionError):
-            query_slides(db, probes, k=3)
+            query_slides(db, (indices, codes), k=3)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_index_count_must_match_code_rows(self, corpus_db, extra):
+        slides, db = corpus_db
+        indices, codes = prepare_query(db, slides[0])
+        indices = np.resize(indices, len(indices) + extra)
+        with pytest.raises(DimensionError):
+            query_slides(db, (indices, codes), k=3)
+        with pytest.raises(DimensionError):
+            query_slides(db, (indices[:len(codes)][:, None], codes), k=3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_indices_must_be_integers(self, corpus_db, dtype):
+        slides, db = corpus_db
+        indices, codes = prepare_query(db, slides[0])
+        with pytest.raises(ValidationError):
+            query_slides(db, (indices.astype(dtype), codes), k=3)
 
     def test_build_freezes_ranges(self, corpus_db):
         slides, db = corpus_db
@@ -577,9 +669,9 @@ class TestEndToEnd:
 
     def test_prepare_query_entries_have_codes(self, corpus_db):
         slides, db = corpus_db
-        entries = prepare_query(db, slides[1])
-        assert entries
-        for e in entries:
-            assert e.code.dtype == np.uint8
-            assert e.code.shape == (-(-db.code_length // 8),)
-            assert 0 <= e.index < 2**48
+        indices, codes = prepare_query(db, slides[1])
+        assert len(indices) > 0
+        assert indices.dtype == np.int64 and indices.shape == (len(codes),)
+        assert codes.dtype == np.uint8
+        assert codes.shape == (len(indices), -(-db.code_length // 8))
+        assert ((0 <= indices) & (indices < 2**48)).all()
