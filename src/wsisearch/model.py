@@ -327,33 +327,19 @@ def ranked_patches(db, rows: np.ndarray, scores: np.ndarray, k: int, kind: str) 
     return ranked_result(hits, k, kind)
 
 
-def label_entropy(labels: Iterable | np.ndarray) -> float:
-    """Shannon entropy (natural log) of the empirical label distribution.
+def label_entropy(codes: np.ndarray) -> float:
+    """Shannon entropy (natural log) of the empirical distribution of
+    non-negative integer label codes (``subtype_codes``).
 
-    Labels are non-negative integer codes (subtype_codes) or any sortable
-    values, which are coded first.  The terms are summed in order of each
-    label's first occurrence, with Python floats, so the result is bit for
-    bit that of summing over a ``Counter`` of the labels.
+    The terms are summed over the nonzero counts sorted ascending, with
+    Python floats, so equal count multisets give bit-equal entropies
+    whatever the codes' order or values.
     """
-    if not isinstance(labels, np.ndarray):
-        labels = np.array(list(labels))
-    total = len(labels)
+    total = len(codes)
     if total == 0:
         raise EmptyInputError("label entropy is undefined for an empty multiset")
-    if labels.dtype.kind not in "iu":
-        labels = np.unique(labels, return_inverse=True)[1]
-    counts = np.bincount(labels)
-    first = np.full(len(counts), total)
-    np.minimum.at(first, labels, np.arange(total))
-    present = np.flatnonzero(counts)
-    return ordered_entropy(counts[present[np.argsort(first[present])]].tolist())
-
-
-def ordered_entropy(counts: Sequence[int]) -> float:
-    """Shannon entropy (natural log) of positive label counts, its terms
-    summed in the order given, with Python floats."""
-    total = sum(counts)
-    return -sum((c / total) * math.log(c / total) for c in counts)
+    counts = np.bincount(codes)
+    return -sum((c / total) * math.log(c / total) for c in np.sort(counts[counts > 0]).tolist())
 
 
 def subtype_codes(labels: Sequence[SlideLabels]) -> np.ndarray:

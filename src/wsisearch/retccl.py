@@ -21,7 +21,7 @@ reference, and the reference is computed only where that bound leaves a
 decision in doubt: whether a row reaches the threshold, and which rows
 come first by (score desc, row asc).  A bag holds its whole hit set, but
 only its top hits, the ones the quality rule and the vote read, are put in
-order, and the entropy needs no more than each subtype's best hit.  The rows
+order, and the entropy needs only the hits' subtype counts.  The rows
 are stored row-major, so each slide's rows are one contiguous block: a
 screen reads only the blocks of the slides it keeps, as ``block @ q.T``
 with the block as BLAS's first operand, and the reference gathers whole
@@ -41,7 +41,6 @@ on the skip.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import Sequence
@@ -63,7 +62,7 @@ from .model import (
     check_k,
     check_query_dim,
     check_query_rows,
-    ordered_entropy,
+    label_entropy,
     ranked_patches,
     slide_seed,
 )
@@ -110,8 +109,8 @@ class Bag:
     # the rest in ascending row order
     hits: np.ndarray
     scores: np.ndarray  # (min(n, TOP_HITS),) float64 reference score of the top hits
-    # subtype entropy of all hits, its terms summed in order of each
-    # subtype's best hit; +inf for an empty bag, so it always filters out
+    # label_entropy of all hits' subtypes; +inf for an empty bag, so it
+    # always filters out
     entropy: float
 
 
@@ -416,34 +415,6 @@ def _first(
     return rows[order], ref[order]
 
 
-def _entropy(
-    db: RetcclDatabase,
-    unit: np.ndarray,
-    hits: np.ndarray,
-    est: np.ndarray,
-    err: np.ndarray,
-    top: np.ndarray,
-) -> float:
-    """``label_entropy`` of the hits' subtypes in full hit order, from the
-    hit set (with its estimates and bounds) and its ordered ``top`` rows:
-    its terms run in order of each subtype's best hit.  Subtypes in ``top``
-    come first, in order of their first appearance there; the others follow
-    by their best hits."""
-    codes = db.subtype_code
-    labels = codes[db.slide[hits]]
-    counts = np.bincount(labels)
-    order = list(dict.fromkeys(codes[db.slide[top]].tolist()))
-    rest = [c for c in np.flatnonzero(counts).tolist() if c not in order]
-    if len(rest) > 1:
-        best = {}
-        for c in rest:
-            of = labels == c
-            (row,), (score,) = _first(db, unit, hits[of], est[of], err[of], 1)
-            best[c] = (-score, row)
-        rest.sort(key=best.__getitem__)
-    return ordered_entropy(counts[order + rest].tolist())
-
-
 def build_bags(
     db: RetcclDatabase,
     query_features: np.ndarray,
@@ -453,10 +424,10 @@ def build_bags(
     reference score reaches the threshold.  One GEMM screens the query over
     the slides whose cone bound reaches the threshold for some query row;
     the others hold no hit.  The reference is computed only near the
-    threshold, for the top hits and their rivals, and for each subtype's
-    best hit where the top hits leave their order open.  A zero-vector query
-    row scores 0 everywhere, so it yields an empty bag (entropy +inf), as
-    zero vectors are invisible to the index."""
+    threshold and for the top hits and their rivals; the entropy reads only
+    the hits' subtype counts.  A zero-vector query row scores 0 everywhere,
+    so it yields an empty bag (entropy +inf), as zero vectors are invisible
+    to the index."""
     check_query_rows(query_features, db.dim)
     threshold = db.params.sim_threshold
     units = _unit_rows(query_features)
@@ -474,7 +445,7 @@ def build_bags(
             bags.append(Bag(i, hits, np.empty(0), math.inf))
             continue
         top, top_scores = _first(db, unit, hits, scores[at], bound[at], TOP_HITS)
-        entropy = _entropy(db, unit, hits, scores[at], bound[at], top)
+        entropy = label_entropy(db.subtype_code[db.slide[hits]])
         rest = np.ones(len(hits), dtype=bool)
         rest[np.searchsorted(hits, top)] = False
         bags.append(Bag(i, np.concatenate([top, hits[rest]]), top_scores, entropy))
@@ -509,12 +480,12 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
         if len(nominees) == k:
             break
         top = db.slide[bag.hits[:TOP_HITS]].tolist()
-        counts = Counter(db.labels[s].subtype for s in top)
-        best = max(counts.values())
+        codes = db.subtype_code[top]
+        counts = np.bincount(codes)[codes].tolist()
         # hits are score-descending, so the first hit whose label is tied
         # for the majority settles the tie toward the higher-scoring label;
         # that hit is also the bag's best hit carrying the majority label
-        at = next(i for i, s in enumerate(top) if counts[db.labels[s].subtype] == best)
+        at = counts.index(max(counts))
         if top[at] not in nominees:
             nominees.append(top[at])
             scores.append(float(bag.scores[at]))

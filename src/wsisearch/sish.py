@@ -16,11 +16,13 @@ integer key.
 Slide ranking follows the uncertainty rule: query patches whose retrieved
 labels are too mixed (entropy above the median patch entropy) are dropped,
 and surviving retrievals vote with weight 1/(1+entropy), divided by the
-database frequency of the target's label to blunt class imbalance.
+database frequency of the target's label to blunt class imbalance.  A
+patch's entropy depends only on the multiset of its retrieved subtype
+counts, bit for bit, so a patch with the median patch's counts ties the
+median exactly and always votes.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +49,7 @@ from .model import (
     hamming_matrix,
     label_entropy,
     ranked_patches,
+    subtype_codes,
 )
 from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
 
@@ -175,8 +178,7 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     keys, first = np.unique(index[order], return_index=True)
     sizes = [len(f) for f in member_features]
 
-    subtypes = [labels.subtype for labels in table["labels"]]
-    subtype_counts = Counter(subtypes)
+    subtypes = subtype_codes(table["labels"])
     return SishDatabase(
         **table,
         params=params,
@@ -189,7 +191,7 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
         rank=order,
         coords=np.concatenate([coords for coords, _ in kept])[order],
         codes=np.concatenate([binarize_barcode(f) for f in member_features])[order],
-        freq=np.array([subtype_counts[subtype] / len(kept) for subtype in subtypes]),
+        freq=np.bincount(subtypes)[subtypes] / len(kept),
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from wsisearch.model import (
     check_query_dim,
     check_query_rows,
     label_entropy,
-    ordered_entropy,
     patch_ref,
     ranked_patches,
     ranked_result,
@@ -74,7 +74,7 @@ def assert_bag(db: RetcclDatabase, bag: Bag, order: Sequence[int], scores) -> No
     """``bag`` keeps the contract for the hits ``order``, given by reference
     score descending, then row: the same hit set, its first TOP_HITS rows in
     that order with their reference ``scores`` (indexed by row), the other
-    rows ascending, and the entropy of the subtypes in that order."""
+    rows ascending, and the entropy of their subtypes."""
     hits = bag.hits.tolist()
     assert sorted(hits) == sorted(order) and len(hits) == len(order)
     assert hits[:TOP_HITS] == list(order[:TOP_HITS])
@@ -231,23 +231,26 @@ class TestBuildBags:
             assert len(order) > TOP_HITS
             assert_bag(db, b, order, expected)
 
-    def test_entropy_sums_subtypes_in_order_of_their_best_hits(self):
-        """Past the top hits, the subtypes' order is that of their best hits,
-        not of their codes; the entropy's bits depend on it."""
+    def test_entropy_does_not_depend_on_hit_order(self):
+        """The entropy reads only the subtypes' hit counts: whichever
+        subtype's hits score best, its bits are the same, though a sum in
+        order of each subtype's best hit gives two values."""
         query = np.array([1.0, 0.0, 0.0, 0.0])
 
         def at(cosine, n):
             return [[cosine, np.sqrt(1 - cosine**2), 0.0, 0.0]] * n
 
-        # slide order gives codes a, b, c, d; the best hits run d, c, a, b
-        subtypes = ["a", "b", "c", "d"]
-        rows = at(0.80, 1) + at(0.75, 2) + at(0.90, 3) + at(0.99, TOP_HITS)
-        slide = [0] + [1] * 2 + [2] * 3 + [3] * TOP_HITS
-        db = store_db(rows, slide, subtypes)
-        (bag,) = build_bags(db, query[None, :])
-        assert len(bag.hits) == 11 and set(db.slide[bag.hits[:TOP_HITS]]) == {3}
-        assert bag.entropy.hex() == ordered_entropy([TOP_HITS, 3, 1, 2]).hex()
-        assert bag.entropy.hex() != ordered_entropy([TOP_HITS, 1, 2, 3]).hex()
+        counts, cosines = [1, 2, 3, 5], [0.75, 0.80, 0.90, 0.99]
+        want = label_entropy(np.repeat(np.arange(4), counts))
+        in_hit_order = set()
+        for ranks in itertools.permutations(range(4)):
+            rows = [r for n, rank in zip(counts, ranks) for r in at(cosines[rank], n)]
+            db = store_db(rows, np.repeat(np.arange(4), counts), ["a", "b", "c", "d"])
+            (bag,) = build_bags(db, query[None, :])
+            assert len(bag.hits) == 11 and bag.entropy.hex() == want.hex()
+            by_best_hit = [n for _, n in sorted(zip(ranks, counts), reverse=True)]
+            in_hit_order.add((-sum((n / 11) * math.log(n / 11) for n in by_best_hit)).hex())
+        assert len(in_hit_order) == 2
 
     def test_empty_query_rejected(self, axis_db):
         _, db = axis_db
@@ -273,29 +276,29 @@ class TestBuildBags:
 
 
 class TestFilterAndOrder:
-    def bag(self, ordinal, scores, labels):
-        entropy = label_entropy(labels) if labels else math.inf
+    def bag(self, ordinal, scores, codes):
+        entropy = label_entropy(np.array(codes)) if codes else math.inf
         return bag(ordinal, list(range(len(scores))), scores, entropy)
 
     def test_entropy_ordering(self):
-        noisy = self.bag(0, [0.9, 0.9], ["a", "b"])
-        clean = self.bag(1, [0.9, 0.9], ["a", "a"])
+        noisy = self.bag(0, [0.9, 0.9], [0, 1])
+        clean = self.bag(1, [0.9, 0.9], [0, 0])
         ordered = filter_and_order_bags([noisy, clean], QUALITY_NONE)
         assert [b.ordinal for b in ordered] == [1, 0]
 
     def test_single_bag_survives_median_rule(self):
-        only = self.bag(0, [0.8], ["a"])
+        only = self.bag(0, [0.8], [0])
         assert filter_and_order_bags([only], QUALITY_MEDIAN) == [only]
 
     def test_weak_bag_removed_by_median_rule(self):
-        weak = self.bag(0, [0.71, 0.70], ["a", "a"])
-        strong = self.bag(1, [0.99, 0.98], ["a", "a"])
+        weak = self.bag(0, [0.71, 0.70], [0, 0])
+        strong = self.bag(1, [0.99, 0.98], [0, 0])
         ordered = filter_and_order_bags([weak, strong], QUALITY_MEDIAN)
         assert [b.ordinal for b in ordered] == [1]
 
     def test_quality_none_keeps_weak_bags(self):
-        weak = self.bag(0, [0.71], ["a"])
-        strong = self.bag(1, [0.99], ["a"])
+        weak = self.bag(0, [0.71], [0])
+        strong = self.bag(1, [0.99], [0])
         assert len(filter_and_order_bags([weak, strong], QUALITY_NONE)) == 2
 
     def test_empty_bags_always_dropped(self):
@@ -303,7 +306,7 @@ class TestFilterAndOrder:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValidationError):
-            filter_and_order_bags([self.bag(0, [0.9], ["a"])], "strictest")
+            filter_and_order_bags([self.bag(0, [0.9], [0])], "strictest")
 
 
 class TestVoteSlides:
@@ -477,7 +480,8 @@ def legacy_build_bags(
             for j in picked
         ]
         hits.sort(key=lambda h: (-h.score, h.slide_id, h.ordinal))
-        entropy = label_entropy(h.subtype for h in hits) if hits else math.inf
+        codes = np.unique([h.subtype for h in hits], return_inverse=True)[1]
+        entropy = label_entropy(codes) if hits else math.inf
         bags.append(LegacyBag(ordinal=i, hits=tuple(hits), entropy=entropy))
     return bags
 

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -548,6 +550,36 @@ class TestRankSlides:
         res = rank_slides([clean, noisy], db, k=3)
         # the noisy patch's exclusive candidate never receives a vote
         assert "b" not in res.target_ids()
+
+    def test_patch_with_the_median_counts_votes_in_any_order(self):
+        """Two patches hit subtypes with one count multiset, in two orders
+        whose first-occurrence entropy sums differ in the last bit; the
+        median patch is one of them, so both tie the median and vote."""
+        counts = [16, 17, 19, 23, 32, 32, 36, 37, 42, 43, 45]
+
+        def first_occurrence_sum(order):
+            """The entropy with its terms summed over ``counts`` in ``order``."""
+            total = sum(counts)
+            return -sum((counts[i] / total) * math.log(counts[i] / total) for i in order)
+
+        orders = itertools.permutations(range(len(counts)))
+        first = next(orders)
+        second = next(o for o in orders if first_occurrence_sum(o) != first_occurrence_sum(first))
+        median, other = sorted((first, second), key=first_occurrence_sum)
+        assert first_occurrence_sum(median) < first_occurrence_sum(other)
+        # slides "a03" and "b03" both carry subtype "t03" and hold 23 rows each
+        db = handmade_db({0: [(f"{side}{i:02d}", f"t{i:02d}") for side in "ab"
+                              for i, c in enumerate(counts) for _ in range(c)]})
+
+        def patch(side, order):
+            """Every row of each of the side's slides, subtypes in ``order``."""
+            slides = [db.slide_ids.index(f"{side}{i:02d}") for i in order]
+            rows = np.concatenate([np.flatnonzero(db.slide == s) for s in slides])
+            return np.stack([rows, np.zeros_like(rows)], axis=1)
+
+        clean = hit_rows((row_of(db, "a00"), 0))
+        res = rank_slides([clean, patch("a", median), patch("b", other)], db, k=len(db))
+        assert set(res.target_ids()) == set(db.slide_ids)
 
     def test_all_empty_patches_give_empty_result(self):
         db = handmade_db({0: [("a", "x")]})
