@@ -9,12 +9,13 @@ hits both sides alike.  Every run must report ``correct``.
 
 Per workload and end-to-end metric it prints the median and quartiles of
 each side, how many pairs the change won (ties count for neither side) and
-whether the change's lead is a gain under the benchmark's rule: it wins at
-least nine tenths of the pairs, the medians differ by more than the base's
-interquartile range, and the change fails no larger share of operations than
-the base.  It also prints whether the change is worse by the mirror rule: the
-base wins at least nine tenths of the pairs and the medians differ by more
-than the change's interquartile range.  Last comes the bound rule, by which
+whether the change's lead is a gain under the benchmark's rule: over at
+least ``MIN_PAIRS`` pairs it wins at least nine tenths of them, the medians
+differ by more than the base's interquartile range, and the change fails no
+larger share of operations than the base.  It also prints whether the change
+is worse by the mirror rule: over at least ``MIN_PAIRS`` pairs the base wins
+at least nine tenths of them and the medians differ by more than the
+change's interquartile range.  Last comes the bound rule, by which
 a change that claims no gain is judged: the change's median as a signed
 percentage of the base's, and ``over`` when the change's median is worse
 than the base's by more than the metric's BENCHMARK.json ``bound`` times
@@ -42,6 +43,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+#: the fewest pairs on which the benchmark's rule can call a gain or a loss
+MIN_PAIRS = 10
 
 
 def benchmark_files(checkout: Path) -> list[Path]:
@@ -85,21 +89,22 @@ def summarise(
 ) -> dict:
     """Both sides' (first quartile, median, third quartile), linearly
     interpolated, the pairs the change won, and whether that is a gain or
-    the change is worse; ``base_failed`` and ``change_failed`` are the
-    sides' failed shares."""
+    the change is worse, neither on fewer than ``MIN_PAIRS`` pairs;
+    ``base_failed`` and ``change_failed`` are the sides' failed shares."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     losses = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     b1, b2, b3 = statistics.quantiles(base, n=4, method="inclusive")
     c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
+    enough = len(base) >= MIN_PAIRS
     return {
         "base": (b1, b2, b3),
         "change": (c1, c2, c3),
         "wins": wins,
         "pairs": len(base),
-        "gain": wins >= 0.9 * len(base) and sign * (b2 - c2) > b3 - b1
+        "gain": enough and wins >= 0.9 * len(base) and sign * (b2 - c2) > b3 - b1
         and change_failed <= base_failed,
-        "worse": losses >= 0.9 * len(base) and sign * (c2 - b2) > c3 - c1,
+        "worse": enough and losses >= 0.9 * len(base) and sign * (c2 - b2) > c3 - c1,
     }
 
 

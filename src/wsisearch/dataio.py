@@ -205,16 +205,18 @@ def save_database(path: str | Path, engine: str, database) -> None:
 def load_database(path: str | Path) -> tuple[str, object]:
     """Returns (engine name, database object)."""
     path = Path(path)
-    try:
-        with path.open("rb") as fh:
+    with path.open("rb") as fh:
+        try:
             envelope = pickle.load(fh)
-    except (pickle.UnpicklingError, EOFError) as exc:
-        raise FormatError(f"{path}: not a database file ({exc})") from exc
-    except (AttributeError, ImportError) as exc:
-        # the pickle names a module or class this version does not define
-        raise FormatError(
-            f"{path}: database written by an incompatible version ({exc})"
-        ) from exc
+        except (AttributeError, ImportError) as exc:
+            # the pickle names a module or class this version does not define
+            raise FormatError(
+                f"{path}: database written by an incompatible version ({exc})"
+            ) from exc
+        except Exception as exc:
+            # malformed bytes raise more than UnpicklingError and EOFError:
+            # ValueError, TypeError, OverflowError, UnicodeDecodeError, ...
+            raise FormatError(f"{path}: not a database file ({exc})") from exc
     if (
         not isinstance(envelope, dict)
         or envelope.get("format") != _DB_FORMAT

@@ -157,10 +157,7 @@ def _query_all(
     mod = ENGINE_MODULES[engine]
 
     def row(query: SlideRecord, query_id: str, entries=()) -> QueryRow:
-        slots: list[RetrievalSlot | None] = [
-            RetrievalSlot(e.target_id, e.target_site, e.target_subtype, e.score)
-            for e in entries
-        ]
+        slots: list[RetrievalSlot | None] = [RetrievalSlot(*e) for e in entries]
         slots.extend([None] * (k - len(slots)))
         return QueryRow(query_id, query.site, query.subtype, tuple(slots))
 

@@ -182,7 +182,7 @@ def query_slides(
     check_query_rows(slide_hash[None, :], db.hashes.shape[1])
     order, scores = ranked_scores(db, slide_hash)
     top = order[db.kept(candidate_filter)[order]][:k]
-    return db.slide_result(top, scores[top], k, "hypergraph")
+    return db.result(top, scores[top], k)
 
 
 def query_patches(

@@ -4,7 +4,7 @@ Every engine consumes these types.  The checks, slide-encoding loop and
 result assembly that every engine's build and query share also live here,
 so the four engines decide them in one place: each engine database is a
 ``SlideTable`` (filled from ``encode_slides``) that filters candidate
-slides and assembles slide results.
+slides and builds every result, of slide hits or of patch hits.
 
 A slide is columnar: one (n, 2) int32 ``coords`` array and one (n, dim)
 float32 ``features`` matrix.  ``PatchFeature`` is the single-patch form the
@@ -23,8 +23,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import (
 )
 
 MAGNIFICATIONS = ("20x", "40x")
-DISTANCE_KINDS = ("hamming", "cosine", "hypergraph", "votes")
 
 
 def _read_only_copy(values, dtype) -> np.ndarray:
@@ -139,31 +137,19 @@ def as_patches(coords: np.ndarray, features: np.ndarray) -> list[PatchFeature]:
     return [PatchFeature(x, y, f) for (x, y), f in zip(coords.tolist(), features)]
 
 
-@dataclass(frozen=True)
-class RetrievalEntry:
+class RetrievalEntry(NamedTuple):
     target_id: str
     target_site: str
     target_subtype: str
     score: float
-    distance_kind: str
-
-    def __post_init__(self) -> None:
-        if self.distance_kind not in DISTANCE_KINDS:
-            raise ValidationError(f"unknown distance kind {self.distance_kind!r}")
 
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """Ranked matches; may hold fewer entries than were requested."""
+    """Ranked matches, best first, as ``SlideTable.result`` builds them: at
+    most the k requested, and fewer when fewer targets were found."""
 
     entries: tuple[RetrievalEntry, ...]
-    k_requested: int
-
-    def __post_init__(self) -> None:
-        if self.k_requested < 1:
-            raise ValidationError("k_requested must be >= 1")
-        if len(self.entries) > self.k_requested:
-            raise ValidationError("result holds more entries than were requested")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -209,14 +195,20 @@ class SlideTable:
             [candidate_filter(*s) for s in zip(self.slide_ids, self.labels)], dtype=bool
         )
 
-    def slide_result(self, slides, scores, k: int, kind: str) -> "RetrievalResult":
-        """Result of the first k ``slides`` (slide indices, best first) as
-        slide hits; ``scores[i]`` is the score of ``slides[i]``."""
-        hits = (
-            (self.slide_ids[s], self.labels[s], float(score))
-            for s, score in zip(np.asarray(slides).tolist(), np.asarray(scores).tolist())
-        )
-        return ranked_result(hits, k, kind)
+    def result(self, slides, scores, k: int, coords=None) -> RetrievalResult:
+        """Result of the first k hits, best first: hit i lies in slide
+        ``slides[i]`` (a slide index) and scores ``scores[i]``.  Without
+        ``coords`` the hits are slides; with them hit i is the patch at
+        ``coords[i]`` = (x, y) of its slide."""
+        slides = np.asarray(slides, dtype=np.int64)[:k].tolist()
+        scores = np.asarray(scores, dtype=np.float64)[:k].tolist()
+        ids = [self.slide_ids[s] for s in slides]
+        if coords is not None:
+            ids = [patch_ref(i, x, y) for i, (x, y) in zip(ids, coords[:k].tolist())]
+        return RetrievalResult(tuple(
+            RetrievalEntry(i, self.labels[s].site, self.labels[s].subtype, score)
+            for i, s, score in zip(ids, slides, scores)
+        ))
 
 
 def database_dim(slides: Sequence[SlideRecord], min_dim: int = 1) -> int:
@@ -290,41 +282,6 @@ def encode_slides(
         unprocessed=unprocessed,
     )
     return table, [encoding for _, encoding in kept]
-
-
-def ranked_result(
-    hits: Iterable[tuple[str, SlideLabels, float]], k: int, kind: str
-) -> RetrievalResult:
-    """Result of the first k (target_id, labels, score) hits, best first.
-
-    Only k hits are drawn, so ``hits`` may be a lazy filter over a longer
-    ranking.
-    """
-    entries = tuple(
-        RetrievalEntry(
-            target_id=target_id,
-            target_site=labels.site,
-            target_subtype=labels.subtype,
-            score=score,
-            distance_kind=kind,
-        )
-        for target_id, labels, score in islice(hits, k)
-    )
-    return RetrievalResult(entries=entries, k_requested=k)
-
-
-def ranked_patches(db, rows: np.ndarray, scores: np.ndarray, k: int, kind: str) -> RetrievalResult:
-    """Result of the first k ``rows`` (database rows, best first, read through
-    the ``slide`` and ``coords`` columns) as patch hits; ``scores[i]`` is the
-    score of ``rows[i]``."""
-    rows = rows[:k]
-    hits = (
-        (patch_ref(db.slide_ids[s], x, y), db.labels[s], float(score))
-        for s, (x, y), score in zip(
-            db.slide[rows].tolist(), db.coords[rows].tolist(), scores[:k].tolist()
-        )
-    )
-    return ranked_result(hits, k, kind)
 
 
 def label_entropy(codes: np.ndarray) -> float:

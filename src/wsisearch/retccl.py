@@ -63,7 +63,6 @@ from .model import (
     check_query_dim,
     check_query_rows,
     label_entropy,
-    ranked_patches,
     slide_seed,
 )
 from .mosaic import Mosaic, build_mosaic_percent, check_mosaic_params, encode_mosaics
@@ -489,7 +488,7 @@ def vote_slides(bags: Sequence[Bag], db: RetcclDatabase, k: int) -> RetrievalRes
         if top[at] not in nominees:
             nominees.append(top[at])
             scores.append(float(bag.scores[at]))
-    return db.slide_result(nominees, scores, k, "cosine")
+    return db.result(nominees, scores, k)
 
 
 def query_slides(
@@ -524,7 +523,7 @@ def query_patches(
     floor = _floor(db, units, np.where(kept, bounds, -np.inf), k)
     rows, est, err = _estimates(db, units, np.flatnonzero(kept & (bounds >= floor)))
     top, scores = _first(db, units[0], rows, est[0], err[0], k)
-    return ranked_patches(db, top, scores, k, "cosine")
+    return db.result(db.slide[top], scores, k, db.coords[top])
 
 
 def _floor(db: RetcclDatabase, units: np.ndarray, bounds: np.ndarray, k: int) -> float:

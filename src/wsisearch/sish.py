@@ -48,7 +48,6 @@ from .model import (
     check_query_rows,
     hamming_matrix,
     label_entropy,
-    ranked_patches,
     subtype_codes,
 )
 from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
@@ -300,7 +299,7 @@ def rank_slides(
             slides = db.slide[results[:, 0]]
             surviving.append((label_entropy(db.subtype_code[slides]), slides))
     if not surviving:
-        return RetrievalResult(entries=(), k_requested=k)
+        return db.result((), (), k)
 
     median_entropy = float(np.median([h for h, _ in surviving]))
     voting = [(1.0 / (1.0 + h), slides) for h, slides in surviving if h <= median_entropy]
@@ -313,7 +312,7 @@ def rank_slides(
     )
     voted = np.flatnonzero(votes)
     ranked = voted[np.lexsort((voted, -votes[voted]))][:k]
-    return db.slide_result(ranked, votes[ranked], k, "votes")
+    return db.result(ranked, votes[ranked], k)
 
 
 def query_slides(
@@ -346,7 +345,8 @@ def query_patches(
     check_query_dim(db, patch)
     (index,), (code,) = _probes(db, patch.feature[None, :])
     hits = guided_search(db, int(index), code, db.kept(candidate_filter))
-    return ranked_patches(db, hits[:, 0], hits[:, 1], k, "hamming")
+    rows = hits[:k, 0]
+    return db.result(db.slide[rows], hits[:k, 1], k, db.coords[rows])
 
 
 def query_patch_set(db: SishDatabase, slide: SlideRecord) -> list[PatchFeature]:

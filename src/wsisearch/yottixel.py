@@ -29,7 +29,6 @@ from .model import (
     check_query_dim,
     check_query_rows,
     hamming_matrix,
-    ranked_patches,
 )
 from .mosaic import Mosaic, check_mosaic_params, encode_mosaics, histogram_mosaics
 
@@ -115,7 +114,7 @@ def query_slides(
     starts = np.searchsorted(db.slide, np.arange(len(db)))  # every slide has a row
     scores = median_min_hamming(qpacked, db.packed, starts)
     top = first_k(np.flatnonzero(db.kept(candidate_filter)), scores, k)
-    return db.slide_result(top, scores[top], k, "hamming")
+    return db.result(top, scores[top], k)
 
 
 def query_patches(
@@ -130,7 +129,7 @@ def query_patches(
     check_query_dim(db, patch)
     dists = hamming_matrix(binarize_barcode(patch.feature[None, :]), db.packed)[0]
     top = first_k(np.flatnonzero(db.kept(candidate_filter)[db.slide]), dists, k)
-    return ranked_patches(db, top, dists[top], k, "hamming")
+    return db.result(db.slide[top], dists[top], k, db.coords[top])
 
 
 def query_patch_set(db: YottixelDatabase, slide: SlideRecord) -> list[PatchFeature]:

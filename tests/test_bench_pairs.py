@@ -51,6 +51,16 @@ def test_worse_mirrors_the_gain_rule_with_the_change_spread(better):
     assert gain["gain"] and not gain["worse"]
 
 
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_nine_pairs_call_neither_gain_nor_worse(better):
+    base = [10.0 + i for i in range(9)]
+    sign = -1 if better == "lower" else 1
+    won_all = bench_pairs.summarise(better, base, [b + sign * 50.0 for b in base], 0.0, 0.0)
+    assert won_all["wins"] == 9 and not won_all["gain"]
+    lost_all = bench_pairs.summarise(better, base, [b - sign * 50.0 for b in base], 0.0, 0.0)
+    assert lost_all["wins"] == 0 and not lost_all["worse"]
+
+
 def test_failed_share_pools_every_run():
     runs = [{"failed": 1, "attempted": 10}, {"failed": 0, "attempted": 30}]
     assert bench_pairs.failed_share(runs) == 1 / 40

@@ -234,6 +234,13 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_malformed_database_exits_2(self, corpus_dir, tmp_path, capsys):
+        db_path = tmp_path / "bad.db"
+        db_path.write_bytes(b"\x80\x09")  # a pickle of protocol 9
+        rc = main(["query", "--db", str(db_path), "--manifest", str(corpus_dir / "queries.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {db_path}: not a database file")
+
     def test_bad_bench_engine(self):
         assert main(["bench", "--engine", "faiss", "--sizes", "4", "--reps", "1"]) == 2
 

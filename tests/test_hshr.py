@@ -32,14 +32,13 @@ from wsisearch.model import (
     binarize_barcode,
     check_k,
     hamming_matrix,
-    ranked_result,
     SlideRecord,
     slide_seed,
 )
 from wsisearch.mosaic import build_mosaic_fixed
 from wsisearch.synth import SyntheticSpec, generate
 
-from util import make_slide, packed
+from util import make_slide, packed, ranked_result
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +447,7 @@ def legacy_query_slides(
         for score, slide_id in ranked
         if kept[slide_of[slide_id]]
     )
-    return ranked_result(hits, k, "hypergraph")
+    return ranked_result(hits, k)
 
 
 #: dim-5 integer rows: 4-bit hashes, so hash distances tie all the time,

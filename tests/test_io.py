@@ -283,6 +283,21 @@ class TestDatabaseEnvelope:
         with pytest.raises(FormatError):
             load_database(path)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\x80\x09",  # protocol 9: ValueError
+            b"\x80\x04X\x02\x00\x00\x00\xd7\x00.",  # bad utf-8: UnicodeDecodeError
+            b"\x80\x04\x8d" + b"\xff" * 8,  # BINUNICODE8 length: OverflowError
+            b"\x80\x04(K\x01K\x02tK\x00K\x01s.",  # item set on a tuple: TypeError
+        ],
+    )
+    def test_malformed_pickle_is_format_error(self, tmp_path, raw):
+        path = tmp_path / "bad.db"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="bad.db: not a database file"):
+            load_database(path)
+
     @pytest.mark.parametrize("vanished", ["class", "module"])
     def test_pickle_of_vanished_class_is_format_error(self, tmp_path, monkeypatch, vanished):
         module = types.ModuleType("wsisearch_renamed_engine")

@@ -32,7 +32,7 @@ from wsisearch.model import (
     subtype_codes,
 )
 
-from util import first_repeat_oracle, make_slide, packed
+from util import first_repeat_oracle, make_slide, packed, ranked_patches, ranked_result
 
 #: feature dimensions whose code lengths L = dim - 1 (1, 8, 9, 16, 63, 256)
 #: fall on both sides of byte boundaries, so the last packed byte is either
@@ -219,6 +219,81 @@ class TestLabelEntropy:
         assert table.subtype_code.tolist() == [0, 1, 0, 2]
         loaded = pickle.loads(pickle.dumps(table))
         assert "subtype_code" in vars(loaded) and loaded.subtype_code.tolist() == [0, 1, 0, 2]
+
+
+SCORES = {
+    "int64": st.integers(-(2**40), 2**40),
+    "float32": st.floats(width=32, allow_nan=False),
+    "float64": st.floats(allow_nan=False),
+}
+
+
+class TestSlideTableResult:
+    """``SlideTable.result`` against the lazy hit-by-hit assembly it replaced."""
+
+    @staticmethod
+    def table(n_slides: int, rows_slide, rows_coords) -> SlideTable:
+        labels = [SlideLabels(f"site{i % 2}", f"sub{i % 3}", "p") for i in range(n_slides)]
+        table = SlideTable(dim=2, slide_ids=[f"s{i}" for i in range(n_slides)], labels=labels)
+        # the database row columns engines read patch hits through
+        table.slide, table.coords = rows_slide, rows_coords
+        return table
+
+    @pytest.mark.parametrize("k_vs_hits", ["below", "equal", "above"])
+    @pytest.mark.parametrize("patches", [False, True])
+    @pytest.mark.parametrize("dtype", sorted(SCORES))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, k_vs_hits, patches, dtype, data):
+        if k_vs_hits == "below":
+            n_hits = data.draw(st.integers(2, 12), label="hits")
+            k = data.draw(st.integers(1, n_hits - 1), label="k")
+        elif k_vs_hits == "equal":
+            n_hits = k = data.draw(st.integers(1, 12), label="hits")
+        else:
+            n_hits = data.draw(st.integers(0, 12), label="hits")
+            k = data.draw(st.integers(n_hits + 1, n_hits + 4), label="k")
+        n_slides = data.draw(st.integers(1, 5), label="slides")
+        n_rows = n_hits + data.draw(st.integers(0, 4), label="extra rows")
+        table = self.table(
+            n_slides,
+            data.draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, n_slides - 1))),
+            data.draw(hnp.arrays(np.int32, (n_rows, 2), elements=st.integers(-3, 500))),
+        )
+        scores = data.draw(hnp.arrays(np.dtype(dtype), n_hits, elements=SCORES[dtype]))
+        if patches:
+            rows = data.draw(st.permutations(range(n_rows)))[:n_hits]
+            rows = np.array(rows, dtype=np.int64)
+            want = ranked_patches(table, rows, scores, k)
+            got = table.result(table.slide[rows], scores, k, table.coords[rows])
+        else:
+            slides = table.slide[:n_hits]
+            want = ranked_result(
+                ((table.slide_ids[s], table.labels[s], float(x))
+                 for s, x in zip(slides.tolist(), scores.tolist())),
+                k,
+            )
+            # engines pass slide hits as arrays or as lists
+            if data.draw(st.booleans(), label="as lists"):
+                slides, scores = slides.tolist(), scores.tolist()
+            got = table.result(slides, scores, k)
+        assert got == want
+        assert len(got) == min(k, n_hits)
+        assert all(type(e.score) is float for e in got.entries)
+
+    @pytest.mark.parametrize("patches", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_hits_give_an_empty_result(self, patches, k):
+        table = self.table(2, np.array([0, 1]), np.array([[0, 0], [1, 0]], dtype=np.int32))
+        none = np.empty(0, dtype=np.int64)
+        if patches:
+            got = table.result(none, np.empty(0), k, table.coords[none])
+            assert got == ranked_patches(table, none, np.empty(0), k)
+        else:
+            # SISH's result when no query patch found a hit
+            got = table.result((), (), k)
+            assert got == ranked_result(iter(()), k)
+        assert got.entries == ()
 
 
 class TestBarcodeTypes:

@@ -33,8 +33,6 @@ from wsisearch.model import (
     check_query_rows,
     label_entropy,
     patch_ref,
-    ranked_patches,
-    ranked_result,
     subtype_codes,
 )
 from wsisearch.retccl import (
@@ -54,7 +52,7 @@ from wsisearch.retccl import (
 
 from wsisearch.synth import SyntheticSpec, generate
 
-from util import make_slide
+from util import make_slide, ranked_patches, ranked_result
 
 
 def reference_scores(db: RetcclDatabase, feature) -> np.ndarray:
@@ -530,7 +528,7 @@ def legacy_vote_slides(bags: Sequence[LegacyBag], db: LegacyDatabase, k: int) ->
                 representative.score,
             )
         )
-    return ranked_result(nominees, k, "cosine")
+    return ranked_result(nominees, k)
 
 
 def legacy_query_patches(
@@ -561,7 +559,7 @@ def legacy_query_patches(
         )
         for j in order
     )
-    return ranked_result(hits, k, "cosine")
+    return ranked_result(hits, k)
 
 
 #: Feature rows that repeat across slides: equal rows, and rows that are
@@ -687,7 +685,7 @@ def gemv_query_patches(
     scores = gemv_scores(db, patch.feature)
     rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
     top = rows[np.argsort(-scores[rows], kind="stable")][:k]
-    return ranked_patches(db, top, scores[top], k, "cosine")
+    return ranked_patches(db, top, scores[top], k)
 
 
 def reference_patches(db, patch, k, candidate_filter=None) -> RetrievalResult:
@@ -696,7 +694,7 @@ def reference_patches(db, patch, k, candidate_filter=None) -> RetrievalResult:
         reference_order(scores, np.flatnonzero(db.kept(candidate_filter)[db.slide]))[:k],
         dtype=np.int64,
     )
-    return ranked_patches(db, top, scores[top], k, "cosine")
+    return ranked_patches(db, top, scores[top], k)
 
 
 class TestAgainstPerRowGemv:
@@ -788,7 +786,7 @@ def oracle_query_patches(
     (unit,), est, err = oracle_estimates(store, patch.feature[None, :])
     rows = np.flatnonzero(db.kept(candidate_filter)[db.slide])
     top = oracle_ranked(store, unit, est[0], err[0], rows, k)[:k]
-    return ranked_patches(db, top, oracle_reference(store, top, unit), k, "cosine")
+    return ranked_patches(db, top, oracle_reference(store, top, unit), k)
 
 
 def store_db(rows: np.ndarray, slide: Sequence[int], subtypes: Sequence[str]) -> RetcclDatabase:

@@ -23,7 +23,6 @@ from wsisearch.model import (
     hamming_distance,
     hamming_matrix,
     patch_ref,
-    ranked_result,
 )
 from wsisearch.yottixel import (
     YottixelDatabase,
@@ -37,7 +36,7 @@ from wsisearch.yottixel import (
     query_slides,
 )
 
-from util import gaussian_slides, make_slide, patch_at
+from util import gaussian_slides, make_slide, patch_at, ranked_result
 
 
 def slide_starts(db) -> np.ndarray:
@@ -284,7 +283,7 @@ def legacy_query_slides(
         (i for i in range(len(db)) if kept[i]), key=lambda i: (scores[i], db.slide_ids[i])
     )
     hits = ((db.slide_ids[i], db.labels[i], float(scores[i])) for i in order)
-    return ranked_result(hits, k, "hamming")
+    return ranked_result(hits, k)
 
 
 def legacy_query_patches(
@@ -308,7 +307,7 @@ def legacy_query_patches(
         (patch_ref(db.slide_ids[s], *db.coords[r].tolist()), db.labels[s], float(dists[r]))
         for r, s in order
     )
-    return ranked_result(hits, k, "hamming")
+    return ranked_result(hits, k)
 
 
 #: Slide ids that numpy's fixed-width strings would confuse: a trailing NUL

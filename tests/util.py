@@ -1,9 +1,20 @@
 """Shared builders for test corpora."""
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterable
+
 import numpy as np
 
-from wsisearch.model import PatchFeature, SlideRecord, as_patches
+from wsisearch.model import (
+    PatchFeature,
+    RetrievalEntry,
+    RetrievalResult,
+    SlideLabels,
+    SlideRecord,
+    as_patches,
+    patch_ref,
+)
 
 
 def packed(bits: str) -> np.ndarray:
@@ -76,3 +87,27 @@ def first_repeat_oracle(coords) -> tuple[int, int] | None:
     if len(first) == len(coords):
         return None
     return tuple(coords[np.setdiff1d(np.arange(len(coords)), first)[0]].tolist())
+
+
+def ranked_result(hits: Iterable[tuple[str, SlideLabels, float]], k: int) -> RetrievalResult:
+    """Oracle result of the first k (target_id, labels, score) hits, best
+    first.  Only k hits are drawn, so ``hits`` may be a lazy filter over a
+    longer ranking."""
+    return RetrievalResult(tuple(
+        RetrievalEntry(target_id, labels.site, labels.subtype, score)
+        for target_id, labels, score in islice(hits, k)
+    ))
+
+
+def ranked_patches(db, rows: np.ndarray, scores: np.ndarray, k: int) -> RetrievalResult:
+    """Oracle result of the first k ``rows`` (database rows, best first, read
+    through the ``slide`` and ``coords`` columns) as patch hits;
+    ``scores[i]`` is the score of ``rows[i]``."""
+    rows = rows[:k]
+    hits = (
+        (patch_ref(db.slide_ids[s], x, y), db.labels[s], float(score))
+        for s, (x, y), score in zip(
+            db.slide[rows].tolist(), db.coords[rows].tolist(), scores[:k].tolist()
+        )
+    )
+    return ranked_result(hits, k)
