@@ -9,7 +9,7 @@ and summaries.
 Usage:
     python scripts/run_synthetic_eval.py
     python scripts/run_synthetic_eval.py --slides-per-subtype 10 --dim 512 --sigma 0.1
-    python scripts/run_synthetic_eval.py --engines yottixel,hshr --tasks site --jobs 4
+    python scripts/run_synthetic_eval.py --engines yottixel,hshr --tasks site
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ def parse_args() -> argparse.Namespace:
     ap.add_argument("--sigma", type=float, default=0.1)
     ap.add_argument("--queries-per-subtype", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out-dir", type=Path, help="keep rows.csv and summaries per run")
     return ap.parse_args()
 
@@ -81,7 +80,7 @@ def main() -> int:
         for engine in engines:
             t0 = time.perf_counter()
             try:
-                config = ExperimentConfig(engine=engine, task=task, jobs=args.jobs)
+                config = ExperimentConfig(engine=engine, task=task)
             except UnsupportedOperationError:
                 cells = "".join(f"{'-':>9}" for _ in metric_names)
                 print(f"{engine:<10}{cells}{'':>8}")

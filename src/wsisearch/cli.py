@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .bench import BenchSpec, bench_query, format_report
-from .dataio import load_database, load_slides, parse_manifest, save_database
+from .dataio import load_database, load_slides, parse_manifest, read_text, save_database
 from .errors import SearchError, UnsupportedOperationError, ValidationError
 from .experiment import (
     ENGINE_MODULES,
@@ -110,7 +110,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--engine", choices=sorted(ENGINE_MODULES), help="must match the database")
     sp.add_argument("--task", choices=sorted(TASK_PLANS), default="site")
     sp.add_argument("--k", type=int, help="result slots per query (default: task K_max)")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", type=Path, help="rows CSV path (default: stdout)")
 
     sp = command("eval", "aggregate a rows CSV into mMV/mAP summaries")
@@ -172,7 +171,7 @@ def _config_args(sp: argparse.ArgumentParser, args: list[str]) -> list[str]:
     if not path.is_file():
         raise ValidationError(f"config file {path} does not exist")
     config = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -205,9 +204,9 @@ def _cmd_query(ns: argparse.Namespace) -> int:
         raise ValidationError(
             f"database {ns.db} was built by {engine!r}, not {ns.engine!r}"
         )
-    k = ExperimentConfig(engine, ns.task, ns.k, ns.jobs).effective_k
+    k = ExperimentConfig(engine, ns.task, ns.k).effective_k
     queries = load_slides(parse_manifest(ns.manifest))
-    rows = query_rows_against_db(engine, db, queries, ns.task, k, ns.jobs)
+    rows = query_rows_against_db(engine, db, queries, ns.task, k)
     if ns.out is None:
         write_rows_to(sys.stdout, rows, k)
     else:

@@ -2,7 +2,8 @@
 
 Feature files are little-endian throughout: magic "PSF1", u32 patch count,
 u32 feature dimension, then one record per patch of (i32 x, i32 y,
-dim x f32).  Manifests are header-checked CSV.  Databases persist by
+dim x f32).  Manifests are header-checked CSV, read like every text file
+of the package through ``read_text``, as UTF-8.  Databases persist by
 pickling behind a small envelope that names the engine, so a loaded file
 can be dispatched without guessing.  A database file written by an
 incompatible version of the package (another envelope version, or engine
@@ -11,6 +12,7 @@ classes it no longer defines) fails to load with a FormatError.
 from __future__ import annotations
 
 import csv
+import io
 import pickle
 import struct
 import warnings
@@ -76,6 +78,15 @@ def read_features(path: str | Path) -> list[PatchFeature]:
     return as_patches(*_read_psf(Path(path)))
 
 
+def read_text(path: str | Path) -> str:
+    """A text file's contents, newlines untouched; bytes that are not UTF-8
+    are a FormatError naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 class ManifestRow(NamedTuple):
     slide_id: str
     patient_id: str
@@ -106,7 +117,7 @@ def parse_manifest(path: str | Path) -> Manifest:
     enforce between query and database sets.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -11,22 +11,22 @@ computes database-wide statistics globally.
 Both runners, ``run_experiment`` and ``query_rows_against_db``, send every
 query through one loop, ``_query_all``: patient self-exclusion (plus the
 site for the subtype task), the slide and patch branches, abstention and
-the row layout live there once.  Per-query work may run on a thread pool;
-rows are keyed by query_id and sorted before writing so the output is
-independent of scheduling.  Next to the rows and summary, a run writes
-run.json: the slides each database left unprocessed, with the reason, and
-how many queries abstained.
+the row layout live there once.  It answers the queries one after
+another and sorts the rows by query_id.  Next to the rows and summary, a
+run writes run.json: the slides each database left unprocessed, with the
+reason, and how many queries abstained.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
 from . import hshr, retccl, sish, yottixel
+from .dataio import read_text
 from .errors import (
     FormatError,
     NothingIndexedError,
@@ -113,15 +113,12 @@ class ExperimentConfig:
     engine: str
     task: str = TASK_SITE
     k_max: int | None = None  # None: the task's default
-    jobs: int = 1
     engine_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_engine_task(self.engine, self.task)
         if self.k_max is not None and self.k_max < 1:
             raise ValidationError("k_max must be >= 1")
-        if self.jobs < 1:
-            raise ValidationError("jobs must be >= 1")
 
     @property
     def plan(self) -> MetricPlan:
@@ -144,15 +141,15 @@ def _query_all(
     queries: Sequence[SlideRecord],
     task: str,
     k: int,
-    jobs: int,
 ) -> tuple[list[QueryRow], int]:
-    """Every query's rows, sorted by query_id so the thread schedule never
-    shows in the output, and the number of queries that abstained.
+    """Every query's rows, sorted by query_id, and the number of queries
+    that abstained.
 
-    A query abstains, with one all-null row, when ``db_for`` gives it no
-    database or the engine cannot process it; it never kills the run.
-    Self-exclusion is by patient, not just slide id, and the subtype task
-    keeps only candidates from the query's site.
+    A query abstains, with one all-null row and none of the rows it may
+    have produced before failing, when ``db_for`` gives it no database or
+    the engine cannot process it; it never kills the run.  Self-exclusion
+    is by patient, not just slide id, and the subtype task keeps only
+    candidates from the query's site.
     """
     mod = ENGINE_MODULES[engine]
 
@@ -161,10 +158,7 @@ def _query_all(
         slots.extend([None] * (k - len(slots)))
         return QueryRow(query_id, query.site, query.subtype, tuple(slots))
 
-    def worker(query: SlideRecord) -> list[QueryRow] | None:
-        db = db_for(query)
-        if db is None:
-            return None
+    def answer(query: SlideRecord, db) -> list[QueryRow]:
         # chosen once per query: the filter runs once per database slide
         if task == TASK_SUBTYPE:
             def keep(slide_id, labels):
@@ -172,31 +166,29 @@ def _query_all(
         else:
             def keep(slide_id, labels):
                 return labels.patient_id != query.patient_id
-        try:
-            if task == TASK_PATCH:
-                return [
-                    row(
-                        query,
-                        patch_ref(query.slide_id, patch.x, patch.y),
-                        mod.query_patches(db, patch, k, keep).entries,
-                    )
-                    for patch in mod.query_patch_set(db, query)
-                ]
-            return [row(query, query.slide_id, mod.query_slides(db, query, k, keep).entries)]
-        except (UnprocessedSlideError, UnsupportedOperationError):
-            return None
+        if task == TASK_PATCH:
+            return [
+                row(
+                    query,
+                    patch_ref(query.slide_id, patch.x, patch.y),
+                    mod.query_patches(db, patch, k, keep).entries,
+                )
+                for patch in mod.query_patch_set(db, query)
+            ]
+        return [row(query, query.slide_id, mod.query_slides(db, query, k, keep).entries)]
 
-    if jobs == 1:
-        per_query = [worker(q) for q in queries]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_query = list(pool.map(worker, queries))
-    rows = [
-        r
-        for query, query_rows in zip(queries, per_query)
-        for r in (query_rows if query_rows is not None else [row(query, query.slide_id)])
-    ]
-    abstained = sum(query_rows is None for query_rows in per_query)
+    rows: list[QueryRow] = []
+    abstained = 0
+    for query in queries:
+        db = db_for(query)
+        try:
+            if db is not None:
+                rows += answer(query, db)
+                continue
+        except (UnprocessedSlideError, UnsupportedOperationError):
+            pass
+        abstained += 1
+        rows.append(row(query, query.slide_id))
     return sorted(rows, key=lambda r: r.query_id), abstained
 
 
@@ -235,14 +227,10 @@ def run_experiment(
             failed = exc.unprocessed  # the site has no database: its queries abstain
         unprocessed += [(name, slide_id, reason) for slide_id, reason in failed]
 
-    rows, abstained = _query_all(
-        config.engine,
-        lambda query: databases.get(query.site if per_site else "all"),
-        query_slides,
-        config.task,
-        k_max,
-        config.jobs,
-    )
+    def db_for(query: SlideRecord):
+        return databases.get(query.site if per_site else "all")
+
+    rows, abstained = _query_all(config.engine, db_for, query_slides, config.task, k_max)
     summary = compute_summary(rows, config.task)
 
     rows_path = summary_csv = summary_txt = run_json = None
@@ -284,7 +272,6 @@ def query_rows_against_db(
     query_slides: Sequence[SlideRecord],
     task: str,
     k_max: int | None = None,
-    jobs: int = 1,
 ) -> list[QueryRow]:
     """Query a single prebuilt database (the CLI path).
 
@@ -292,8 +279,8 @@ def query_rows_against_db(
     instead of rebuilding; database-wide statistics stay global.
     """
     # checked here: a run whose every query abstains never reaches an engine
-    config = ExperimentConfig(engine, task, k_max, jobs)
-    return _query_all(engine, lambda query: db, query_slides, task, config.effective_k, jobs)[0]
+    config = ExperimentConfig(engine, task, k_max)
+    return _query_all(engine, lambda query: db, query_slides, task, config.effective_k)[0]
 
 
 @dataclass
@@ -381,7 +368,7 @@ def write_rows_to(stream: TextIO, rows: Sequence[QueryRow], k_max: int) -> None:
 
 def read_rows(path: str | Path) -> list[QueryRow]:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -404,19 +391,16 @@ def read_rows(path: str | Path) -> list[QueryRow]:
                 if all(c == "" for c in chunk):
                     slots.append(None)
                 elif all(c != "" for c in chunk):
-                    slots.append(
-                        RetrievalSlot(chunk[0], chunk[1], chunk[2], float(chunk[3]))
-                    )
+                    try:
+                        score = float(chunk[3])
+                    except ValueError:
+                        raise FormatError(
+                            f"{path}:{lineno}: slot {i + 1} score {chunk[3]!r} is not a number"
+                        ) from None
+                    slots.append(RetrievalSlot(chunk[0], chunk[1], chunk[2], score))
                 else:
                     raise FormatError(f"{path}:{lineno}: slot {i + 1} partially filled")
-            rows.append(
-                QueryRow(
-                    query_id=cells[0],
-                    query_site=cells[1],
-                    query_subtype=cells[2],
-                    slots=tuple(slots),
-                )
-            )
+            rows.append(QueryRow(cells[0], cells[1], cells[2], tuple(slots)))
     return rows
 
 

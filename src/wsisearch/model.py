@@ -11,8 +11,8 @@ float32 ``features`` matrix.  ``PatchFeature`` is the single-patch form the
 API edge speaks (feature files, patch queries); ``as_patches`` derives it.
 
 A barcode is one ``np.packbits`` row: uint8, most significant bit first,
-last byte zero-padded.  Its bit length L is the database's ``code_length``
-(feature dimension minus one) and is never stored per code.
+last byte zero-padded.  Its bit length L is ``dim - 1``, one less than the
+database's feature dimension, and is never stored per code.
 ``hamming_matrix`` is the one Hamming kernel over such rows: it xors every
 pair of rows into one uint8 buffer, counts that buffer's bits in place and
 sums each pair's byte counts in uint16 for codes of up to 8,191 bytes.

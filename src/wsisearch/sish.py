@@ -88,7 +88,6 @@ class SishDatabase(SlideTable):
     so a row's ``slide`` is also the rank of its slide_id."""
 
     params: SishParams
-    code_length: int
     lo: np.ndarray  # (dim,) componentwise minima over indexed patches
     hi: np.ndarray
     keys: np.ndarray  # (K,) int64, sorted distinct indices
@@ -181,7 +180,6 @@ def build_database(slides: Sequence[SlideRecord], params: SishParams | None = No
     return SishDatabase(
         **table,
         params=params,
-        code_length=table["dim"] - 1,
         lo=lo,
         hi=hi,
         keys=keys,
@@ -260,9 +258,9 @@ def guided_search(
     kept slides (``kept`` is a per-slide mask, None keeps all) within
     db.params.hamming_threshold, ascending by distance, then slide_id, then
     mosaic member; n may be 0.  One argsort of ``ham * N + rank`` over the N
-    rows gives that order: ``rank`` is below N and ham at most code_length,
-    so keys are distinct and below (code_length + 1) * N <= 9 * codes.nbytes,
-    inside int64 for any codes array under 10**18 bytes.
+    rows gives that order: ``rank`` is below N and ham at most the code
+    length L = dim - 1, so keys are distinct and below (L + 1) * N <=
+    9 * codes.nbytes, inside int64 for any codes array under 10**18 bytes.
     """
     # the seeds' walkers overlap: merged ranges give each row once, in row order
     merged: list[list[int]] = []

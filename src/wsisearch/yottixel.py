@@ -50,7 +50,6 @@ class YottixelDatabase(SlideTable):
     of ``packed`` and ``coords`` belongs to slide ``slide[j]``."""
 
     params: YottixelParams
-    code_length: int
     packed: np.ndarray  # (N, ceil(L / 8)) uint8, one row per mosaic member
     coords: np.ndarray  # (N, 2) int32, (x, y) of each row's member
     slide: np.ndarray  # (N,) int64, index into slide_ids and labels, ascending
@@ -70,7 +69,6 @@ def build_database(slides: Sequence[SlideRecord], params: YottixelParams | None 
     return YottixelDatabase(
         **table,
         params=params,
-        code_length=table["dim"] - 1,
         packed=np.concatenate([packed for packed, _ in bags]),
         coords=np.concatenate([coords for _, coords in bags]),
         slide=np.repeat(np.arange(len(bags)), [len(packed) for packed, _ in bags]),

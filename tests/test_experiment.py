@@ -11,6 +11,7 @@ from wsisearch import model
 from wsisearch.errors import (
     EmptyInputError,
     FormatError,
+    UnprocessedSlideError,
     UnsupportedOperationError,
     ValidationError,
 )
@@ -92,11 +93,9 @@ class TestGuards:
         params = make_params("retccl", {"sim_threshold": 0.5})
         assert params.sim_threshold == 0.5
 
-    def test_config_validates_k_and_jobs(self):
+    def test_config_validates_k(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(engine="yottixel", k_max=0)
-        with pytest.raises(ValidationError):
-            ExperimentConfig(engine="yottixel", jobs=0)
 
     def test_effective_k_defaults_to_plan(self):
         cfg = ExperimentConfig(engine="yottixel", task=TASK_SUBTYPE)
@@ -386,17 +385,6 @@ class TestRunExperiment:
                 if slot is not None:
                     assert patients[slot.target_id] != q_patient
 
-    def test_jobs_do_not_change_rows(self, corpus):
-        db, queries = corpus
-        serial = run_experiment(
-            ExperimentConfig(engine="yottixel", task=TASK_SITE, jobs=1), db, queries
-        )
-        threaded = run_experiment(
-            ExperimentConfig(engine="yottixel", task=TASK_SITE, jobs=4), db, queries
-        )
-        assert serial.rows == threaded.rows
-        assert serial.summary == threaded.summary
-
     def test_patch_task_rows_per_mosaic_member(self, corpus):
         db, queries = corpus
         cfg = ExperimentConfig(engine="yottixel", task=TASK_PATCH)
@@ -404,6 +392,29 @@ class TestRunExperiment:
         assert len(report.rows) > 1  # one row per query mosaic patch
         assert all(":" in r.query_id for r in report.rows)
         assert all(r.query_subtype == queries[0].subtype for r in report.rows)
+
+    def test_patch_query_failing_partway_gives_one_null_row(self, corpus, monkeypatch):
+        db, queries = corpus
+        yottixel = ENGINE_MODULES["yottixel"]
+        answered = []
+        query_patches = yottixel.query_patches
+
+        def fail_on_third_patch(db, patch, k, keep):
+            answered.append(patch)
+            if len(answered) == 3:
+                raise UnprocessedSlideError("mosaic patch could not be queried")
+            return query_patches(db, patch, k, keep)
+
+        monkeypatch.setattr(yottixel, "query_patches", fail_on_third_patch)
+        report = run_experiment(ExperimentConfig(engine="yottixel", task=TASK_PATCH), db, queries[:2])
+        first, second = queries[:2]
+        # the first query failed on its third patch and kept none of its rows
+        assert [r for r in report.rows if r.query_id.startswith(first.slide_id)] == [
+            QueryRow(first.slide_id, first.site, first.subtype, (None,) * 5)
+        ]
+        assert report.abstained == 1
+        second_rows = [r for r in report.rows if r.query_id.startswith(second.slide_id + ":")]
+        assert len(second_rows) == len(answered) - 3 > 0
 
     def test_empty_database_fails_unless_built_per_site(self, corpus):
         _, queries = corpus
@@ -528,6 +539,20 @@ class TestRowSerialization:
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="partially filled"):
+            read_rows(path)
+
+    def test_read_rejects_non_numeric_score(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(path, self.sample_rows(), 3)
+        path.write_text(path.read_text().replace(",0.125,", ",abc,"))
+        with pytest.raises(FormatError, match=rf"{path}:2: slot 1 score 'abc' is not a number"):
+            read_rows(path)
+
+    def test_read_rejects_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(path, self.sample_rows(), 3)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(FormatError, match=f"{path}: not UTF-8 text"):
             read_rows(path)
 
     def test_read_rejects_empty_file(self, tmp_path):

@@ -240,6 +240,12 @@ class TestManifests:
         with pytest.raises(FormatError):
             parse_manifest(path)
 
+    def test_non_utf8_bytes_are_format_error(self, tmp_path):
+        path = write_corpus(tmp_path, self.make_slides())
+        path.write_bytes(path.read_bytes().replace(b"\ns1,", b"\n\xff\xfe,"))
+        with pytest.raises(FormatError, match=f"{path}: not UTF-8 text"):
+            parse_manifest(path)
+
 
 class TestDatabaseEnvelope:
     def test_save_load_round_trip(self, tmp_path):

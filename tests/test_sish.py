@@ -55,7 +55,6 @@ def handmade_db(entries_at: dict[int, list[tuple[str, str]]], code_bits: str = "
     return SishDatabase(
         params=SishParams(),
         dim=len(code_bits) + 1,
-        code_length=len(code_bits),
         lo=np.zeros(len(code_bits) + 1),
         hi=np.ones(len(code_bits) + 1),
         slide_ids=slide_ids,
@@ -195,7 +194,6 @@ def column_db(index, slide, codes, code_length: int, params: SishParams) -> Sish
     return SishDatabase(
         params=params,
         dim=code_length + 1,
-        code_length=code_length,
         lo=np.zeros(code_length + 1),
         hi=np.ones(code_length + 1),
         slide_ids=[f"s{i:03d}" for i in range(n_slides)],
@@ -705,5 +703,5 @@ class TestEndToEnd:
         assert len(indices) > 0
         assert indices.dtype == np.int64 and indices.shape == (len(codes),)
         assert codes.dtype == np.uint8
-        assert codes.shape == (len(indices), -(-db.code_length // 8))
+        assert codes.shape == (len(indices), -(-(db.dim - 1) // 8))
         assert ((0 <= indices) & (indices < 2**48)).all()

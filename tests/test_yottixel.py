@@ -64,7 +64,8 @@ class TestBuild:
         assert len(db) == len(slides)
         assert db.slide_ids == [s.slide_id for s in slides]
         assert db.unprocessed == []
-        assert db.code_length == 23
+        # 24 features give 23-bit barcodes, packed in 3 bytes
+        assert db.dim - 1 == 23 and db.packed.shape[1] == 3
 
     def test_mixed_dims_rejected(self):
         rng = np.random.default_rng(0)
@@ -329,7 +330,6 @@ def tie_databases(draw):
     db = YottixelDatabase(
         params=YottixelParams(),
         dim=9,
-        code_length=8,
         slide_ids=list(names),
         labels=[SlideLabels("brain", sub, f"pt-{i}") for i, sub in enumerate(subtypes)],
         packed=TIE_CODES[codes],
